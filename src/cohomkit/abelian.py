@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
 
-from .intmat import ModSpan, OverflowAbort
+from .intmat import ModSpan, OverflowAbort, diagonalize_mod, kernel_uniform, matmul_mod, solve_mod
 
 _MAX_CARD = 1 << 62
 
@@ -182,106 +183,6 @@ class AbHom:
 # ---------------------------------------------------------------------------
 
 
-def _snf_row_tracked(M: np.ndarray):
-    """Diagonalize M by row and column ops; track row ops and their inverse.
-
-    Returns (diag, U, Uinv) with U @ M @ V == diag(...) for some unimodular V.
-
-    Runs in int64 and retries with exact Python integers if entries threaten
-    to overflow (the retry also covers U/Uinv growth).
-    """
-    for dtype in (np.int64, object):
-        try:
-            return _snf_row_tracked_impl(M.astype(dtype), dtype)
-        except OverflowAbort:
-            continue
-    raise AssertionError("unreachable")
-
-
-def _snf_row_tracked_impl(A, dtype):
-    p, m = A.shape
-    U = np.eye(p, dtype=dtype)
-    Uinv = np.eye(p, dtype=dtype)
-    guard = dtype is np.int64
-
-    def check():
-        if guard:
-            bound = 1 << 60
-            if A.size and abs(A).max() > bound:
-                raise OverflowAbort("snf entries too large for int64")
-            if abs(U).max() > bound or abs(Uinv).max() > bound:
-                raise OverflowAbort("snf transform too large for int64")
-
-    t = 0
-    while t < min(p, m):
-        block = A[t:, t:]
-        nz = np.nonzero(block)
-        if nz[0].size == 0:
-            break
-        absvals = abs(block[nz])
-        k = int(np.argmin(absvals))
-        i0, j0 = int(nz[0][k]) + t, int(nz[1][k]) + t
-        if i0 != t:
-            A[[t, i0]] = A[[i0, t]]
-            U[[t, i0]] = U[[i0, t]]
-            Uinv[:, [t, i0]] = Uinv[:, [i0, t]]
-        if j0 != t:
-            A[:, [t, j0]] = A[:, [j0, t]]
-        if A[t, t] < 0:
-            A[t] = -A[t]
-            U[t] = -U[t]
-            Uinv[:, t] = -Uinv[:, t]
-        piv = A[t, t]
-        col = A[t + 1 :, t]
-        dirty = False
-        if col.size and np.any(col):
-            q = col // piv
-            A[t + 1 :] -= np.outer(q, A[t])
-            U[t + 1 :] -= np.outer(q, U[t])
-            Uinv[:, t] += Uinv[:, t + 1 :] @ q
-            if np.any(A[t + 1 :, t]):
-                dirty = True
-        row = A[t, t + 1 :]
-        if row.size and np.any(row):
-            q = row // piv
-            A[:, t + 1 :] -= np.outer(A[:, t], q)
-            if np.any(A[t, t + 1 :]):
-                dirty = True
-        check()
-        if dirty:
-            continue
-        rest = A[t + 1 :, t + 1 :]
-        if rest.size:
-            bad = np.nonzero(rest % piv)
-            if bad[0].size:
-                i = int(bad[0][0]) + t + 1
-                A[t] += A[i]
-                U[t] += U[i]
-                Uinv[:, i] -= Uinv[:, t]
-                check()
-                continue
-        t += 1
-    diag = [int(A[i, i]) for i in range(min(p, m))]
-    return diag, np.asarray(U), np.asarray(Uinv)
-
-
-def _relative_kernel(b_rows: np.ndarray, t_rows: np.ndarray, L: int) -> np.ndarray:
-    """Rows c with sum_i c_i * b_rows[i] lying in span(t_rows) over Z/L."""
-    p, n = b_rows.shape
-    stacked = []
-    eye = np.eye(p, dtype=np.int64)
-    stacked.append(np.concatenate([b_rows % L, eye], axis=1))
-    if t_rows.size:
-        zeros = np.zeros((t_rows.shape[0], p), dtype=np.int64)
-        stacked.append(np.concatenate([t_rows % L, zeros], axis=1))
-    allrows = np.concatenate(stacked, axis=0)
-    span = ModSpan(allrows, L, n=n + p)
-    out = [b[n:] for b, piv in zip(span._basis, span._pivots) if piv >= n]
-    if not out:
-        return np.zeros((0, p), dtype=np.int64)
-    return np.array(out, dtype=np.int64) % L
-
-
 class Presentation:
     """S/T for subgroups T <= S of an ambient product of cyclic groups.
 
@@ -313,20 +214,15 @@ class Presentation:
                 raise ValueError("denominator subgroup is not contained in numerator")
         B = self.s_span.basis
         p = B.shape[0]
-        if p == 0:
-            self._keep = []
-            self.group = FinAbGroup(())
-            self._U = np.zeros((0, 0), dtype=np.int64)
-            self._Uinv = np.zeros((0, 0), dtype=np.int64)
-            self._diag = []
-        else:
-            K = _relative_kernel(B, self.t_span.basis, self.L)
-            rel = np.concatenate([K, self.L * np.eye(p, dtype=np.int64)], axis=0)
-            diag, U, Uinv = _snf_row_tracked(rel.T)  # relations as columns
-            self._diag = [d if d else self.L for d in diag] + [self.L] * (p - len(diag))
-            self._U, self._Uinv = U, Uinv
-            self._keep = [i for i, d in enumerate(self._diag) if d > 1]
-            self.group = FinAbGroup(tuple(self._diag[i] for i in self._keep))
+        # relations: coordinates c over B with c @ B in T, the first p
+        # columns of the left kernel of [B; T]; L*I is among them, so
+        # diagonalizing over Z/L is exact
+        stacked = np.concatenate([B, self.t_span.basis])
+        rel = ModSpan(stacked, self.L, n=n, track=True).kernel()[:, :p]
+        diag, self._U = diagonalize_mod(rel.T, self.L)  # relations as columns
+        self._diag = diag + [self.L] * (p - len(diag))
+        self._keep = [i for i, d in enumerate(self._diag) if d > 1]
+        self.group = FinAbGroup(tuple(self._diag[i] for i in self._keep))
         expected = self.s_span.size() // self.t_span.size()
         if self.group.cardinality != expected:
             raise AssertionError(
@@ -335,43 +231,24 @@ class Presentation:
 
     # -- conversions --------------------------------------------------------
 
-    def _basis_coords(self, vec) -> np.ndarray:
-        """Coefficients of vec over the Howell basis of S (vec must lie in S)."""
-        v = np.asarray(vec, dtype=np.int64) % self.L
-        B = self.s_span.basis
-        coeffs = np.zeros(B.shape[0], dtype=np.int64)
-        row = v.copy()
-        for idx, j in enumerate(self.s_span._pivots):
-            val = row[j]
-            if val:
-                d = B[idx][j]
-                q = int(val) // int(d)
-                coeffs[idx] = q
-                row = (row - q * B[idx]) % self.L
-        if row.any():
-            raise ValueError("vector is not a member of the subgroup")
-        return coeffs
+    @cached_property
+    def _U_span(self) -> ModSpan:
+        """Span of the columns of U; its ``solve(y)`` is the c with U @ c == y."""
+        return ModSpan(self._U.T, self.L, n=len(self._diag), track=True)
 
     def class_coords(self, vec) -> AbElement:
-        c = self._basis_coords(vec)
-        if not len(self._keep):
-            return self.group.zero()
-        y = (self._U @ c.astype(self._U.dtype))
+        c = self.s_span.coords(vec)
+        if c is None:
+            raise ValueError("vector is not a member of the subgroup")
+        y = matmul_mod(self._U, c, self.L)
         return self.group.element([int(y[i]) % self._diag[i] for i in self._keep])
 
     def rep(self, cls: AbElement) -> np.ndarray:
         """An ambient representative vector of the class."""
         assert cls.parent == self.group
-        p = self.s_span.basis.shape[0]
-        y = np.zeros(p, dtype=self._Uinv.dtype if p else np.int64)
-        for slot, i in enumerate(self._keep):
-            y[i] = cls.coords[slot]
-        c = (self._Uinv @ y) if p else y
-        c = np.asarray(c, dtype=object) if c.dtype == object else c
-        vec = np.zeros(len(self.ambient_orders), dtype=np.int64)
-        B = self.s_span.basis
-        for i in range(p):
-            vec = (vec + (int(c[i]) % self.L) * B[i]) % self.L
+        y = np.zeros(len(self._diag), dtype=np.int64)
+        y[self._keep] = cls.coords
+        vec = matmul_mod(self._U_span.solve(y), self.s_span.basis, self.L)
         return vec % np.array(self.ambient_orders, dtype=np.int64)
 
     def contains(self, vec) -> bool:
@@ -396,10 +273,7 @@ def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     L = 1
     for o in h.source.orders + h.target.orders:
         L = lcm(L, o)
-    A = _scaled_matrix(h, L)
-    span = ModSpan(A.T, L, n=A.shape[0], track=True)
-    krows = span.kernel()
-    pres = Presentation(h.source.orders, krows)
+    pres = Presentation(h.source.orders, kernel_uniform(_scaled_matrix(h, L), L))
     K = pres.group
     cols = [pres.rep(g) for g in _pres_generators(pres)]
     incl = AbHom(K, h.source, np.array(cols, dtype=np.int64).T if cols else np.zeros((h.source.rank, 0)))
@@ -444,8 +318,7 @@ def solve_preimage(h: AbHom, t: AbElement):
     A = _scaled_matrix(h, L)
     scales = np.array([L // m for m in h.target.orders], dtype=np.int64)
     b = (np.array(t.coords, dtype=np.int64) * scales) % L
-    span = ModSpan(A.T, L, n=A.shape[0], track=True)
-    c = span.solve(b)
+    c = solve_mod(A, b, L)
     if c is None:
         return None
     return h.source.element(c)

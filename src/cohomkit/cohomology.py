@@ -76,6 +76,7 @@ class CohomologyGroup:
         for o in module.ab.orders:
             self.L = lcm(self.L, o)
         self.L = max(self.L, 1)
+        self._orders = np.array(module.ab.orders, dtype=np.int64)
         self._rng = np.random.default_rng(rng_seed)
         if degree == 0:
             self._init_degree0()
@@ -111,8 +112,7 @@ class CohomologyGroup:
         for _ in M.group.elements():
             scales.extend([self.L // o for o in M.ab.orders])
         A = (A * np.array(scales, dtype=np.int64).reshape(-1, 1)) % self.L
-        span = ModSpan(A.T, self.L, n=A.shape[0], track=True)
-        self._z_rows = span.kernel()
+        self._z_rows = _kernel_uniform(A, self.L)
         self._b_rows = np.zeros((0, self.k), dtype=np.int64)
         self.presentation = Presentation(self.module.ab.orders, self._z_rows, self._b_rows)
         self.group = self.presentation.group
@@ -221,7 +221,8 @@ class CohomologyGroup:
         x = self.X[xi]
         f = G.op(x, g)
         rhs = self._corrections_for_pair(x, xi, g)
-        rows = (self._E[f] - rhs) % self.L
+        # coordinate i holds mod o_i; scaled by L/o_i it holds mod L
+        rows = (self._E[f] - rhs) * (self.L // self._orders)[:, None] % self.L
         return rows.reshape(self.W * self.k, self.s)
 
     # -- cocycles ------------------------------------------------------------
@@ -266,7 +267,9 @@ class CohomologyGroup:
                     added += 1
                     if added >= 64:
                         break
-        raise AssertionError("cocycle sampling failed to converge")
+        raise BoundExceeded(
+            f"cocycle sampling did not converge in 12 rounds ({len(chosen)} of {len(pairs)} pairs)"
+        )
 
     def _violating_pairs(self, kern: np.ndarray) -> list[tuple[int, int]]:
         """Exact certificate: re-check every generator-slot condition."""
@@ -287,7 +290,7 @@ class CohomologyGroup:
                 corr1 = tables[:, x][:, fused]  # (b, n, W, k): u(x, g*w)
                 corr2 = tables[:, x][:, :, None, :]  # u(x, g), broadcast over w
                 rhs = (acted + corr1 - corr2) % self.L
-            diff = (lhs - rhs) % self.L
+            diff = (lhs - rhs) % self._orders
             for g in np.unique(np.nonzero(diff)[1]):
                 bad.append((xi, int(g)))
         return bad
@@ -314,7 +317,7 @@ class CohomologyGroup:
                 else:
                     block += sign * T[:, x][:, wmap]
             T[:, f] = block % self.L
-        return T
+        return T % self._orders
 
     # -- coboundaries ----------------------------------------------------------
 

@@ -1,17 +1,28 @@
-"""Exact integer matrix routines: Smith normal form over Z, Howell form over Z/L.
+"""Exact integer matrix routines: one Howell-form sweep over Z/L, and Smith normal form over Z.
 
-All heavy lifting for subgroup arithmetic in finite abelian groups reduces to
-two primitives:
+All subgroup arithmetic in finite abelian groups runs on one elimination
+engine, a column sweep over Z/L (``_sweep``).  In each column the pivot is
+the row whose entry has the smallest gcd with L.  When L is composite and
+that entry does not divide another entry of the column, a 2x2 xgcd step
+folds that row into the pivot, at most Omega(L) times per column.  The pivot
+row is scaled by a unit to an entry d | L, the other rows are cleared in one
+vectorized update, and the annihilator row (L/d)*r joins the rows still to
+be swept.  The result is a Howell form: unlike a Hermite form it is closed
+under the annihilator rows, which makes membership and kernels exact over
+Z/L for any L.
 
-* ``smith_normal_form`` -- U @ A @ V = D over Z with U, V unimodular and a
-  divisibility chain on the diagonal.  Pure-Python integers, so intermediate
-  swell can never overflow silently.
-* ``howell_form`` -- a canonical row form for subgroups of (Z/L)^n.  Unlike a
-  Hermite form, the Howell form is closed under the annihilator rows (L/d)*r,
-  which makes span membership and kernel extraction exact over Z/L.
+``ModSpan`` (spans, membership, coordinates, solving, left kernels),
+``howell_form``, ``left_kernel``, ``kernel_mod``, ``solve_mod`` and
+``kernel_uniform`` all run on the sweep; ``diagonalize_mod`` applies its
+column step to rows and columns to present quotients of (Z/L)^p.
 
-numpy is used as a container for Howell-form arithmetic; every operation there
-is integer arithmetic mod L with values bounded by L, so int64 never wraps.
+Arithmetic is int64 mod L.  No intermediate value of the sweep exceeds
+2(L-1)^2 in absolute value, and ``matmul_mod`` reduces before a sum could
+pass 2^63, so every modulus with 2(L-1)^2 >= 2^63, that is L > 2^31, is
+refused with ``OverflowAbort`` rather than allowed to wrap.
+
+``smith_normal_form`` (over Z, with pure-Python integers) is kept as the
+reference the tests compare against and as a public export.
 """
 
 from __future__ import annotations
@@ -182,8 +193,20 @@ def smith_normal_form(A) -> SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Howell form over Z/L
+# Howell form over Z/L: one column sweep
 # ---------------------------------------------------------------------------
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _check_modulus(L: int) -> int:
+    """L as an int, refused when int64 arithmetic mod L could wrap."""
+    L = int(L)
+    if L < 1:
+        raise ValueError(f"modulus must be >= 1, got {L}")
+    if 2 * (L - 1) ** 2 > _INT64_MAX:
+        raise OverflowAbort(f"modulus {L} is too large for int64 arithmetic: 2(L-1)^2 >= 2^63")
+    return L
 
 
 def _unit_lifting(a: int, L: int) -> int:
@@ -203,12 +226,84 @@ def _unit_lifting(a: int, L: int) -> int:
     return u
 
 
-class ModSpan:
-    """Row span of integer vectors in (Z/L)^n, kept in canonical Howell form.
+def _clear_column(W: np.ndarray, top: int, stop: int, col: int, L: int) -> int:
+    """Reduce column ``col`` of rows top..stop-1 of W to a single entry in row ``top``.
 
-    Supports exact membership tests, representation of members as combinations
-    of the *original* generators, canonical coset representatives, and the
-    left kernel of the generator matrix.
+    The rows must be zero left of ``col``.  Only invertible row operations are
+    used, so W may carry a transform in its later columns.  The pivot is the
+    row whose entry has the smallest gcd with L, scaled by a unit to d | L.  A
+    row whose entry d does not divide is folded into the pivot by a 2x2 xgcd
+    step, which replaces d by a proper divisor, so there are at most Omega(L)
+    folds.  Returns d, or 0 when the column is already zero.
+    """
+    rows = top + W[top:stop, col].nonzero()[0]
+    if rows.size == 0:
+        return 0
+    r = int(rows[np.argmin(np.gcd(W[rows, col], L))]) if rows.size > 1 else int(rows[0])
+    others = rows[rows != r]
+    if r != top:
+        W[[top, r]] = W[[r, top]]
+        if others.size and others[0] == top:  # the old top row now sits at r
+            others[0] = r
+    W[top, col:] = W[top, col:] * _unit_lifting(int(W[top, col]), L) % L
+    d = int(W[top, col])
+    while others.size:
+        bad = np.flatnonzero(W[others, col] % d)
+        if not bad.size:
+            q = W[others, col] // d
+            block = W[others, col:]
+            block -= q[:, None] * W[top, col:]
+            block %= L
+            W[others, col:] = block
+            break
+        o = int(others[bad[0]])
+        b = int(W[o, col])
+        g, s, t = xgcd(d, b)
+        piv, row = W[top, col:].copy(), W[o, col:].copy()
+        W[top, col:] = (s % L * piv + t % L * row) % L
+        W[o, col:] = ((-(b // g)) % L * piv + (d // g) * row) % L
+        d = g
+        others = others[others != o]
+    return d
+
+
+def _sweep(W: np.ndarray, count: int, ncols: int, L: int) -> tuple[list[int], int]:
+    """Howell sweep, in place, of rows 0..count-1 of W over its first ncols columns.
+
+    Afterwards rows 0..k-1 are the pivot rows, in increasing pivot column, and
+    rows k..count-1 are zero in the first ncols columns.  Each pivot row r
+    with entry d > 1 adds its annihilator row (L/d)*r below, which makes the
+    pivot rows a Howell basis: the members of the span that vanish left of a
+    column are spanned by the rows whose pivot lies at or right of it.
+    Returns the pivot columns and the final row count.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        d = _clear_column(W, top, count, col, L)
+        if not d:
+            continue
+        pivots.append(col)
+        if d > 1:
+            ann = W[top, col:] * (L // d) % L
+            if ann.any():
+                W[count, col:] = ann
+                count += 1
+    return pivots, count
+
+
+class ModSpan:
+    """Row span of integer vectors in (Z/L)^n, in Howell form.
+
+    The generators are swept once (``_sweep``), in one workspace of
+    preallocated rows.  That gives exact membership, canonical coset
+    representatives (``reduce``), coordinates over the canonical basis
+    (``coords``) and the size.  With ``track=True`` the sweep runs over the
+    first n columns of [generators | I], which also gives members as
+    combinations of the *original* generators (``solve``) and the left kernel
+    of the generator matrix (``kernel``).  ``basis``, the canonical Howell
+    basis with the entries above each pivot reduced mod the pivot, is formed
+    the first time it is read.
     """
 
     def __init__(self, rows, L: int, n: int | None = None, track: bool = False):
@@ -223,140 +318,81 @@ class ModSpan:
             rows = rows.reshape(0, n)
         elif n is not None and rows.shape[1] != n:
             raise ValueError(f"generator width {rows.shape[1]} != ambient width {n}")
-        self.L = int(L)
-        assert self.L >= 1
-        self.n = rows.shape[1]
-        self.ngen = rows.shape[0]
+        self.L = _check_modulus(L)
+        m, self.n = rows.shape
         self.track = track
+        # each pivot adds at most one row, and the factors L/d >= 2 of the
+        # pivots multiply to the span's size, which divides L^m: at most
+        # m*log2(L) pivots
+        cap = m + min(self.n, m * self.L.bit_length())
+        W = np.zeros((cap, self.n + m if track else self.n), dtype=np.int64)
+        np.remainder(rows, self.L, out=W[:m, : self.n])
         if track:
-            aug = np.eye(self.ngen, dtype=np.int64)
-            work = np.concatenate([rows % self.L, aug], axis=1)
-        else:
-            work = rows % self.L
-        self._width = work.shape[1]
-        self._pivots: list[int] = []  # pivot columns, increasing
-        self._basis: list[np.ndarray] = []
-        for r in work:
-            self._add_row(r.copy())
-        self._canonicalize()
-        self.basis = (
-            np.array([b[: self.n] for b in self._basis], dtype=np.int64)
-            if self._basis
-            else np.zeros((0, self.n), dtype=np.int64)
-        )
+            W[np.arange(m), self.n + np.arange(m)] = 1
+        self._pivots, count = _sweep(W, m, self.n, self.L)
+        self._rows = W[: len(self._pivots)]
+        self._rest = W[len(self._pivots) : count]
+        self._basis: np.ndarray | None = None
 
-    # -- construction ------------------------------------------------------
+    @property
+    def basis(self) -> np.ndarray:
+        """Canonical Howell basis: the pivot rows, reduced above each pivot (read-only)."""
+        if self._basis is None:
+            B = self._rows[:, : self.n] % self.L
+            for i, j in enumerate(self._pivots):
+                q = B[:i, j] // B[i, j]
+                if q.any():
+                    B[:i] = (B[:i] - q[:, None] * B[i]) % self.L
+            B.flags.writeable = False
+            self._basis = B
+        return self._basis
 
-    def _leading(self, row):
-        nz = np.flatnonzero(row)
-        return int(nz[0]) if nz.size else -1
-
-    def _add_row(self, row):
-        row %= self.L
-        while True:
-            j = self._leading(row)
-            if j < 0:
-                return
-            # reduce against existing pivot at column j if present
-            pos = None
-            for idx, p in enumerate(self._pivots):
-                if p == j:
-                    pos = idx
-                    break
-                if p > j:
-                    break
-            if pos is None:
-                g = gcd(int(row[j]), self.L)
-                u = _unit_lifting(int(row[j]), self.L)
-                row = (u * row) % self.L
-                assert row[j] == g
-                insert_at = 0
-                while insert_at < len(self._pivots) and self._pivots[insert_at] < j:
-                    insert_at += 1
-                self._pivots.insert(insert_at, j)
-                self._basis.insert(insert_at, row)
-                ann = self.L // g
-                if ann > 1:
-                    self._add_row((ann * row) % self.L)
-                return
-            d = int(self._basis[pos][j])
-            v = int(row[j])
-            if v % d == 0:
-                row = (row - (v // d) * self._basis[pos]) % self.L
-                continue
-            g, s, t = xgcd(d, v)
-            new = (s * self._basis[pos] + t * row) % self.L
-            old = self._basis[pos]
-            row = (row - (v // g) * new) % self.L
-            self._pivots.pop(pos)
-            self._basis.pop(pos)
-            self._add_row(new)
-            self._add_row((old - (d // g) * new) % self.L)
-            # fall through: keep reducing the remainder of `row`
-
-    def _canonicalize(self):
-        # entries above each pivot reduced mod the pivot value
-        for idx in range(len(self._basis) - 1, -1, -1):
-            j = self._pivots[idx]
-            d = int(self._basis[idx][j])
-            for k in range(idx):
-                v = int(self._basis[k][j])
-                q = v // d
-                if q:
-                    self._basis[k] = (self._basis[k] - q * self._basis[idx]) % self.L
+    def _eliminate(self, R: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+        """(q, r) with r = [v | 0] - q @ R mod L and r zero or reduced at every pivot."""
+        row = np.zeros(R.shape[1], dtype=np.int64)
+        row[: self.n] = np.asarray(v, dtype=np.int64) % self.L
+        q = np.zeros(len(self._pivots), dtype=np.int64)
+        for i, j in enumerate(self._pivots):
+            if row[j]:
+                q[i] = row[j] // R[i, j]
+                row = (row - q[i] * R[i]) % self.L
+        return q, row
 
     # -- queries -----------------------------------------------------------
 
     def reduce(self, v) -> np.ndarray:
         """Canonical coset representative of v modulo this span."""
-        v = np.asarray(v, dtype=np.int64) % self.L
-        if self.track:
-            v = np.concatenate([v, np.zeros(self.ngen, dtype=np.int64)])
-        row = v.copy()
-        for idx, j in enumerate(self._pivots):
-            if j >= self.n:
-                break
-            val = row[j]
-            if val:
-                d = self._basis[idx][j]
-                row = (row - (int(val) // int(d)) * self._basis[idx]) % self.L
-        return row[: self.n]
+        return self._eliminate(self._rows[:, : self.n], v)[1]
 
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
+
+    def coords(self, v):
+        """Coefficients c with c @ basis == v mod L, or None when v is outside the span."""
+        q, r = self._eliminate(self.basis, v)
+        return None if r.any() else q
 
     def solve(self, v):
         """Coefficients c (over the original generators) with c @ gens = v, or None."""
         if not self.track:
             raise ValueError("span was built without coefficient tracking")
-        v = np.asarray(v, dtype=np.int64) % self.L
-        row = np.concatenate([v, np.zeros(self.ngen, dtype=np.int64)])
-        for idx, j in enumerate(self._pivots):
-            if j >= self.n:
-                break
-            val = row[j]
-            if val:
-                d = self._basis[idx][j]
-                row = (row - (int(val) // int(d)) * self._basis[idx]) % self.L
+        _, row = self._eliminate(self._rows, v)
         if row[: self.n].any():
             return None
         return (-row[self.n :]) % self.L
 
     def kernel(self) -> np.ndarray:
-        """Rows generating {c in (Z/L)^ngen : c @ gens == 0}."""
+        """Rows generating {c : c @ gens == 0 mod L}."""
         if not self.track:
             raise ValueError("span was built without coefficient tracking")
-        rows = [b[self.n :] for b, p in zip(self._basis, self._pivots) if p >= self.n]
-        if not rows:
-            return np.zeros((0, self.ngen), dtype=np.int64)
-        return np.array(rows, dtype=np.int64) % self.L
+        K = self._rest[:, self.n :]
+        return K[K.any(axis=1)]
 
     def size(self) -> int:
         """Number of elements of the span inside (Z/L)^n."""
         total = 1
-        for b, p in zip(self._basis, self._pivots):
-            if p < self.n:
-                total *= self.L // gcd(int(b[p]), self.L)
+        for i, j in enumerate(self._pivots):
+            total *= self.L // int(self._rows[i, j])
         return total
 
 
@@ -380,107 +416,63 @@ def solve_mod(A, b, L: int):
     """One solution x of A @ x == b (mod L), or None."""
     A = np.asarray(A, dtype=np.int64)
     span = ModSpan(A.T, L, n=A.shape[0], track=True)
-    c = span.solve(np.asarray(b, dtype=np.int64))
-    return c if c is None else c % L
-
-
-def _prime_power_factors(L: int) -> list[tuple[int, int]]:
-    out = []
-    m = L
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            pe = 1
-            while m % p == 0:
-                m //= p
-                pe *= p
-            out.append((p, pe))
-        p += 1
-    if m > 1:
-        out.append((m, m))
-    return out
-
-
-def _kernel_prime_power(A: np.ndarray, p: int, pe: int) -> np.ndarray:
-    """Rows spanning {x : A @ x == 0 mod p^e}; dense batched elimination."""
-    m, s = A.shape
-    e = 0
-    t = pe
-    while t > 1:
-        t //= p
-        e += 1
-    cap = s * (e + 1) + 1
-    B = np.zeros((cap, m + s), dtype=np.int64)
-    B[:s, :m] = A.T % pe
-    B[:s, m:] = np.eye(s, dtype=np.int64)
-    count = s
-    used = np.zeros(cap, dtype=bool)
-    while True:
-        progressed = False
-        for col in range(m):
-            act = np.flatnonzero(~used[:count])
-            colvals = B[act, col]
-            nz = act[colvals != 0]
-            if nz.size == 0:
-                continue
-            progressed = True
-            # minimal p-adic valuation pivot
-            v = 0
-            pv = 1
-            while True:
-                mask = (B[nz, col] // pv) % p != 0
-                if mask.any():
-                    r = int(nz[np.flatnonzero(mask)[0]])
-                    break
-                pv *= p
-                v += 1
-            unit = int(B[r, col]) // pv
-            inv = pow(unit % pe, -1, pe)
-            B[r] = (B[r] * inv) % pe
-            others = nz[nz != r]
-            if others.size:
-                q = B[others, col] // pv
-                B[others] = (B[others] - q[:, None] * B[r][None, :]) % pe
-            used[r] = True
-            if v > 0:
-                assert count < cap
-                B[count] = ((pe // pv) * B[r]) % pe
-                count += 1
-        if not progressed:
-            break
-    live = np.flatnonzero(~used[:count])
-    rows = B[live]
-    assert not rows[:, :m].any(), "kernel elimination left unreduced rows"
-    out = rows[:, m:]
-    return out[out.any(axis=1)] if out.size else out.reshape(0, s)
+    return span.solve(np.asarray(b, dtype=np.int64))
 
 
 def kernel_uniform(A, L: int) -> np.ndarray:
     """Rows generating {x : A @ x == 0 mod L}; scales to thousands of rows.
 
-    Splits L into prime powers, eliminates each with vectorized numpy ops,
-    and recombines the kernels through the CRT idempotents.
+    The left kernel of A^T, read off one tracked sweep; composite L is swept
+    directly.
     """
-    A = np.asarray(A, dtype=np.int64) % L
-    m, s = A.shape
-    if s == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0 or not A.any() or L == 1:
-        return np.eye(s, dtype=np.int64) % L
-    factors = _prime_power_factors(L)
-    if len(factors) == 1:
-        p, pe = factors[0]
-        return _kernel_prime_power(A, p, pe)
-    # CRT: generators are c_p * (kernel mod p^e) with c_p the idempotent
-    # congruent to 1 mod p^e and 0 mod the complementary factor.
-    gens = []
-    for p, pe in factors:
-        K = _kernel_prime_power(A % pe, p, pe)
-        Mp = L // pe
-        cp = (Mp * pow(Mp, -1, pe)) % L
-        if K.size:
-            gens.append((K * cp) % L)
-    if not gens:
-        return np.zeros((0, s), dtype=np.int64)
-    return np.concatenate(gens, axis=0)
+    A = np.asarray(A, dtype=np.int64)
+    return ModSpan(A.T, L, n=A.shape[0], track=True).kernel()
 
+
+def matmul_mod(A, B, L: int) -> np.ndarray:
+    """(A @ B) % L for entries in [0, L), reducing before an int64 sum could wrap."""
+    L = _check_modulus(L)
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    step = max(1, (_INT64_MAX - L) // max((L - 1) ** 2, 1))
+    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
+    for s in range(0, A.shape[-1], step):
+        out = (out + A[..., s : s + step] @ B[s : s + step]) % L
+    return out
+
+
+def diagonalize_mod(R, L: int) -> tuple[list[int], np.ndarray]:
+    """Diagonalize R (p x r) over Z/L: U @ R @ V == D mod L, U invertible.
+
+    Runs the sweep's column step (``_clear_column``) on the rows and then the
+    columns of the trailing block, with the pivot of smallest gcd with L,
+    until the pivot's row and column are clear and it divides the rest of
+    the block.  Returns (d, U): the nonzero diagonal d_1 | d_2 | ..., each a
+    divisor of L, after which D is zero, and U.  V is not formed.
+    """
+    L = _check_modulus(L)
+    R = np.asarray(R, dtype=np.int64)
+    p, r = R.shape
+    W = np.zeros((p, r + p), dtype=np.int64)  # [R | U]
+    np.remainder(R, L, out=W[:, :r])
+    W[np.arange(p), r + np.arange(p)] = 1
+    cols = W[:, :r].T  # row operations here are column operations on R
+    diag: list[int] = []
+    for t in range(min(p, r)):
+        while True:
+            block = W[t:, t:r]
+            i, j = np.nonzero(block)
+            if not i.size:
+                return diag, W[:, r:]
+            j0 = t + int(j[np.argmin(np.gcd(block[i, j], L))])
+            if j0 != t:
+                W[:, [t, j0]] = W[:, [j0, t]]
+            _clear_column(W, t, p, t, L)
+            d = _clear_column(cols, t, r, t, L)
+            if W[t + 1 :, t].any():  # a column swap or fold refilled column t
+                continue
+            bad = np.flatnonzero((W[t + 1 :, t + 1 : r] % d).any(axis=1))
+            if not bad.size:
+                break
+            W[t] = (W[t] + W[t + 1 + bad[0]]) % L
+        diag.append(d)
+    return diag, W[:, r:]

@@ -1,6 +1,7 @@
 """Presentations of H^r: sizes, class decisions, connecting maps."""
 
 import itertools
+import random
 from math import gcd
 
 import numpy as np
@@ -10,6 +11,7 @@ from cohomkit.abelian import AbHom, FinAbGroup
 from cohomkit.cochain import Cochain, differential, random_cochain
 from cohomkit.cohomology import (
     BoundExceeded,
+    CohomologyGroup,
     ShortExactSequence,
     cohomology,
     connecting_cochain,
@@ -45,6 +47,29 @@ def test_cyclic_oracle_nontrivial_action():
     M = GModule(C2, FinAbGroup((4,)), [np.eye(1, dtype=int), [[3]]])
     for r in (0, 1, 2):
         assert cohomology(M, r).size == cyclic_cohomology_size(M, r)
+
+
+@pytest.mark.parametrize("degree,size", [(1, 16), (2, 64)])
+def test_mixed_order_coefficients(degree, size):
+    # trivial C2 x C4 coefficients: Hom(C2^2, C2xC4) has order 16, and
+    # Hom(C2, C2xC4) + Ext(C2^2, C2xC4) has order 4 * 16 = 64
+    M = trivial_module(named_group("C2xC2"), FinAbGroup((2, 4)))
+    H = cohomology(M, degree)
+    assert H.size == size
+    rng = np.random.default_rng(degree)
+    for _ in range(4):
+        db = differential(random_cochain(M, degree - 1, rng))
+        assert H.class_of(db).is_zero
+        witness = H.coboundary_witness(db)
+        assert witness is not None and (differential(witness).table == db.table).all()
+        x = H.group.random_element(random.Random(int(rng.integers(1 << 30))))
+        assert H.class_of(H.rep(x) + db).coords == x
+
+
+def test_sampling_that_does_not_converge_exceeds_the_bound(monkeypatch):
+    monkeypatch.setattr(CohomologyGroup, "_violating_pairs", lambda self, kern: [(0, 0)])
+    with pytest.raises(BoundExceeded, match="did not converge"):
+        cohomology(trivial_module(cyclic_group(4), FinAbGroup((2,))), 2)
 
 
 def _brute_hr(M, r):

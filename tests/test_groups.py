@@ -167,6 +167,8 @@ def test_submodule_lattice_trivial_action():
     assert is_simple_module(P)
     K = trivial_module(cyclic_group(1), FinAbGroup((2, 2)))
     assert not is_simple_module(K)
+    # C2 x C2 x C4 has 27 subgroups: each must appear under one canonical basis
+    assert len(submodule_lattice(trivial_module(cyclic_group(1), FinAbGroup((2, 2, 4))))) == 27
 
 
 def test_submodule_lattice_bound():

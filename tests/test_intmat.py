@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from cohomkit.intmat import (
     ModSpan,
+    OverflowAbort,
+    diagonalize_mod,
     kernel_mod,
     kernel_uniform,
     smith_normal_form,
@@ -170,3 +172,75 @@ def test_reduce_is_constant_on_cosets(inst, shift_coeffs):
     v = np.arange(n, dtype=np.int64) % L
     shift = sum(c * r for c, r in zip(shift_coeffs, rows)) % L
     assert (span.reduce(v) == span.reduce((v + shift) % L)).all()
+
+
+@pytest.mark.parametrize("L", [3**20, 2**40 + 15])
+def test_moduli_beyond_int64_are_refused(L):
+    with pytest.raises(OverflowAbort, match=str(L)):
+        kernel_uniform([[L - 1, 1]], L)
+    with pytest.raises(OverflowAbort, match=str(L)):
+        ModSpan([[L - 1, 1]], L)
+
+
+@pytest.mark.parametrize("L", [2**31 - 1, 2**31])
+def test_largest_accepted_moduli_stay_exact(L):
+    K = kernel_uniform([[L - 1, 1]], L)
+    assert all(((L - 1) * a + b) % L == 0 for a, b in K.tolist())
+    assert ModSpan(K, L, n=2).contains([1, 1])
+
+
+@st.composite
+def _remixed_generators(draw):
+    """Generators, and the same span from a unimodular remix plus a redundant row."""
+    L = draw(st.sampled_from([4, 6, 8, 12, 18, 30, 36, 128]))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    entry = st.integers(0, L - 1)
+    rows = np.array(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)), dtype=np.int64
+    )
+    upper = np.array(
+        draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)), dtype=np.int64
+    )
+    perm = draw(st.permutations(range(k)))
+    unimodular = (np.eye(k, dtype=np.int64) + np.triu(upper, 1))[list(perm)]
+    extra = np.array(draw(st.lists(entry, min_size=k, max_size=k)), dtype=np.int64)
+    remixed = np.concatenate([unimodular @ rows, (extra @ rows)[None]]) % L
+    return L, n, rows, remixed
+
+
+@given(_remixed_generators())
+@settings(max_examples=200, deadline=None)
+def test_basis_is_canonical(inst):
+    L, n, rows, remixed = inst
+    assert np.array_equal(ModSpan(rows, L, n=n).basis, ModSpan(remixed, L, n=n).basis)
+
+
+@st.composite
+def _relation_matrix(draw):
+    L = draw(st.sampled_from([2, 4, 6, 8, 12, 30, 36]))
+    p = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 4))
+    entry = st.integers(0, L - 1)
+    R = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=p, max_size=p))
+    return L, np.array(R, dtype=np.int64).reshape(p, r)
+
+
+@given(_relation_matrix())
+@settings(max_examples=200, deadline=None)
+def test_diagonalize_mod_matches_smith_over_z(inst):
+    # (Z/L)^p / colspan(R) is Z^p / colspan([R | L*I]), whose invariant
+    # factors the pure-Python Smith normal form gives
+    L, R = inst
+    p = R.shape[0]
+    diag, U = diagonalize_mod(R, L)
+    ours = diag + [L] * (p - len(diag))
+    assert all(L % d == 0 for d in ours)
+    assert all(b % a == 0 for a, b in zip(ours, ours[1:]))
+    stacked = [list(row) + [L * (i == j) for j in range(p)] for i, row in enumerate(R.tolist())]
+    assert ours == list(smith_normal_form(stacked).diagonal)
+    # U is invertible mod L and maps every relation into the diagonal,
+    # so c -> (U @ c mod d_i) presents the quotient
+    assert ModSpan(U, L, n=p).size() == L**p
+    UR = U.astype(object) @ R.astype(object)
+    assert all(UR[i, j] % ours[i] == 0 for i in range(p) for j in range(R.shape[1]))
