@@ -128,7 +128,12 @@ class AbHom:
     """Morphism between finite abelian groups, stored as an integer matrix.
 
     matrix[i][j] is the coefficient of target factor i on source generator j;
-    well-definedness (matrix[i][j] * n_j == 0 mod m_i) is checked eagerly.
+    well-definedness (matrix[i][j] * n_j == 0 mod m_i) is checked eagerly, as
+    divisibility of matrix[i][j] by m_i / gcd(m_i, n_j), so no product is
+    formed.  ``apply_coords`` and ``compose`` sum source.rank products of a
+    reduced source residue and a matrix entry in int64; when
+    rank * (max source order - 1) * (max target order - 1) >= 2^63 they raise
+    ``OverflowAbort`` instead of wrapping.
     """
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix):
@@ -137,9 +142,19 @@ class AbHom:
         M = np.asarray(matrix, dtype=np.int64).reshape(target.rank, source.rank)
         tmods = np.array(target.orders, dtype=np.int64).reshape(-1, 1)
         self.matrix = M % tmods if M.size else M
-        smods = np.array(source.orders, dtype=np.int64)
-        if M.size and ((self.matrix * smods.reshape(1, -1)) % tmods).any():
+        smods = np.array(source.orders, dtype=np.int64).reshape(1, -1)
+        if M.size and (self.matrix % (tmods // np.gcd(tmods, smods))).any():
             raise ValueError("matrix does not define a homomorphism on the given orders")
+        top_s, top_t = max(source.orders, default=1), max(target.orders, default=1)
+        wide = source.rank * (top_s - 1) * (top_t - 1) >= 1 << 63
+        self._too_wide = max(top_s, top_t) if wide else 0
+
+    def _check_int64(self) -> None:
+        if self._too_wide:
+            raise OverflowAbort(
+                f"order {self._too_wide} is too large for int64 products: "
+                f"rank * (source order - 1) * (target order - 1) >= 2^63"
+            )
 
     def __call__(self, x: AbElement) -> AbElement:
         assert x.parent == self.source
@@ -147,12 +162,14 @@ class AbHom:
 
     def apply_coords(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized application; coords has shape (..., source.rank)."""
+        self._check_int64()
         out = coords @ self.matrix.T
         mods = np.array(self.target.orders, dtype=np.int64)
         return out % mods if out.size else out.reshape(coords.shape[:-1] + (self.target.rank,))
 
     def compose(self, other: "AbHom") -> "AbHom":
         assert other.target == self.source
+        self._check_int64()
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other: "AbHom") -> "AbHom":

@@ -9,7 +9,10 @@ Two independent routes to B0(F) for a class-2 group F with Z(F) = [F,F]:
   subgroups A generated by commuting pairs.  Q/Z is modeled as Z/N, N = |F|;
   the passage to Q/Z coefficients quotients H^2(F, Z/N) by the image of the
   connecting map on characters (an explicit integer 'carry' 2-cocycle per
-  character), which is exact because every class is |F|-torsion.
+  character), which is exact because every class is |F|-torsion.  The sweep
+  over commuting pairs skips a pair once both elements lie in a subgroup
+  already found (its span is that subgroup or not maximal), and H^2(A, Q/Z)
+  is solved once per distinct multiplication table among the subgroups A.
 
 The two never share code; their agreement on the fixture battery is asserted
 in the tests.
@@ -318,25 +321,35 @@ def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
 def commuting_pair_subgroups(G: FiniteGroup, full_abelian_sweep: bool = False) -> list[Subgroup]:
     """Inclusion-maximal abelian subgroups generated by commuting pairs.
 
+    The sweep skips a commuting pair (a, b) once both lie in a subgroup S
+    already found: then <a, b> is contained in S, so it is either S itself or
+    not maximal, and the maximal list is exactly that of the all-pairs sweep.
+
     With full_abelian_sweep (meta-check for |G| <= 64) every abelian subgroup
     is returned instead.
     """
     if full_abelian_sweep:
         subs = [s for s in all_subgroups(G) if _is_abelian_subset(G, s.members)]
     else:
+        commute = G.mul == G.mul.T
+        covered = np.zeros_like(commute)
         seen = {}
         for a in G.elements():
-            for b in G.elements():
-                if G.op(a, b) != G.op(b, a):
+            for b in np.flatnonzero(commute[a] & ~covered[a]):
+                if covered[a, b]:
                     continue
                 sub = generated_subgroup(G, [a, b])
+                mem = np.array(sub.members)
+                covered[np.ix_(mem, mem)] = True
                 seen.setdefault(sub.members, sub)
         subs = list(seen.values())
-    maximal = []
-    membersets = [set(s.members) for s in subs]
+    # incidence rows: S_i < S_j iff |S_i & S_j| = |S_i| < |S_j| (distinct sets)
+    inc = np.zeros((len(subs), G.size), dtype=np.int64)
     for i, s in enumerate(subs):
-        if not any(i != j and membersets[i] < membersets[j] for j in range(len(subs))):
-            maximal.append(s)
+        inc[i, list(s.members)] = 1
+    sizes = inc.sum(axis=1)
+    below = ((inc @ inc.T) == sizes[:, None]) & (sizes[:, None] < sizes[None, :])
+    maximal = [s for s, dominated in zip(subs, below.any(axis=1)) if not dominated]
     return sorted(maximal, key=lambda s: s.members)
 
 
@@ -350,7 +363,14 @@ def b0_oracle(
     full_abelian_sweep: bool = False,
     max_order: int = 256,
 ) -> FinAbGroup:
-    """Common restriction kernel over abelian subgroups, with Z/|F| coefficients."""
+    """Common restriction kernel over abelian subgroups, with Z/|F| coefficients.
+
+    The subgroups are the maximal ones generated by commuting pairs (or all
+    abelian subgroups with full_abelian_sweep).  H^2(A, Q/Z) depends only on
+    the multiplication table of A and on N, so it is solved once per distinct
+    table and shared by every subgroup with that table; each subgroup still
+    restricts through its own embedding into F.
+    """
     if F.size > max_order:
         raise ValueError(f"|F| = {F.size} exceeds the oracle bound {max_order}")
     N = F.size
@@ -368,9 +388,13 @@ def b0_oracle(
     subs = commuting_pair_subgroups(F, full_abelian_sweep=full_abelian_sweep)
     blocks = []
     targets = []
+    solved = {}  # multiplication table of A -> (H2A, presA)
     for sub in subs:
         Agrp, embed = subgroup_group(sub)
-        H2A, presA = _qz_presentation(Agrp, N)
+        key = Agrp.mul.tobytes()
+        if key not in solved:
+            solved[key] = _qz_presentation(Agrp, N)
+        H2A, presA = solved[key]
         QA = presA.group
         targets.append(QA)
         cols = []

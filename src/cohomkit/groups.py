@@ -109,15 +109,20 @@ class Subgroup:
 
     @staticmethod
     def make(G: FiniteGroup, members) -> "Subgroup":
-        mem = sorted(set(int(m) for m in members))
-        ms = set(mem)
-        assert 0 in ms, "subgroup must contain the identity"
-        for a in mem:
-            assert int(G.inv[a]) in ms, "subgroup not closed under inverse"
-            for b in mem:
-                assert G.op(a, b) in ms, "subgroup not closed under multiplication"
-        normal = all(G.op(G.op(g, s), int(G.inv[g])) in ms for g in G.elements() for s in mem)
-        return Subgroup(G, tuple(mem), normal)
+        mem = np.unique(np.fromiter(members, dtype=np.int64))
+        if mem.size and (mem[0] < 0 or mem[-1] >= G.size):
+            raise ValueError("subgroup members out of range")
+        inside = np.zeros(G.size, dtype=bool)
+        inside[mem] = True
+        if not inside[0]:
+            raise ValueError("subgroup must contain the identity")
+        if not inside[G.inv[mem]].all():
+            raise ValueError("subgroup not closed under inverse")
+        if not inside[G.mul[np.ix_(mem, mem)]].all():
+            raise ValueError("subgroup not closed under multiplication")
+        # conjugates g s g^-1 for every g in G and s in the subgroup
+        normal = bool(inside[G.mul[G.mul[:, mem], G.inv[:, None]]].all())
+        return Subgroup(G, tuple(mem.tolist()), normal)
 
     @property
     def size(self) -> int:
@@ -125,17 +130,17 @@ class Subgroup:
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    seen = {0}
-    frontier = [0]
-    gens = [int(g) for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.op(x, g), G.op(g, x)):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return Subgroup.make(G, seen)
+    """The subgroup generated by gens: closure of {1} under right
+    multiplication by the generators, which in a finite group is a group."""
+    gens = np.array([int(g) for g in gens], dtype=np.int64)
+    seen = np.zeros(G.size, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size and gens.size:
+        step = np.unique(G.mul[np.ix_(frontier, gens)])
+        frontier = step[~seen[step]]
+        seen[frontier] = True
+    return Subgroup.make(G, np.flatnonzero(seen))
 
 
 def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -166,16 +171,13 @@ def all_subgroups(G: FiniteGroup, cap: int = 10_000) -> list[Subgroup]:
 
 def subgroup_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """The subgroup as a group in its own right, plus the index embedding."""
-    members = list(sub.members)  # sorted; identity (0) first
-    pos = {m: i for i, m in enumerate(members)}
-    n = len(members)
-    mul = np.zeros((n, n), dtype=np.int64)
+    members = np.array(sub.members, dtype=np.int64)  # sorted; identity (0) first
     G = sub.parent
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            mul[i, j] = pos[G.op(a, b)]
-    H = FiniteGroup(mul, labels=[G.labels[m] for m in members], name=f"{G.name}-sub")
-    return H, np.array(members, dtype=np.int64)
+    pos = np.full(G.size, -1, dtype=np.int64)
+    pos[members] = np.arange(members.size)
+    mul = pos[G.mul[np.ix_(members, members)]]
+    H = FiniteGroup(mul, labels=[G.labels[m] for m in sub.members], name=f"{G.name}-sub")
+    return H, members
 
 
 def quotient_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
@@ -387,17 +389,20 @@ class GModule:
         mods = np.array(self.ab.orders, dtype=np.int64).reshape(-1, 1)
         if k == 0:
             return
+        act = self.act  # reduced mod the factor orders in __init__
         ident = np.eye(k, dtype=np.int64) % mods
-        assert (self.act[0] % mods == ident).all(), "identity must act trivially"
+        if (act[0] != ident).any():
+            raise ValueError("identity must act trivially")
         for g in G.elements():
-            AbHom(self.ab, self.ab, self.act[g])  # well-definedness
-            gi = int(G.inv[g])
-            assert ((self.act[g] @ self.act[gi]) % mods == ident).all(), "action not invertible"
+            AbHom(self.ab, self.ab, act[g])  # well-definedness
+        if ((act @ act[G.inv]) % mods != ident).any():
+            raise ValueError("action not invertible")
         for g in G.elements():
-            for h in G.elements():
-                lhs = (self.act[g] @ self.act[h]) % mods
-                rhs = self.act[G.op(g, h)] % mods
-                assert (lhs == rhs).all(), f"action law fails at ({g},{h})"
+            # lhs[h] = act[g] act[h], to equal act[gh] for every h at once
+            lhs = (act[g] @ act) % mods
+            bad = np.flatnonzero((lhs != act[G.mul[g]]).any(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(f"action law fails at ({g},{int(bad[0])})")
 
     def act_hom(self, g: int) -> AbHom:
         return AbHom(self.ab, self.ab, self.act[g])

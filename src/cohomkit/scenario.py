@@ -94,7 +94,7 @@ def _parse_members(G: FiniteGroup, spec: str, line_no: int) -> Subgroup:
         return generated_subgroup(G, ids)
     try:
         return Subgroup.make(G, set(ids) | {0})
-    except AssertionError as e:
+    except ValueError as e:
         raise ScenarioError(line_no, f"not a subgroup: {e}")
 
 

@@ -21,6 +21,7 @@ from cohomkit.abelian import (
     same_invariants,
     solve_preimage,
 )
+from cohomkit.intmat import OverflowAbort
 
 Z4 = FinAbGroup((4,))
 
@@ -161,6 +162,47 @@ def test_hom_additivity_random_sampling():
 def test_hom_rejects_ill_defined_matrix():
     with pytest.raises(ValueError):
         AbHom(FinAbGroup((2,)), FinAbGroup((4,)), [[1]])  # 2*1 != 0 mod 4
+
+
+def test_hom_well_definedness_without_products_at_2_40():
+    # every endomorphism of a cyclic group is one; m * n would wrap in int64
+    n = 2**40 + 15
+    A = FinAbGroup((n,))
+    h = AbHom(A, A, [[2**39 + 1]])
+    assert int(h.matrix[0, 0]) == 2**39 + 1
+    # well-definedness agrees with the Python-int rule m_i | M_ij * n_j
+    orders = (n, 2 * n, 4)
+    for i, j in itertools.product(range(3), repeat=2):
+        for entry in (1, 2, n, 2**39 + 1, 2 * n - 1):
+            src, tgt = FinAbGroup((orders[j],)), FinAbGroup((orders[i],))
+            if (entry * orders[j]) % orders[i] == 0:
+                assert int(AbHom(src, tgt, [[entry]]).matrix[0, 0]) == entry % orders[i]
+            else:
+                with pytest.raises(ValueError):
+                    AbHom(src, tgt, [[entry]])
+    # products of residues near 2^40 do not fit int64: refused, not wrapped
+    for call in (lambda: h.apply_coords(np.array([n - 1])), lambda: h.compose(h), lambda: h(A.element([3]))):
+        with pytest.raises(OverflowAbort, match=str(n)):
+            call()
+
+
+def test_hom_apply_and_compose_exact_at_2_31_minus_1():
+    n = 2**31 - 1
+    rng = random.Random(11)
+    A = FinAbGroup((n, n))
+    for _ in range(20):
+        m1 = [[rng.randrange(n) for _ in range(2)] for _ in range(2)]
+        m2 = [[rng.randrange(n) for _ in range(2)] for _ in range(2)]
+        x = [rng.randrange(n) for _ in range(2)]
+        h1, h2 = AbHom(A, A, m1), AbHom(A, A, m2)
+        want = [sum(m1[i][j] * x[j] for j in range(2)) % n for i in range(2)]
+        assert h1.apply_coords(np.array(x, dtype=np.int64)).tolist() == want
+        want_c = [[sum(m1[i][k] * m2[k][j] for k in range(2)) % n for j in range(2)] for i in range(2)]
+        assert h1.compose(h2).matrix.tolist() == want_c
+    # one step up, two summands of 2^31 * 2^31 no longer fit in int64
+    src, tgt = FinAbGroup((2**31 + 1, 3)), FinAbGroup((2**31 + 1,))
+    with pytest.raises(OverflowAbort, match=str(2**31 + 1)):
+        AbHom(src, tgt, [[1, 0]]).apply_coords(np.ones(2, dtype=np.int64))
 
 
 def test_invariant_factors_and_comparisons():

@@ -1,6 +1,7 @@
 """Bogomolov multipliers both ways, the pure-tensor quotient, cyclic kernels."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from cohomkit.groups import (
     GModule,
     Subgroup,
     cyclic_group,
+    direct_product,
+    generated_subgroup,
     dual_module,
     induced_module,
     named_group,
@@ -131,6 +134,50 @@ def test_commuting_pair_subgroups_are_abelian_and_maximal():
         for j, t in enumerate(subs):
             if i != j:
                 assert not set(s.members) < set(t.members)
+
+
+def _all_pairs_maximal(G):
+    """Reference sweep: <a, b> for every commuting pair, then the maximal ones."""
+    found = {}
+    for a in G.elements():
+        for b in G.elements():
+            if G.op(a, b) == G.op(b, a):
+                sub = generated_subgroup(G, [a, b])
+                found.setdefault(sub.members, sub)
+    sets = [set(m) for m in found]
+    return sorted(m for m, s in zip(found, sets) if not any(s < t for t in sets))
+
+
+def _ladder_group(name):
+    if name == "F128":
+        return build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
+    left, right = name.split("x")
+    return direct_product(named_group(left), named_group(right))
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC4", "S3xS3", "Heis27xC2", "F128"])
+def test_pruned_commuting_pair_sweep_matches_all_pairs(name):
+    G = _ladder_group(name)
+    assert [s.members for s in commuting_pair_subgroups(G)] == _all_pairs_maximal(G)
+
+
+def test_oracle_solves_each_subgroup_table_once(monkeypatch):
+    # the package export ``cohomkit.cohomology`` is the function; the module
+    # holding CohomologyGroup is only reachable through sys.modules
+    CG = sys.modules["cohomkit.cohomology"].CohomologyGroup
+    built = []
+    init = CG.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CG, "__init__", counting_init)
+    G = _ladder_group("D8xC2")
+    assert b0_oracle(G).cardinality == 1
+    # H^2 of G itself, then one per distinct table among the 13 subgroups
+    assert len(commuting_pair_subgroups(G)) == 13
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize(

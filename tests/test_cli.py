@@ -155,6 +155,24 @@ def test_cli_list_fixtures(capsys):
     assert "S3" in out and "bk-C2-C2" in out
 
 
+def test_subgroup_checks_survive_optimized_mode(tmp_path):
+    # python -O strips assert statements; the subgroup check must not vanish
+    scn = tmp_path / "sub.scn"
+    scn.write_text("scenario sub\nseed 0\ngroup C4\nsubgroup 0,1\nbase C2\ncheck cohomology\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cohomkit", "run", str(scn)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "line 4: not a subgroup" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "cohomkit", "list-fixtures"],

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomkit.abelian import FinAbGroup, is_cyclic
 from cohomkit.groups import (
+    GROUP_CATALOG,
     GModule,
     LocalizationContext,
     Subgroup,
@@ -179,7 +182,7 @@ def test_submodule_lattice_bound():
 
 def test_module_action_laws_checked():
     C2 = cyclic_group(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GModule(C2, FinAbGroup((4,)), [np.eye(1, dtype=int), [[2]]])  # x2 not invertible
 
 
@@ -226,3 +229,69 @@ def test_cyclic_subgroups_dedup():
     K4 = named_group("C2xC2")
     subs = cyclic_subgroups(K4)
     assert len(subs) == 4  # trivial + three C2s
+
+
+# -- subgroup closure against a pure-Python reference ------------------------
+
+
+def _bfs_closure(G, gens):
+    """Closure of {1} under left and right multiplication, one element at a time."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            for y in (int(G.mul[x][g]), int(G.mul[g][x])):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen
+
+
+def _is_normal(G, members):
+    return all(int(G.mul[G.mul[g][s]][G.inv[g]]) in members for g in range(G.size) for s in members)
+
+
+_CATALOG_GROUPS = {name: make() for name, make in GROUP_CATALOG.items()}
+
+
+@st.composite
+def _group_and_elements(draw):
+    G = _CATALOG_GROUPS[draw(st.sampled_from(sorted(_CATALOG_GROUPS)))]
+    elems = draw(st.lists(st.integers(0, G.size - 1), max_size=4))
+    return G, elems
+
+
+@given(_group_and_elements())
+@settings(max_examples=150, deadline=None)
+def test_generated_subgroup_matches_bfs_closure(case):
+    G, gens = case
+    want = _bfs_closure(G, gens)
+    sub = generated_subgroup(G, gens)
+    assert sub.members == tuple(sorted(want))
+    assert all(type(m) is int for m in sub.members)
+    assert sub.normal == _is_normal(G, want)
+
+
+@given(_group_and_elements())
+@settings(max_examples=150, deadline=None)
+def test_subgroup_make_accepts_exactly_closed_sets(case):
+    G, elems = case
+    members = set(elems) | {0}
+    closed = all(int(G.inv[a]) in members for a in members) and all(
+        int(G.mul[a][b]) in members for a in members for b in members
+    )
+    if closed:
+        sub = Subgroup.make(G, members)
+        assert sub.members == tuple(sorted(members))
+        assert sub.normal == _is_normal(G, members)
+    else:
+        with pytest.raises(ValueError, match="not closed"):
+            Subgroup.make(G, members)
+
+
+def test_subgroup_make_rejects_missing_identity_and_bad_indices():
+    C4 = cyclic_group(4)
+    with pytest.raises(ValueError, match="identity"):
+        Subgroup.make(C4, [2])
+    with pytest.raises(ValueError, match="out of range"):
+        Subgroup.make(C4, [0, 4])
