@@ -407,18 +407,6 @@ class DualPairing:
         return total % e
 
 
-def direct_sum(A: FinAbGroup, B: FinAbGroup) -> tuple[FinAbGroup, AbHom, AbHom, AbHom, AbHom]:
-    """(S, inl, inr, prl, prr) for S = A + B."""
-    S = FinAbGroup(A.orders + B.orders)
-    ia = np.concatenate([np.eye(A.rank, dtype=np.int64), np.zeros((B.rank, A.rank), np.int64)])
-    ib = np.concatenate([np.zeros((A.rank, B.rank), np.int64), np.eye(B.rank, dtype=np.int64)])
-    inl = AbHom(A, S, ia)
-    inr = AbHom(B, S, ib)
-    prl = AbHom(S, A, ia.T)
-    prr = AbHom(S, B, ib.T)
-    return S, inl, inr, prl, prr
-
-
 # ---------------------------------------------------------------------------
 # Comparison helpers
 # ---------------------------------------------------------------------------

@@ -383,7 +383,7 @@ def b0_oracle(
     for i in range(P.rank):
         coords = P.element([int(i == j) for j in range(P.rank)])
         vec = pres.rep(coords)
-        table = H2._tables_from_slices(vec.reshape(1, -1))[0].reshape(F.size, F.size, 1)
+        table = H2._tables_from_slices(vec.reshape(1, -1))[..., 0].reshape(F.size, F.size, 1)
         gens.append(table)
     subs = commuting_pair_subgroups(F, full_abelian_sweep=full_abelian_sweep)
     blocks = []

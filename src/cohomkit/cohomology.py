@@ -156,73 +156,33 @@ class CohomologyGroup:
             frontier = nxt
         assert len(visited) == self.n, "generating set failed to reach the whole group"
 
-    def _slice_index(self, xi: int, w: int, i: int) -> int:
-        return (xi * self.W + w) * self.k + i
+    def _law_rhs(self, T: np.ndarray, x: int, g) -> np.ndarray:
+        """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
 
-    def _w_tuple(self, w: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.degree - 1):
-            out.append(w % self.n)
-            w //= self.n
-        return tuple(reversed(out))
-
-    def _w_index(self, tup) -> int:
-        w = 0
-        for t in tup:
-            w = w * self.n + int(t)
-        return w
-
-    def _correction_columns(self, x: int, g: int):
-        """Slice terms of u(x*g, w) beyond act[x] u(g, w), as (sign, w-index array)."""
-        G = self.module.group
-        r = self.degree
-        n = self.n
-        if r == 1:
-            return [(1, np.zeros(1, dtype=np.int64))]
-        # r == 2: +u(x, g*w)  - u(x, g)
-        w_idx = np.arange(n, dtype=np.int64)
-        fused = G.mul[g, w_idx]
-        return [(1, fused), (-1, np.full(n, g, dtype=np.int64))]
+        Degree 1: x.u(g) + u(x).  Degree 2: x.u(g, w) + u(x, g w) - u(x, g).
+        T holds batch-last tables (n, W, k, b); g is one element, or
+        ``slice(None)`` for all of them at once (then the result gains a
+        leading axis over g).
+        """
+        a = self.module.act[x]
+        acted = T[g] if (a == np.eye(self.k, dtype=a.dtype)).all() else np.matmul(a, T[g]) % self.L
+        if self.degree == 1:
+            return acted + T[x]
+        out = T[x][self.module.group.mul[g]]
+        out += acted
+        out -= T[x, g][..., None, :, :]  # broadcast over w
+        return out
 
     def _build_expansion(self):
-        n, W, k, s = self.n, self.W, self.k, self.s
-        E = np.zeros((n, W, k, s), dtype=np.int64)
-        for xi, x in enumerate(self.X):
-            for w in range(W):
-                for i in range(k):
-                    E[x, w, i, self._slice_index(xi, w, i)] = 1
-        act = self.module.act
-        for f in self.order:
-            if f not in self.parent:
-                continue
-            xi, g = self.parent[f]
-            x = self.X[xi]
-            block = np.einsum("ij,wjs->wis", act[x], E[g]) % self.L
-            for sign, wmap in self._correction_columns(x, g):
-                if self.degree == 1:
-                    block[0] += sign * E[x, 0]
-                else:
-                    block += sign * E[x][wmap]
-            E[f] = block % self.L
-        self._E = E
-
-    def _corrections_for_pair(self, x: int, xi: int, g: int):
-        """Right-hand side of the condition u(x g, w) = act[x] u(g, w) + corr."""
-        block = np.einsum("ij,wjs->wis", self.module.act[x], self._E[g]) % self.L
-        for sign, wmap in self._correction_columns(x, g):
-            if self.degree == 1:
-                block[0] += sign * self._E[x, 0]
-            else:
-                block += sign * self._E[x][wmap]
-        return block % self.L
+        # E[f, w, i] expresses u(f, w)_i in the slice variables
+        self._E = self._tables_from_slices(np.eye(self.s, dtype=np.int64))
 
     def _pair_rows(self, xi: int, g: int) -> np.ndarray:
-        G = self.module.group
         x = self.X[xi]
-        f = G.op(x, g)
-        rhs = self._corrections_for_pair(x, xi, g)
+        f = self.module.group.op(x, g)
         # coordinate i holds mod o_i; scaled by L/o_i it holds mod L
-        rows = (self._E[f] - rhs) * (self.L // self._orders)[:, None] % self.L
+        rows = self._E[f] - self._law_rhs(self._E, x, g)
+        rows = rows * (self.L // self._orders)[:, None] % self.L
         return rows.reshape(self.W * self.k, self.s)
 
     # -- cocycles ------------------------------------------------------------
@@ -272,52 +232,41 @@ class CohomologyGroup:
         )
 
     def _violating_pairs(self, kern: np.ndarray) -> list[tuple[int, int]]:
-        """Exact certificate: re-check every generator-slot condition."""
+        """Exact certificate: re-check every generator-slot condition on every row.
+
+        For each generator x, the defect u(x g, w) - (the law's right-hand
+        side) is formed for all g, w and rows at once on the batch-last
+        tables and reduced mod the orders once.  The pairs (x, g) with a
+        nonzero defect are returned.
+        """
         if kern.size == 0:
             return []
-        tables = self._tables_from_slices(kern)  # (b, n, W, k)
-        G = self.module.group
+        T = self._tables_from_slices(kern)  # (n, W, k, b)
+        mul = self.module.group.mul
+        orders = self._orders[:, None]
         bad = []
         for xi, x in enumerate(self.X):
-            lhs_idx = G.mul[x, np.arange(self.n)]
-            lhs = tables[:, lhs_idx]  # (b, n, W, k) value at (x*g, w)
-            acted = np.einsum("ij,bgwj->bgwi", self.module.act[x], tables) % self.L
-            if self.degree == 1:
-                corr = tables[:, x][:, None]  # broadcast over g
-                rhs = (acted + corr) % self.L
-            else:
-                fused = G.mul  # fused[g, w] = g*w
-                corr1 = tables[:, x][:, fused]  # (b, n, W, k): u(x, g*w)
-                corr2 = tables[:, x][:, :, None, :]  # u(x, g), broadcast over w
-                rhs = (acted + corr1 - corr2) % self.L
-            diff = (lhs - rhs) % self._orders
-            for g in np.unique(np.nonzero(diff)[1]):
-                bad.append((xi, int(g)))
+            diff = self._law_rhs(T, x, slice(None))
+            diff -= T[mul[x]]
+            diff %= orders
+            bad.extend((xi, int(g)) for g in np.flatnonzero(diff.any(axis=(1, 2, 3))))
         return bad
 
     def _tables_from_slices(self, slices: np.ndarray) -> np.ndarray:
-        """Reconstruct full cochain tables from slice vectors (batched)."""
+        """Full cochain tables of slice vectors, batch-last: shape (n, W, k, b).
+
+        ``T[..., j]`` is the table of ``slices[j]``.  With the batch axis
+        last, a gather over group elements copies contiguous blocks.
+        """
         b = slices.shape[0]
-        n, W, k = self.n, self.W, self.k
-        T = np.zeros((b, n, W, k), dtype=np.int64)
-        for xi, x in enumerate(self.X):
-            block = slices[:, (xi * W * k) : ((xi + 1) * W * k)].reshape(b, W, k)
-            T[:, x] = block
-        act = self.module.act
-        G = self.module.group
+        T = np.zeros((self.n, self.W, self.k, b), dtype=np.int64)
+        T[self.X] = slices.T.reshape(len(self.X), self.W, self.k, b)
         for f in self.order:
-            if f not in self.parent:
-                continue
-            xi, g = self.parent[f]
-            x = self.X[xi]
-            block = np.einsum("ij,bwj->bwi", act[x], T[:, g]) % self.L
-            for sign, wmap in self._correction_columns(x, g):
-                if self.degree == 1:
-                    block[:, 0] += sign * T[:, x, 0]
-                else:
-                    block += sign * T[:, x][:, wmap]
-            T[:, f] = block % self.L
-        return T % self._orders
+            if f in self.parent:
+                xi, g = self.parent[f]
+                T[f] = self._law_rhs(T, self.X[xi], g) % self.L
+        T %= self._orders[:, None]
+        return T
 
     # -- coboundaries ----------------------------------------------------------
 
@@ -381,7 +330,7 @@ class CohomologyGroup:
             return self.degree % 2 == 0 or not c.table.any()
         vec = self.slice_coords(c)
         tables = self._tables_from_slices(vec.reshape(1, -1))
-        if (tables[0].reshape(c.table.shape) != c.table).any():
+        if (tables[..., 0].reshape(c.table.shape) != c.table).any():
             return False
         return not self._violating_pairs(vec.reshape(1, -1))
 
@@ -395,7 +344,7 @@ class CohomologyGroup:
         shape = (self.n,) * self.degree + (self.k,)
         if self.degree == 0 or self.n == 1:
             return Cochain(self.module, self.degree, vec.reshape(shape))
-        table = self._tables_from_slices(vec.reshape(1, -1))[0]
+        table = self._tables_from_slices(vec.reshape(1, -1))[..., 0]
         return Cochain(self.module, self.degree, table.reshape(shape))
 
     def classes(self, cap: int = 20000) -> list[CohomologyClass]:
@@ -441,7 +390,7 @@ class CohomologyGroup:
             if self.degree == 0 or self.n == 1:
                 out.append(Cochain(self.module, self.degree, vec.reshape(shape)))
             else:
-                table = self._tables_from_slices(vec.reshape(1, -1))[0]
+                table = self._tables_from_slices(vec.reshape(1, -1))[..., 0]
                 out.append(Cochain(self.module, self.degree, table.reshape(shape)))
         return out
 

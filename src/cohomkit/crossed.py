@@ -26,7 +26,7 @@ from .abelian import (
     kernel,
     solve_preimage,
 )
-from .cochain import Cochain, ComposedPairing, cup, differential, pointwise_tensor, zero_cochain
+from .cochain import Cochain, cup, differential, pointwise_tensor, zero_cochain
 from .cohomology import cohomology
 from .groups import (
     FiniteGroup,
@@ -161,20 +161,6 @@ class CrossedProduct:
         A = (A * scales.reshape(-1, 1)) % L
         return kernel_uniform(A, L)
 
-    def center_structured(self) -> list[np.ndarray]:
-        """Generators (as (z,a)-coordinate rows) of the center, via the radical."""
-        rad = self.antisym_radical()
-        gens = []
-        for i, o in enumerate(self.Zmod.ab.orders):
-            row = np.zeros(self.kz + self.ka, dtype=np.int64)
-            row[i] = 1
-            gens.append(row)
-        for r in rad:
-            row = np.zeros(self.kz + self.ka, dtype=np.int64)
-            row[self.kz :] = r % self.amods
-            gens.append(row)
-        return gens
-
     def derived_structured(self) -> list[np.ndarray]:
         """Generators of [F, F] inside Z: antisymmetrizations of basis pairs."""
         gens = []
@@ -269,10 +255,6 @@ class CPIndex:
             self.a_index(np.asarray(a).reshape(1, -1))[0]
         )
 
-    def coords_of(self, idx: int):
-        na = self.a_coords.shape[0]
-        return self.z_coords[idx // na], self.a_coords[idx % na]
-
 
 def _all_coords(A: FinAbGroup) -> np.ndarray:
     from itertools import product as iproduct
@@ -318,10 +300,6 @@ class BKDatum:
     y_proj: AbHom
     x_inj: AbHom
     y_inj: AbHom
-
-    @property
-    def phi_pairing(self) -> ComposedPairing:
-        return ComposedPairing(self.tensorMM, self.phi)
 
 
 def build_bk(A: FinAbGroup, ggroup: FiniteGroup) -> BKDatum:

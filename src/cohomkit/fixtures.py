@@ -61,15 +61,6 @@ BK_FAMILY = (
 )
 
 
-def bk_family():
-    from .crossed import build_bk
-
-    out = []
-    for name, orders, gname in BK_FAMILY:
-        out.append((name, build_bk(FinAbGroup(orders), named_group(gname))))
-    return out
-
-
 B0_EXTRA_GROUPS = ("D8", "Q8", "Heis8", "Heis27")
 
 

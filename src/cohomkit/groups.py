@@ -18,7 +18,6 @@ from math import lcm
 import numpy as np
 
 from .abelian import (
-    AbElement,
     AbHom,
     FinAbGroup,
     Presentation,
@@ -53,12 +52,17 @@ class FiniteGroup:
         if (self.mul[0] != np.arange(n)).any() or (self.mul[:, 0] != np.arange(n)).any():
             raise ValueError("index 0 is not an identity element")
         if n <= 256:
-            lhs = self.mul[self.mul, :]  # lhs[a,b,c] = (a*b)*c
-            rhs = self.mul[:, self.mul]  # rhs[a,b,c] = a*(b*c)
-            ok = lhs == rhs
-            if not ok.all():
-                bad = np.argwhere(~ok)[0]
-                raise ValueError(f"multiplication table not associative at triple {tuple(bad)}")
+            # a few values of a at a time: two (block, n, n) arrays of about
+            # 1 MiB each, not two n^3 arrays (32 MiB each at n = 128)
+            step = max(1, (1 << 17) // (n * n))
+            for a0 in range(0, n, step):
+                rows = self.mul[a0 : a0 + step]
+                ok = self.mul[rows] == rows[:, self.mul]  # (a*b)*c == a*(b*c)
+                if not ok.all():
+                    a, b, c = np.argwhere(~ok)[0]
+                    raise ValueError(
+                        f"multiplication table not associative at triple {(a0 + a, b, c)}"
+                    )
         for g in range(n):
             if sorted(self.mul[g]) != list(range(n)):
                 raise ValueError(f"row {g} is not a permutation")
@@ -371,7 +375,14 @@ def named_abelian(name: str) -> FinAbGroup:
 
 
 class GModule:
-    """Action of a table group on a finite abelian group by automorphisms."""
+    """Action of a table group on a finite abelian group by automorphisms.
+
+    The action matrices are stored reduced mod the factor orders.  A product
+    of an action matrix with a matrix or a reduced vector sums rank products
+    of two reduced entries; when rank * (max order - 1)^2 >= 2^63 that could
+    wrap in int64, so ``_validate`` and ``apply`` form such products with
+    Python integers instead.
+    """
 
     def __init__(self, group: FiniteGroup, ab: FinAbGroup, act, check: bool = True):
         self.group = group
@@ -381,15 +392,18 @@ class GModule:
         mods = np.array(ab.orders, dtype=np.int64).reshape(1, -1, 1)
         if self.act.size:
             self.act = self.act % mods
+        top = max(ab.orders, default=1)
+        self._product_dtype = object if k * (top - 1) ** 2 >= 1 << 63 else np.int64
         if check:
             self._validate()
 
     def _validate(self):
         G, k = self.group, self.ab.rank
-        mods = np.array(self.ab.orders, dtype=np.int64).reshape(-1, 1)
         if k == 0:
             return
-        act = self.act  # reduced mod the factor orders in __init__
+        mods = np.array(self.ab.orders, dtype=self._product_dtype).reshape(-1, 1)
+        # reduced mod the factor orders in __init__
+        act = self.act.astype(self._product_dtype, copy=False)
         ident = np.eye(k, dtype=np.int64) % mods
         if (act[0] != ident).any():
             raise ValueError("identity must act trivially")
@@ -404,11 +418,12 @@ class GModule:
             if bad.size:
                 raise ValueError(f"action law fails at ({g},{int(bad[0])})")
 
-    def act_hom(self, g: int) -> AbHom:
-        return AbHom(self.ab, self.ab, self.act[g])
-
     def apply(self, g: int, coords: np.ndarray) -> np.ndarray:
         mods = np.array(self.ab.orders, dtype=np.int64)
+        if self._product_dtype is object:
+            reduced = np.asarray(coords, dtype=np.int64) % mods
+            out = reduced.astype(object) @ self.act[g].T.astype(object)
+            return (out % mods.astype(object)).astype(np.int64)
         out = coords @ self.act[g].T
         return out % mods if out.size else out
 
@@ -456,19 +471,6 @@ class InducedModule(GModule):
                 for i in range(k):
                     act[s, c * k + i, src * k + i] = 1
         super().__init__(G, ab, act)
-
-    def coord(self, coset: int, i: int) -> int:
-        return coset * self.base.rank + i
-
-    def evaluate(self, elem: AbElement, coset: int) -> AbElement:
-        k = self.base.rank
-        return self.base.element(elem.coords[coset * k : (coset + 1) * k])
-
-    def from_function(self, values: list[AbElement]) -> AbElement:
-        coords = []
-        for v in values:
-            coords.extend(v.coords)
-        return self.ab.element(coords)
 
     def coset_mul(self, c1: int, c2: int) -> int:
         return int(self.coset_of[self.group.op(int(self.coset_reps[c1]), int(self.coset_reps[c2]))])

@@ -16,6 +16,13 @@ Z/L for any L.
 ``kernel_uniform`` all run on the sweep; ``diagonalize_mod`` applies its
 column step to rows and columns to present quotients of (Z/L)^p.
 
+The sweep works column by column, and a dense pivot row fills in every row
+it clears.  ``kernel_uniform`` therefore hands its conditions to the sweep
+sparse first: reduced mod L, without zero or repeated rows, in increasing
+order of nonzero count.  That is exact because the solution set of a system
+of conditions does not depend on their order or on repeats.  Only the
+generators returned change; their span, and so its Howell form, does not.
+
 Arithmetic is int64 mod L.  No intermediate value of the sweep exceeds
 2(L-1)^2 in absolute value, and ``matmul_mod`` reduces before a sum could
 pass 2^63, so every modulus with 2(L-1)^2 >= 2^63, that is L > 2^31, is
@@ -423,10 +430,40 @@ def kernel_uniform(A, L: int) -> np.ndarray:
     """Rows generating {x : A @ x == 0 mod L}; scales to thousands of rows.
 
     The left kernel of A^T, read off one tracked sweep; composite L is swept
-    directly.
+    directly.  Each row of A is one column of that sweep, so the rows are
+    taken sparse first: A is reduced mod L, zero and repeated rows are
+    dropped, and the rest are stable-sorted by increasing nonzero count
+    (a static form of Markowitz's fill-reducing order).  A zero row is no
+    condition and a repeated row the same condition twice, and the set
+    {x : A @ x == 0} does not depend on the order of the conditions, so the
+    kernel is exactly the same subgroup; only its generators differ.
     """
-    A = np.asarray(A, dtype=np.int64)
+    L = _check_modulus(L)
+    A = np.asarray(A, dtype=np.int64) % L
+    A = A[_sparse_first(A)]
     return ModSpan(A.T, L, n=A.shape[0], track=True).kernel()
+
+
+def _sparse_first(A: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero rows of A, each row once (at its first position),
+    stable-sorted by increasing nonzero count."""
+    nnz = np.count_nonzero(A, axis=1)
+    rows = np.flatnonzero(nnz)
+    # Sorted by a hash of the row and then by position, equal rows are
+    # adjacent unless a colliding row falls between them; each row is
+    # compared exactly with its predecessor, so a collision can only keep a
+    # repeat, never drop a row.  The hash is a dot product mod 2^64 with
+    # splitmix64-scrambled column weights.
+    z = np.arange(1, A.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    key = (A @ (z ^ (z >> np.uint64(31))).view(np.int64))[rows]
+    order = np.lexsort((rows, key))
+    rows, key = rows[order], key[order]
+    cand = np.flatnonzero(key[1:] == key[:-1])
+    repeat = cand[(A[rows[cand + 1]] == A[rows[cand]]).all(axis=1)] + 1
+    rows = np.sort(np.delete(rows, repeat))
+    return rows[np.argsort(nnz[rows], kind="stable")]
 
 
 def matmul_mod(A, B, L: int) -> np.ndarray:

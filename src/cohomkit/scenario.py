@@ -16,7 +16,8 @@ Grammar (one directive per line, '#' comments, blank lines ignored):
     check <name> [key=value]...
 
 Check names: cohomology, bk-build, b0, br-nr, sha, verify-shapiro,
-verify-bk, q-relevable, neutrality.
+verify-bk, q-relevable, neutrality.  The parameters each check accepts, and
+their ranges, are in ``CHECK_PARAMS``; anything else is a parse error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ CHECK_NAMES = (
 )
 
 
+# The parameters each check accepts: name -> (least value, greatest value,
+# must be odd), None for no bound.  A check missing here takes no parameters.
+CHECK_PARAMS: dict[str, dict[str, tuple[int | None, int | None, bool]]] = {
+    "cohomology": {"degree": (0, 2, False)},
+    "sha": {"degree": (0, 2, False)},
+    "q-relevable": {"q": (None, None, True), "sigma": (0, None, False)},
+    "neutrality": {"budget": (1, None, False)},
+}
+
+
 class ScenarioError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -57,6 +68,7 @@ class ScenarioError(ValueError):
 class CheckSpec:
     name: str
     params: dict[str, int] = field(default_factory=dict)
+    line_no: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -104,6 +116,22 @@ def _parse_table(body: str, line_no: int) -> FiniteGroup:
         return FiniteGroup(np.array(rows, dtype=np.int64), name="custom")
     except ValueError as e:
         raise ScenarioError(line_no, f"invalid multiplication table: {e}")
+
+
+def _check_param(check: str, key: str, value: int, seen: dict, line_no: int) -> None:
+    """Raise a ScenarioError unless check ``check`` takes ``key=value`` (once)."""
+    allowed = CHECK_PARAMS.get(check, {})
+    if key not in allowed:
+        known = ", ".join(allowed) or "none"
+        raise ScenarioError(line_no, f"check {check} has no parameter {key!r} (known: {known})")
+    if key in seen:
+        raise ScenarioError(line_no, f"check parameter {key!r} given twice")
+    lo, hi, odd = allowed[key]
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        want = f"in {lo}..{hi}" if hi is not None else f"at least {lo}"
+        raise ScenarioError(line_no, f"check {check}: {key}={value} must be {want}")
+    if odd and value % 2 == 0:
+        raise ScenarioError(line_no, f"check {check}: {key}={value} must be odd")
 
 
 def parse_scenarios(text: str) -> list[Scenario]:
@@ -184,10 +212,12 @@ def parse_scenarios(text: str) -> list[Scenario]:
                     raise ScenarioError(line_no, f"check parameter {kv!r} must be key=value")
                 k, v = kv.split("=", 1)
                 try:
-                    params[k] = int(v)
+                    value = int(v)
                 except ValueError:
                     raise ScenarioError(line_no, f"check parameter {kv!r} must be an integer")
-            current.checks.append(CheckSpec(name, params))
+                _check_param(name, k, value, params, line_no)
+                params[k] = value
+            current.checks.append(CheckSpec(name, params, line_no))
         else:
             raise ScenarioError(line_no, f"unknown directive {key!r}")
     for sc in scenarios:
@@ -209,3 +239,10 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioError(0, f"scenario {sc.name!r}: cohomology needs a base module")
         if chk.name == "cohomology" and sc.group is None and sc.galois is None:
             raise ScenarioError(0, f"scenario {sc.name!r}: cohomology needs group or galois")
+        sigma = chk.params.get("sigma")
+        if sigma is not None and sigma >= sc.galois.size:
+            raise ScenarioError(
+                chk.line_no,
+                f"check {chk.name}: sigma={sigma} is not an element of the Galois group "
+                f"of order {sc.galois.size}",
+            )

@@ -36,8 +36,6 @@ from .cohomology import BoundExceeded, CohomologyGroup, cohomology
 from .groups import (
     CosetSection,
     FiniteGroup,
-    GModule,
-    InducedModule,
     LocalizationContext,
     OmegaDecomposition,
     Subgroup,

@@ -62,6 +62,50 @@ def test_parse_rejects_nonnormal_subgroup():
         parse_scenarios(text)
 
 
+@pytest.mark.parametrize(
+    "check,message",
+    [
+        ("cohomology degree=1 qq=5", "no parameter 'qq'"),
+        ("cohomology degree=-1", "degree=-1 must be in 0..2"),
+        ("cohomology degree=3", "degree=3 must be in 0..2"),
+        ("sha degree=3", "degree=3 must be in 0..2"),
+        ("sha degree=-1", "degree=-1 must be in 0..2"),
+        ("q-relevable q=4", "q=4 must be odd"),
+        ("q-relevable sigma=-1", "sigma=-1 must be at least 0"),
+        ("q-relevable sigma=2", "sigma=2 is not an element"),
+        ("neutrality budget=0", "budget=0 must be at least 1"),
+        ("b0 degree=1", "no parameter 'degree'"),
+        ("cohomology degree=1 degree=2", "'degree' given twice"),
+    ],
+)
+def test_parse_rejects_bad_check_parameters_with_location(check, message):
+    with pytest.raises(ScenarioError, match=f"line 4: .*{message}"):
+        parse_scenarios(f"scenario t\nbase C2\ngalois C2\ncheck {check}\n")
+
+
+def test_cli_bad_check_parameter_exits_2(tmp_path, capsys):
+    f = tmp_path / "bad.scn"
+    f.write_text("scenario t\nbase C2\ngalois C2\ncheck cohomology degree=-1\n")
+    assert main(["run", str(f)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_parse_accepts_every_check_line_of_the_bench_pool():
+    import json
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pool = os.path.join(root, "perfbench", "data", "scenario_pool.json")
+    with open(pool) as fh:
+        contexts = json.load(fh)["contexts"]
+    lines = [chk["line"] for ctx in contexts for chk in ctx["checks"]]
+    assert "q-relevable q=3" in lines and "sha degree=1" in lines
+    for ctx in contexts:
+        checks = [chk["line"] for chk in ctx["checks"]]
+        text = "\n".join(["scenario t", *ctx["directives"], *(f"check {c}" for c in checks)])
+        (sc,) = parse_scenarios(text + "\n")
+        assert [c.name for c in sc.checks] == [c.split()[0] for c in checks]
+
+
 def test_empty_check_list_is_empty_pass_report():
     (sc,) = parse_scenarios("scenario empty\nbase C2\ngalois C2\n")
     report = Report("empty", scenario_digest(sc.canonical_text()), 0, sc.bound)

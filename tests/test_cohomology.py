@@ -6,6 +6,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohomkit.abelian import AbHom, FinAbGroup
 from cohomkit.cochain import Cochain, differential, random_cochain
@@ -276,3 +278,81 @@ def test_delta_vanishes_on_image_from_middle():
         pushed = cls.rep.mapped(ses.proj, ses.quot)
         out = connecting_cochain(ses, pushed)
         assert Hs.is_coboundary(out)
+
+
+def _power_action(n, orders, P):
+    """C_n acting on the product of cyclic groups of the given orders, g by P^g."""
+    act = [np.linalg.matrix_power(P, g) for g in range(n)]
+    return GModule(cyclic_group(n), FinAbGroup(orders), act)
+
+
+def _mixed_order_module_with_action():
+    # C4 acting on C2 x C4 through (a, b) -> (a, 2a + b), an automorphism of order 2
+    return _power_action(4, (2, 4), np.array([[1, 0], [2, 1]], dtype=np.int64))
+
+
+CERTIFICATE_MODULES = {
+    "C2xC2 on C2xC4": lambda: trivial_module(named_group("C2xC2"), FinAbGroup((2, 4))),
+    "C4 on C2xC4": _mixed_order_module_with_action,
+    "S3 on Ind C3": lambda: induced_module(
+        named_group("S3"), alternating_subgroup_s3(named_group("S3")), FinAbGroup((3,))
+    ),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_MODULES))
+def test_violating_pairs_match_the_differential(name, degree):
+    # the certificate flags (x, g) exactly when d(u)(x, g, ...) != 0 for
+    # some row, u being the table rebuilt from the slice vector
+    M = CERTIFICATE_MODULES[name]()
+    H = cohomology(M, degree)
+    rng = np.random.default_rng(degree)
+    orders = np.array(H.ambient_orders, dtype=np.int64)
+    vectors = [H.z_rows] + [rng.integers(0, orders, size=(3, H.s)) for _ in range(4)]
+    vectors += [H.z_rows[:1] + rng.integers(0, orders, size=(1, H.s))]
+    mods = np.array(M.ab.orders, dtype=np.int64)
+    shape = (H.n,) * degree + (H.k,)
+    for V in vectors:
+        T = H._tables_from_slices(V)
+        expected = set()
+        for j in range(V.shape[0]):
+            d = differential(Cochain(M, degree, T[..., j].reshape(shape))).table % mods
+            for xi, x in enumerate(H.X):
+                hit = d[x].reshape(H.n, -1).any(axis=1)
+                expected |= {(xi, int(g)) for g in np.flatnonzero(hit)}
+        got = H._violating_pairs(V)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+    assert H._violating_pairs(H.z_rows) == []
+
+
+@st.composite
+def _cyclic_module(draw):
+    """A cyclic group C_n acting on C_m or on C_o1 x C_o2 through a random automorphism."""
+    orders = draw(
+        st.sampled_from([(2,), (3,), (4,), (6,), (8,), (9,), (2, 2), (2, 4), (3, 3), (4, 4)])
+    )
+    k = len(orders)
+    # entry (i, j) must be a multiple of o_i / gcd(o_i, o_j) to be well defined
+    P = np.array(
+        [
+            [draw(st.integers(0, o_i - 1)) * (o_i // gcd(o_i, o_j)) % o_i for o_j in orders]
+            for o_i in orders
+        ],
+        dtype=np.int64,
+    )
+    mods = np.array(orders, dtype=np.int64).reshape(-1, 1)
+    power, t = P % mods, 1
+    while not np.array_equal(power, np.eye(k, dtype=np.int64) % mods) and t <= 6:
+        power, t = (power @ P) % mods, t + 1
+    assume(t <= 6)  # P^t = 1, so P is an automorphism, and C_n acts for every multiple n of t
+    n = t * draw(st.sampled_from([j for j in (1, 2, 3) if t * j <= 6]))
+    assume(n >= 2)
+    return _power_action(n, orders, P)
+
+
+@given(_cyclic_module(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_cyclic_modules_match_the_norm_oracle(M, degree):
+    assert cohomology(M, degree).size == cyclic_cohomology_size(M, degree)

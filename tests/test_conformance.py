@@ -1,7 +1,10 @@
 """Replay the frozen scenario vectors and compare canonical reports."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,22 @@ def test_conformance_vector(path):
         rep.records = [run_check(sc, spec) for spec in sc.checks]
         bodies.append(render(rep))
     assert _normalize("".join(bodies)) == expected
+
+
+@pytest.mark.parametrize("path", VECTORS, ids=[p.stem for p in VECTORS])
+def test_conformance_vector_under_python_O(path):
+    # python -O strips assert statements; no verdict may depend on one
+    root = DATA.parent.parent
+    env_path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cohomkit", "run", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert _normalize(proc.stdout) == _normalize(path.with_suffix(".report").read_text())
 
 
 def test_vectors_present():

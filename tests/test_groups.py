@@ -186,6 +186,24 @@ def test_module_action_laws_checked():
         GModule(C2, FinAbGroup((4,)), [np.eye(1, dtype=int), [[2]]])  # x2 not invertible
 
 
+def test_action_at_orders_past_int64_products_is_exact():
+    # (order - 1)^2 wraps in int64 at 2^40 + 15; negation is still an action
+    o = 2**40 + 15
+    C2 = cyclic_group(2)
+    M = GModule(C2, FinAbGroup((o,)), [[[1]], [[o - 1]]])
+    assert M.apply(1, np.array([5])).tolist() == [o - 5]
+    assert M.apply(1, np.array([[o - 1], [2**39]])).tolist() == [[1], [o - 2**39]]
+    with pytest.raises(ValueError, match="not invertible"):
+        GModule(C2, FinAbGroup((o,)), [[[1]], [[2]]])
+    # (2^20)^2 = 2^40 = -15 mod o: an order-4 action, so not one of C2
+    with pytest.raises(ValueError, match="not invertible"):
+        GModule(C2, FinAbGroup((o,)), [[[1]], [[2**20]]])
+    C4 = cyclic_group(4)
+    u = 2**20  # u^4 = 225 != 1 mod o
+    with pytest.raises(ValueError):
+        GModule(C4, FinAbGroup((o,)), [[[pow(u, g, o)]] for g in range(4)])
+
+
 def test_action_inverse_matrices():
     S3 = named_group("S3")
     M = induced_module(S3, alternating_subgroup_s3(S3), FinAbGroup((3,)))

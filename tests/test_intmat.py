@@ -12,6 +12,7 @@ from cohomkit.intmat import (
     ModSpan,
     OverflowAbort,
     diagonalize_mod,
+    howell_form,
     kernel_mod,
     kernel_uniform,
     smith_normal_form,
@@ -129,6 +130,35 @@ def test_kernel_uniform_matches_brute(L):
             if m == 0 or ((A @ np.array(x)) % L == 0).all()
         )
         assert span.size() == brute
+
+
+@st.composite
+def _reordered_system(draw):
+    """A system A, and A with its rows permuted plus zero and repeated rows."""
+    L = draw(st.sampled_from([6, 12, 36, 128]))
+    s = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 6))
+    entry = st.integers(0, L - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=m, max_size=m))
+    A = np.array(rows, dtype=np.int64).reshape(m, s)
+    extra = [np.zeros((draw(st.integers(0, 2)), s), dtype=np.int64)]
+    if m:
+        picks = draw(st.lists(st.integers(0, m - 1), max_size=3))
+        extra.append(A[picks] + L * draw(st.integers(0, 2)))  # repeats, some not reduced
+    B = np.concatenate([A] + extra)
+    B = B[draw(st.permutations(range(B.shape[0])))] if B.shape[0] else B
+    return L, s, A, B
+
+
+@given(_reordered_system())
+@settings(max_examples=200, deadline=None)
+def test_kernel_uniform_ignores_row_order_zeros_and_repeats(inst):
+    # the kernel is a set of solutions, so its canonical basis cannot depend
+    # on the order of the conditions, on zero rows or on repeated rows
+    L, s, A, B = inst
+    K, KB = kernel_uniform(A, L), kernel_uniform(B, L)
+    assert np.array_equal(howell_form(K, L, n=s), howell_form(KB, L, n=s))
+    assert not ((B % L) @ KB.T % L).any()
 
 
 def test_kernel_and_solve_pinned():
