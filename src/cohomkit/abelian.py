@@ -352,7 +352,14 @@ class TensorProduct:
     def __init__(self, A: FinAbGroup, B: FinAbGroup):
         self.left = A
         self.right = B
+        self.factors = (A, B)
         self.group = FinAbGroup(tuple(gcd(n, m) for n in A.orders for m in B.orders))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """c[p, i, j]: the coefficient of a_i b_j in coordinate p of a (x) b."""
+        k = self.group.rank
+        return np.eye(k, dtype=np.int64).reshape(k, self.left.rank, self.right.rank)
 
     def index(self, i: int, j: int) -> int:
         return i * self.right.rank + j
@@ -376,7 +383,17 @@ class ExteriorSquare:
         self.base = A
         pairs = [(i, j) for i in range(A.rank) for j in range(A.rank) if i < j]
         self.pairs = pairs
+        self.factors = (A, A)
         self.group = FinAbGroup(tuple(gcd(A.orders[i], A.orders[j]) for i, j in pairs))
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """c[p, i, j]: the coefficient of a_i b_j in coordinate p of a ^ b."""
+        c = np.zeros((len(self.pairs), self.base.rank, self.base.rank), dtype=np.int64)
+        for p, (i, j) in enumerate(self.pairs):
+            c[p, i, j] = 1
+            c[p, j, i] = -1
+        return c
 
     def index(self, i: int, j: int) -> int:
         assert i < j
@@ -388,6 +405,42 @@ class ExteriorSquare:
             a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i] for i, j in self.pairs
         ]
         return self.group.element(coords)
+
+
+def all_coords(A: FinAbGroup) -> np.ndarray:
+    """Every element of A as a row of coordinates, in lexicographic order."""
+    if not A.rank:
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.indices(A.orders, dtype=np.int64).reshape(A.rank, -1).T.copy()
+
+
+def vanishing_products(product, lam: AbHom) -> np.ndarray:
+    """Rows generating span{a.b : lam(a.b) = 0} inside ``product.group``.
+
+    ``product`` is a bilinear product A x B -> C (a TensorProduct or an
+    ExteriorSquare) with ``factors`` (A, B) and ``coefficients``, and lam is
+    a hom C -> T.  For a fixed a, b -> lam(a.b) is a hom B -> T; the products
+    with first factor a that lam kills are a.K_a for its kernel K_a, spanned
+    by a.k over generators k of K_a.  So one Howell kernel per element of A,
+    on the scaled matrix as in :func:`kernel`, replaces a test per pair.
+    """
+    A, B = product.factors
+    T = lam.target
+    if lam.source != product.group:
+        raise ValueError("lam must be defined on the product group")
+    L = lcm(B.exponent, T.exponent)
+    tmods = np.array(T.orders, dtype=np.int64).reshape(-1, 1)
+    coef = product.coefficients
+    # beta[i, k, j]: the coefficient of a_i b_j in lam(a.b)_k
+    beta = np.einsum("kp,pij->ikj", lam.matrix, coef) % tmods
+    scales = L // tmods
+    bmods = np.array(B.orders, dtype=np.int64)
+    cmods = np.array(product.group.orders, dtype=np.int64)
+    rows = []
+    for a in all_coords(A):
+        K = kernel_uniform((np.tensordot(a, beta, axes=1) % tmods) * scales, L) % bmods
+        rows.append(np.einsum("pij,i,rj->rp", coef, a, K) % cmods)
+    return np.concatenate(rows)
 
 
 class DualPairing:

@@ -32,6 +32,7 @@ from .abelian import (
     FinAbGroup,
     Presentation,
     kernel,
+    vanishing_products,
 )
 from .cochain import Cochain
 from .cohomology import cohomology
@@ -40,8 +41,10 @@ from .groups import (
     FiniteGroup,
     GModule,
     Subgroup,
+    center_subgroup,
     cyclic_subgroups,
     all_subgroups,
+    derived_subgroup,
     generated_subgroup,
     is_simple_module,
     restrict_module,
@@ -115,19 +118,6 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
     return AbelianStructure(G, pres.group, coords, reps)
 
 
-def center_subgroup(G: FiniteGroup) -> Subgroup:
-    members = [g for g in G.elements() if (G.mul[g] == G.mul[:, g]).all()]
-    return Subgroup.make(G, members)
-
-
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    gens = set()
-    for a in G.elements():
-        for b in G.elements():
-            gens.add(G.op(G.op(a, b), G.op(int(G.inv[a]), int(G.inv[b]))))
-    return generated_subgroup(G, gens)
-
-
 # ---------------------------------------------------------------------------
 # The commutator pairing and the closed form
 # ---------------------------------------------------------------------------
@@ -151,7 +141,8 @@ def lambda_map(F: FiniteGroup, rng=None) -> LambdaData:
     """The pairing lambda(a ^ b) = [lift(a), lift(b)] for a class-2 group."""
     Z = center_subgroup(F)
     D = derived_subgroup(F)
-    assert set(D.members) <= set(Z.members), "group must be nilpotent of class <= 2"
+    if not set(D.members) <= set(Z.members):
+        raise ValueError("group must be nilpotent of class <= 2")
     Zgrp, Zembed = subgroup_group(Z)
     zpos = {int(m): i for i, m in enumerate(Zembed)}
     Zc = abelian_structure(Zgrp)
@@ -189,16 +180,10 @@ def lambda_map(F: FiniteGroup, rng=None) -> LambdaData:
         c = F.op(F.op(l1, l2), F.op(int(F.inv[l1]), int(F.inv[l2])))
         k = wedge.index(i, j)
         want = lam(wedge.group.element([int(t == k) for t in range(wedge.group.rank)]))
-        assert tuple(Zc.coords[zpos[c]]) == want.coords, "lambda depends on the lifts"
+        if tuple(Zc.coords[zpos[c]]) != want.coords:
+            raise AssertionError("lambda depends on the lifts")
     S, S_incl = kernel(lam)
-    # S_lambda: pure wedges with vanishing lambda
-    rows = []
-    for a in Fab.group.elements():
-        for b in Fab.group.elements():
-            w = wedge.wedge(a, b)
-            if lam(w).is_zero:
-                rows.append(w.coords)
-    rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, wedge.group.rank))
+    rows = vanishing_products(wedge, lam)  # generators of S_lambda
     # present S / S_lambda inside the wedge square
     s_rows = S_incl.matrix.T
     pres = Presentation(wedge.group.orders, s_rows, rows)
@@ -222,29 +207,10 @@ def b0_closed_form_cp(datum: BKDatum) -> FinAbGroup:
     """
     cp = datum.cp
     wedge = ExteriorSquare(cp.Msum.ab)
-    eye = np.eye(cp.ka, dtype=np.int64)
-    cols = []
-    for (i, j) in wedge.pairs:
-        z = (cp.pair(eye[i], eye[j]) - cp.pair(eye[j], eye[i])) % cp.zmods
-        cols.append(z)
-    lam = AbHom(
-        wedge.group,
-        cp.Zmod.ab,
-        np.array(cols, dtype=np.int64).T if cols else np.zeros((cp.kz, 0)),
-    )
+    # column p = (i, j) of lambda is Phi(e_i, e_j) - Phi(e_j, e_i)
+    lam = AbHom(wedge.group, cp.Zmod.ab, np.einsum("kij,pij->kp", cp.phi_tensor, wedge.coefficients))
     S, S_incl = kernel(lam)
-    rows = []
-    from itertools import product as iproduct
-
-    for ac in iproduct(*(range(o) for o in cp.Msum.ab.orders)):
-        a = cp.Msum.ab.element(ac)
-        for bc in iproduct(*(range(o) for o in cp.Msum.ab.orders)):
-            b = cp.Msum.ab.element(bc)
-            w = wedge.wedge(a, b)
-            if lam(w).is_zero:
-                rows.append(w.coords)
-    rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, wedge.group.rank))
-    pres = Presentation(wedge.group.orders, S_incl.matrix.T, rows)
+    pres = Presentation(wedge.group.orders, S_incl.matrix.T, vanishing_products(wedge, lam))
     return pres.group
 
 
@@ -454,33 +420,15 @@ def br_nr_bk(datum: BKDatum) -> BrNrReport:
     phi = datum.phi
     K, incl = kernel(phi)
     MM = datum.MMmod.ab
-    L = 1
-    for o in MM.orders:
-        L = lcm(L, o)
-    # all pure tensors x (x) y with phi(x (x) y) = 0
-    from itertools import product as iproduct
-
-    rows = []
-    Mab = datum.Mmod.ab
-    for xc in iproduct(*(range(o) for o in Mab.orders)):
-        x = np.array(xc, dtype=np.int64)
-        for yc in iproduct(*(range(o) for o in Mab.orders)):
-            y = np.array(yc, dtype=np.int64)
-            t = datum.tensorMM.pair_coords(x, y)
-            if not phi.apply_coords(t).any():
-                rows.append(t)
-    rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, MM.rank), dtype=np.int64)
+    L = MM.exponent
+    # generators of the span of the pure tensors x (x) y with phi(x (x) y) = 0
+    rows = vanishing_products(datum.tensorMM, phi)
     lattice = np.diag(np.array(MM.orders, dtype=np.int64))
     pure_span = ModSpan(np.concatenate([rows, lattice]), L, n=MM.rank)
     lat_span = ModSpan(lattice, L, n=MM.rank)
     pure_size = pure_span.size() // lat_span.size()
-    # element-by-element: does every kernel element lie in the pure span?
-    all_in = True
-    for kc in K.elements():
-        vec = np.array(incl(kc).coords, dtype=np.int64)
-        if not pure_span.contains(vec):
-            all_in = False
-            break
+    # the pure span is a subgroup: it holds Ker phi iff it holds its generators
+    all_in = all(pure_span.contains(g) for g in incl.matrix.T)
     pres = Presentation(MM.orders, incl.matrix.T, np.concatenate([rows, lattice]))
     return BrNrReport(
         kernel_size=K.cardinality,

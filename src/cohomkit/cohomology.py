@@ -139,6 +139,9 @@ class CohomologyGroup:
 
     def _build_tree(self):
         G = self.module.group
+        eye = np.eye(self.k, dtype=np.int64)
+        # generators acting as the identity skip the matmul in _law_rhs
+        self._acts_trivially = {x: bool((self.module.act[x] == eye).all()) for x in self.X}
         self.order: list[int] = list(self.X)
         self.parent: dict[int, tuple[int, int]] = {}
         visited = set(self.X)
@@ -164,8 +167,7 @@ class CohomologyGroup:
         ``slice(None)`` for all of them at once (then the result gains a
         leading axis over g).
         """
-        a = self.module.act[x]
-        acted = T[g] if (a == np.eye(self.k, dtype=a.dtype)).all() else np.matmul(a, T[g]) % self.L
+        acted = T[g] if self._acts_trivially[x] else np.matmul(self.module.act[x], T[g]) % self.L
         if self.degree == 1:
             return acted + T[x]
         out = T[x][self.module.group.mul[g]]

@@ -2,8 +2,11 @@
 
 The multiplication is (z,a)(z',a') = (z + z' + Phi(a,a'), a + a') with
 Phi((x,y),(x',y')) = phi(x (x) y') for an equivariant phi: M (x) M -> Z.
-Everything operates on coordinate arrays so exhaustive sweeps over |F| up to
-2^14 stay cheap; a table-group materialization is available below 2^9.
+The group law acts on coordinate arrays, vectorized over leading axes, so a
+check passes all its samples (random triples, odd powers) through one call.
+Up to |F| = 2^9 the multiplication table can be materialized
+(``as_table_group``); the brute-force center and derived subgroup, for
+|F| <= 2^8, are read off that table.
 
 The twisted-form calculus (twisted cocycle condition, the connecting map in
 closed form, conjugacy witnesses, odd-power conjugators) lives here too; each
@@ -14,7 +17,7 @@ two paths on every input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     TensorProduct,
+    all_coords,
     kernel,
     solve_preimage,
 )
@@ -33,6 +37,8 @@ from .groups import (
     GModule,
     InducedModule,
     Subgroup,
+    center_subgroup,
+    derived_subgroup,
     induced_module,
     quotient_module,
     tensor_module,
@@ -149,69 +155,46 @@ class CrossedProduct:
 
     # -- structured subgroup computations -------------------------------------
 
+    def _antisymmetrized(self) -> np.ndarray:
+        """anti[k, i, j] = Phi(e_i, e_j)_k - Phi(e_j, e_i)_k, reduced."""
+        return (self.phi_tensor - self.phi_tensor.transpose(0, 2, 1)) % self.zmods.reshape(-1, 1, 1)
+
     def antisym_radical(self) -> np.ndarray:
         """Rows spanning {a : Phi(a, b) == Phi(b, a) for all b}."""
-        anti = (self.phi_tensor - self.phi_tensor.transpose(0, 2, 1)) % self.zmods.reshape(-1, 1, 1)
-        L = 1
-        for o in tuple(self.Zmod.ab.orders) + tuple(self.Msum.ab.orders):
-            L = lcm(L, o)
+        L = lcm(self.Zmod.ab.exponent, self.Msum.ab.exponent)
         # one condition row per (probe index j, Z coordinate k)
-        A = anti.transpose(2, 0, 1).reshape(self.ka * self.kz, self.ka)
+        A = self._antisymmetrized().transpose(2, 0, 1).reshape(self.ka * self.kz, self.ka)
         scales = np.tile(np.array([L // int(o) for o in self.Zmod.ab.orders], dtype=np.int64), self.ka)
         A = (A * scales.reshape(-1, 1)) % L
         return kernel_uniform(A, L)
 
-    def derived_structured(self) -> list[np.ndarray]:
-        """Generators of [F, F] inside Z: antisymmetrizations of basis pairs."""
-        gens = []
-        eye = np.eye(self.ka, dtype=np.int64)
-        for i in range(self.ka):
-            for j in range(self.ka):
-                z = (self.pair(eye[i], eye[j]) - self.pair(eye[j], eye[i])) % self.zmods
-                if z.any():
-                    gens.append(z)
-        return gens
+    def derived_structured(self) -> np.ndarray:
+        """Generators of [F, F] inside Z: antisymmetrizations of basis pairs, as rows."""
+        return self._antisymmetrized().reshape(self.kz, self.ka * self.ka).T
 
     def center_and_derived_brute(self):
-        """Element lists by brute force; requires |F| <= 2^8."""
+        """Center and derived subgroup of F by brute force; requires |F| <= 2^8.
+
+        Both come from the multiplication table of F, which every pair of
+        elements enters: the center is the elements whose row equals their
+        column, the derived subgroup is generated by all n^2 commutators.
+        Neither uses the pairing's structure (``antisym_radical``,
+        ``derived_structured``).  Elements are returned as (z, a) coordinate
+        tuples, the derived subgroup in increasing order.
+        """
         if self.order > 256:
             raise ValueError("brute-force center needs |F| <= 256")
-        elems = list(self._all_elements())
-        center = []
-        for z, a in elems:
-            ok = True
-            for z2, a2 in elems:
-                l = self.mul(z, a, z2, a2)
-                r = self.mul(z2, a2, z, a)
-                if (l[0] != r[0]).any() or (l[1] != r[1]).any():
-                    ok = False
-                    break
-            if ok:
-                center.append((tuple(z), tuple(a)))
-        derived_gens = set()
-        for z, a in elems:
-            for z2, a2 in elems:
-                c = self.commutator(z, a, z2, a2)
-                derived_gens.add((tuple(int(v) for v in c[0]), tuple(int(v) for v in c[1])))
-        # close the generated subgroup
-        derived = {((0,) * self.kz, (0,) * self.ka)}
-        frontier = list(derived_gens)
-        while frontier:
-            g = frontier.pop()
-            for h in list(derived):
-                z, a = self.mul(np.array(g[0]), np.array(g[1]), np.array(h[0]), np.array(h[1]))
-                t = (tuple(int(v) for v in z), tuple(int(v) for v in a))
-                if t not in derived:
-                    derived.add(t)
-                    frontier.append(t)
-        return center, sorted(derived)
+        G, idx = self.as_table_group(cap=256)
+        na = idx.a_coords.shape[0]
 
-    def _all_elements(self):
-        from itertools import product as iproduct
+        def coords(members):
+            zi, ai = np.divmod(np.asarray(members, dtype=np.int64), na)
+            return [
+                (tuple(z), tuple(a))
+                for z, a in zip(idx.z_coords[zi].tolist(), idx.a_coords[ai].tolist())
+            ]
 
-        for zc in iproduct(*(range(o) for o in self.Zmod.ab.orders)):
-            for ac in iproduct(*(range(o) for o in self.Msum.ab.orders)):
-                yield np.array(zc, dtype=np.int64), np.array(ac, dtype=np.int64)
+        return coords(center_subgroup(G).members), coords(derived_subgroup(G).members)
 
     def as_table_group(self, cap: int = 512) -> tuple[FiniteGroup, "CPIndex"]:
         if self.order > cap:
@@ -237,8 +220,8 @@ class CPIndex:
 
     def __init__(self, cp: CrossedProduct):
         self.cp = cp
-        self.z_coords = _all_coords(cp.Zmod.ab)
-        self.a_coords = _all_coords(cp.Msum.ab)
+        self.z_coords = all_coords(cp.Zmod.ab)
+        self.a_coords = all_coords(cp.Msum.ab)
         self.z_strides = _mixed_radix_strides(cp.Zmod.ab.orders)
         self.a_strides = _mixed_radix_strides(cp.Msum.ab.orders)
 
@@ -254,15 +237,6 @@ class CPIndex:
         return int(self.z_index(np.asarray(z).reshape(1, -1))[0]) * self.a_coords.shape[0] + int(
             self.a_index(np.asarray(a).reshape(1, -1))[0]
         )
-
-
-def _all_coords(A: FinAbGroup) -> np.ndarray:
-    from itertools import product as iproduct
-
-    rows = list(iproduct(*(range(o) for o in A.orders)))
-    if not rows:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
 
 
 def _mixed_radix_strides(orders) -> np.ndarray:
@@ -372,25 +346,16 @@ def center_equals_embedded_Z(datum: BKDatum) -> dict:
     """Structured check Z(F) = [F,F] = Z; brute-forced too when |F| <= 2^8."""
     cp = datum.cp
     report: dict = {"Z_size": cp.Zmod.ab.cardinality}
-    La = 1
-    for o in cp.Msum.ab.orders:
-        La = lcm(La, o)
+    La = cp.Msum.ab.exponent
     rad = cp.antisym_radical()
     alat = np.diag(cp.amods)
     radspan = ModSpan(np.concatenate([rad, alat]) if rad.size else alat, La, n=cp.ka)
     alat_span = ModSpan(alat, La, n=cp.ka)
     report["radical_size"] = radspan.size() // alat_span.size()
     report["center_is_Z"] = report["radical_size"] == 1
-    Lz = 1
-    for o in cp.Zmod.ab.orders:
-        Lz = lcm(Lz, o)
-    dgens = cp.derived_structured()
+    Lz = cp.Zmod.ab.exponent
     zlat = np.diag(cp.zmods)
-    dspan = ModSpan(
-        np.concatenate([np.array(dgens).reshape(-1, cp.kz), zlat]) if dgens else zlat,
-        Lz,
-        n=cp.kz,
-    )
+    dspan = ModSpan(np.concatenate([cp.derived_structured(), zlat]), Lz, n=cp.kz)
     zlat_span = ModSpan(zlat, Lz, n=cp.kz)
     report["derived_size"] = dspan.size() // zlat_span.size()
     report["derived_is_Z"] = report["derived_size"] == report["Z_size"]
@@ -637,22 +602,17 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
     if q % 2 == 0:
         raise ValueError("q must be odd")
     # power identity, exhaustively when |M + M| is small, sampled otherwise
-    card = cp.Msum.ab.cardinality
-    checked = 0
-    if card <= 64:
-        coords = _all_coords(cp.Msum.ab)
+    if cp.Msum.ab.cardinality <= 64:
+        coords = all_coords(cp.Msum.ab)
     else:
         rng = rng or np.random.default_rng(0)
         coords = rng.integers(0, np.maximum(cp.amods, 1), size=(200, cp.ka))
-    for a in coords:
-        z1, a1 = cp.power(np.zeros(cp.kz, dtype=np.int64), np.asarray(a, dtype=np.int64), q)
-        z2, a2 = q_power_closed_form(cp, np.asarray(a, dtype=np.int64), q)
-        assert (z1 == z2).all() and (a1 == a2).all(), "odd power identity failed"
-        checked += 1
+    z1, a1 = cp.power(np.zeros((len(coords), cp.kz), dtype=np.int64), coords, q)
+    z2, a2 = q_power_closed_form(cp, coords, q)
+    if (z1 != z2).any() or (a1 != a2).any():
+        raise AssertionError("odd power identity failed")
     # the subgroup {a : sigma a = q a}
-    L = 1
-    for o in cp.Msum.ab.orders:
-        L = lcm(L, o)
+    L = cp.Msum.ab.exponent
     mat = (cp.Msum.act[sigma] - q * np.eye(cp.ka, dtype=np.int64)) % np.array(
         cp.Msum.ab.orders, dtype=np.int64
     ).reshape(-1, 1)
@@ -663,31 +623,25 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
     eligible_size = span.size() // lattice.size()
     # enumerate the subgroup and test relevability of each element
     elems = _enumerate_span(span, cp.amods)
-    relevable = []
+    rel_rows = elems[[_is_relevable(cp, sigma, q, a) for a in elems]]
+    # the explicit conjugator a' = ((q+1)/2 x, y) of every relevable a
     km = cp.ka // 2
-    for a in elems:
-        if _is_relevable(cp, sigma, q, a):
-            relevable.append(a)
-            # the explicit conjugator a' = ((q+1)/2 x, y)
-            ap = a.copy()
-            ap[:km] = (((q + 1) // 2) * ap[:km]) % cp.amods[:km]
-            zq, aq = q_power_closed_form(cp, a, q)
-            zc, ac = cp.conjugate(np.zeros(cp.kz, dtype=np.int64), ap, np.zeros(cp.kz, dtype=np.int64), (q * a) % cp.amods)
-            assert (zc == zq).all() and (ac == aq).all(), "explicit conjugator failed"
-    rel_rows = (
-        np.array(relevable, dtype=np.int64).reshape(len(relevable), cp.ka)
-        if relevable
-        else np.zeros((0, cp.ka), dtype=np.int64)
-    )
+    ap = rel_rows.copy()
+    ap[:, :km] = (((q + 1) // 2) * ap[:, :km]) % cp.amods[:km]
+    zq, aq = q_power_closed_form(cp, rel_rows, q)
+    zero = np.zeros((len(rel_rows), cp.kz), dtype=np.int64)
+    zc, ac = cp.conjugate(zero, ap, zero, (q * rel_rows) % cp.amods)
+    if (zc != zq).any() or (ac != aq).any():
+        raise AssertionError("explicit conjugator failed")
     rel_span = ModSpan(np.concatenate([rel_rows, np.diag(cp.amods)]), L, n=cp.ka)
     generated = rel_span.size() == span.size()
     return QRelevabilityReport(
         q=q,
         sigma=sigma,
         eligible_size=eligible_size,
-        relevable_size=len(relevable),
+        relevable_size=len(rel_rows),
         generated=generated,
-        power_identity_checked=checked,
+        power_identity_checked=len(coords),
     )
 
 
@@ -703,26 +657,16 @@ def _is_relevable(cp: CrossedProduct, sigma: int, q: int, a: np.ndarray) -> bool
     img = (cp.Zmod.act[sigma] - q * np.eye(cp.kz, dtype=np.int64)).T  # rows: images of basis
     half = (q * (q - 1)) // 2
     target = (half * cp.pair(a, a)) % cp.zmods
-    L = 1
-    for o in cp.Zmod.ab.orders:
-        L = lcm(L, o)
-    span = ModSpan(
-        np.concatenate([V, img % L, np.diag(cp.zmods)]), L, n=cp.kz
-    )
+    L = cp.Zmod.ab.exponent
+    span = ModSpan(np.concatenate([V, img % L, np.diag(cp.zmods)]), L, n=cp.kz)
     return span.contains(target)
 
 
-def _enumerate_span(span: ModSpan, mods: np.ndarray) -> list[np.ndarray]:
-    """All elements of a span (reduced mod the coordinate orders)."""
-    out = {tuple(np.zeros(len(mods), dtype=np.int64))}
-    frontier = [np.zeros(len(mods), dtype=np.int64)]
-    basis = [b % mods for b in span.basis]
-    while frontier:
-        v = frontier.pop()
-        for b in basis:
-            w = (v + b) % mods
-            t = tuple(int(x) for x in w)
-            if t not in out:
-                out.add(t)
-                frontier.append(np.array(t, dtype=np.int64))
-    return [np.array(t, dtype=np.int64) for t in sorted(out)]
+def _enumerate_span(span: ModSpan, mods: np.ndarray) -> np.ndarray:
+    """All elements of a span, reduced mod the coordinate orders, as sorted rows."""
+    out = np.zeros((1, len(mods)), dtype=np.int64)
+    for b in span.basis % mods:
+        order = lcm(1, *(int(m) // gcd(int(x), int(m)) for x, m in zip(b, mods)))
+        multiples = (np.arange(order, dtype=np.int64)[:, None] * b) % mods
+        out = np.unique(((out[:, None, :] + multiples) % mods).reshape(-1, len(mods)), axis=0)
+    return out

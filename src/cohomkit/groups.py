@@ -147,6 +147,17 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup.make(G, np.flatnonzero(seen))
 
 
+def center_subgroup(G: FiniteGroup) -> Subgroup:
+    """The elements whose row of the table equals their column."""
+    return Subgroup.make(G, np.flatnonzero((G.mul == G.mul.T).all(axis=1)))
+
+
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """The subgroup generated by all n^2 commutators a b a^-1 b^-1."""
+    commutators = G.mul[G.mul, G.mul[G.inv][:, G.inv]]
+    return generated_subgroup(G, np.unique(commutators))
+
+
 def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All cyclic subgroups, deduplicated, in deterministic order."""
     seen = {}

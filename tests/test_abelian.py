@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomkit.abelian import (
     AbHom,
@@ -20,8 +22,9 @@ from cohomkit.abelian import (
     kernel,
     same_invariants,
     solve_preimage,
+    vanishing_products,
 )
-from cohomkit.intmat import OverflowAbort
+from cohomkit.intmat import ModSpan, OverflowAbort
 
 Z4 = FinAbGroup((4,))
 
@@ -231,3 +234,58 @@ def test_presentation_quotient_sizes():
     pres = Presentation((4, 4), np.eye(2, dtype=np.int64), [[2, 0]])
     assert pres.group.cardinality == 8
     assert pres.is_zero_class([2, 0]) and not pres.is_zero_class([0, 2])
+
+
+# -- spans of vanishing products ----------------------------------------------
+
+
+def pair_loop_vanishing_products(product, lam):
+    """Reference: test every pair (a, b) of A x A."""
+    A = product.factors[0]
+    make = product.wedge if isinstance(product, ExteriorSquare) else product.pair
+    rows = []
+    for a in A.elements():
+        for b in A.elements():
+            w = make(a, b)
+            if lam(w).is_zero:
+                rows.append(w.coords)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), product.group.rank)
+
+
+def span_basis(rows, C: FinAbGroup) -> np.ndarray:
+    """Canonical Howell basis of the subgroup of C generated by rows."""
+    lattice = C.order_lattice().reshape(C.rank, C.rank)
+    return ModSpan(np.concatenate([rows, lattice]), max(C.exponent, 1), n=C.rank).basis
+
+
+@st.composite
+def _bilinear_instance(draw):
+    orders = draw(st.sampled_from([(2, 4), (3, 9), (4, 2), (2, 2, 4), (6,), (4, 8)]))
+    A = FinAbGroup(orders)
+    product = draw(st.sampled_from([ExteriorSquare(A), TensorProduct(A, A)]))
+    C = product.group
+    T = FinAbGroup(tuple(draw(st.lists(st.sampled_from([2, 3, 4, 8, 9]), min_size=1, max_size=2))))
+    entries = draw(st.lists(st.integers(0, 71), min_size=T.rank * C.rank, max_size=T.rank * C.rank))
+    M = np.array(entries, dtype=np.int64).reshape(T.rank, C.rank)
+    t = np.array(T.orders, dtype=np.int64).reshape(-1, 1)
+    c = np.array(C.orders, dtype=np.int64).reshape(1, -1)
+    # well defined: entry (k, p) is a multiple of t_k / gcd(t_k, c_p)
+    return product, AbHom(C, T, M * (t // np.gcd(t, c)))
+
+
+@given(_bilinear_instance())
+@settings(max_examples=60, deadline=None)
+def test_vanishing_products_span_equals_pair_loop(instance):
+    product, lam = instance
+    C = product.group
+    got = vanishing_products(product, lam)
+    assert not lam.apply_coords(got).any()  # every generator is a vanishing product
+    want = pair_loop_vanishing_products(product, lam)
+    assert (span_basis(got, C) == span_basis(want, C)).all()
+
+
+def test_vanishing_products_rejects_foreign_map():
+    A = FinAbGroup((2, 4))
+    lam = AbHom(TensorProduct(A, A).group, FinAbGroup((2,)), np.zeros((1, 4), dtype=np.int64))
+    with pytest.raises(ValueError):
+        vanishing_products(ExteriorSquare(A), lam)

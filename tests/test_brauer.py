@@ -2,11 +2,19 @@
 
 import itertools
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cohomkit.abelian import AbHom, FinAbGroup, TensorProduct, kernel, same_invariants
+from cohomkit.abelian import (
+    AbHom,
+    FinAbGroup,
+    TensorProduct,
+    kernel,
+    same_invariants,
+    vanishing_products,
+)
 from cohomkit.brauer import (
     abelian_structure,
     b0_closed_form,
@@ -25,6 +33,8 @@ from cohomkit.brauer import (
     sha_cyclic,
 )
 from cohomkit.crossed import build_bk
+from cohomkit.fixtures import class_two_group
+from cohomkit.intmat import ModSpan
 from cohomkit.groups import (
     GModule,
     Subgroup,
@@ -73,7 +83,7 @@ def test_lambda_abelian_group_is_zero():
 
 
 def test_lambda_requires_class_two():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="class <= 2"):
         lambda_map(named_group("S3"))
 
 
@@ -117,6 +127,55 @@ def test_b0_closed_form_cp_matches_table_route():
         d = build_bk(FinAbGroup(orders), named_group(gname))
         F, _ = d.cp.as_table_group(cap=512)
         assert same_invariants(b0_closed_form_cp(d), b0_closed_form(F))
+
+
+def p512(relation):
+    """V x W for V = (Z/2)^4 and W = wedge^2 V / <e1^e2 + relation>, order 512.
+
+    W has the basis e1^e3, e1^e4, e2^e3, e2^e4, e3^e4, and e1^e2 is sent to
+    the W-vector ``relation``: e3^e4 for the group with B0 = C2, zero for its
+    negative control, where Ker lambda is spanned by the pure wedge e1^e2.
+    """
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    beta = np.zeros((4, 4, 5), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        beta[i, j, k] = 1
+    beta[0, 1] = relation
+    return class_two_group((2,) * 4, (2,) * 5, beta, name="P512")
+
+
+P512_RELATIONS = {"e1^e2+e3^e4": [0, 0, 0, 0, 1], "e1^e2": [0, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("relation,b0_order", [("e1^e2+e3^e4", 2), ("e1^e2", 1)])
+def test_b0_closed_form_on_p512(relation, b0_order):
+    F = p512(P512_RELATIONS[relation])
+    assert F.size == 512
+    assert same_invariants(b0_closed_form(F), FinAbGroup((b0_order,)))
+
+
+@pytest.mark.parametrize("relation", sorted(P512_RELATIONS))
+def test_vanishing_wedges_on_p512_match_pair_loop(relation):
+    ld = lambda_map(p512(P512_RELATIONS[relation]))
+    rows = []
+    for a in ld.Fab.group.elements():
+        for b in ld.Fab.group.elements():
+            w = ld.wedge.wedge(a, b)
+            if ld.lam(w).is_zero:
+                rows.append(w.coords)
+    lattice = 2 * np.eye(ld.wedge.group.rank, dtype=np.int64)
+    want = ModSpan(np.concatenate([np.array(rows), lattice]), 2).basis
+    got = ModSpan(np.concatenate([vanishing_products(ld.wedge, ld.lam), lattice]), 2).basis
+    assert (got == want).all()
+
+
+def test_class_two_group_rejects_bad_maps():
+    with pytest.raises(ValueError):  # below the diagonal
+        class_two_group((2, 2), (2,), [[[0], [0]], [[1], [0]]])
+    with pytest.raises(ValueError):  # 2 * beta(e1, e2) = 1 in Z/4
+        class_two_group((2, 2), (4,), [[[0], [1]], [[0], [0]]])
+    with pytest.raises(ValueError):  # no V
+        class_two_group((), (3,), np.zeros((0, 0, 1)))
 
 
 def test_lambda_middle_identity_on_family():
@@ -203,12 +262,18 @@ def test_br_nr_not_constant_on_non_induced_pairings():
             t = tens.pair_coords(np.array(xc, dtype=np.int64), np.array(yc, dtype=np.int64))
             if not phi.apply_coords(t).any():
                 rows.append(t)
-    from cohomkit.intmat import ModSpan
-
     lattice = 2 * np.eye(4, dtype=np.int64)
     span = ModSpan(np.concatenate([np.array(rows), lattice]), 2, n=4)
     pure = span.size() // ModSpan(lattice, 2, n=4).size()
     assert K.cardinality == 4 and pure == 2  # quotient C2, pinned by the search
+    # the same pairing through br_nr_bk, on a datum-shaped namespace
+    datum = SimpleNamespace(
+        phi=phi, Mmod=SimpleNamespace(ab=Mab), MMmod=SimpleNamespace(ab=tens.group), tensorMM=tens
+    )
+    rep = br_nr_bk(datum)
+    assert (rep.kernel_size, rep.pure_span_size) == (4, 2)
+    assert not rep.kernel_equals_pure_span
+    assert same_invariants(rep.quotient, FinAbGroup((2,)))
 
 
 # -- cyclic kernels ----------------------------------------------------------

@@ -90,13 +90,16 @@ def test_cli_bad_check_parameter_exits_2(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
-def test_parse_accepts_every_check_line_of_the_bench_pool():
+def _bench_pool_contexts():
     import json
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    pool = os.path.join(root, "perfbench", "data", "scenario_pool.json")
-    with open(pool) as fh:
-        contexts = json.load(fh)["contexts"]
+    with open(os.path.join(root, "perfbench", "data", "scenario_pool.json")) as fh:
+        return json.load(fh)["contexts"]
+
+
+def test_parse_accepts_every_check_line_of_the_bench_pool():
+    contexts = _bench_pool_contexts()
     lines = [chk["line"] for ctx in contexts for chk in ctx["checks"]]
     assert "q-relevable q=3" in lines and "sha degree=1" in lines
     for ctx in contexts:
@@ -104,6 +107,25 @@ def test_parse_accepts_every_check_line_of_the_bench_pool():
         text = "\n".join(["scenario t", *ctx["directives"], *(f"check {c}" for c in checks)])
         (sc,) = parse_scenarios(text + "\n")
         assert [c.name for c in sc.checks] == [c.split()[0] for c in checks]
+
+
+@pytest.mark.parametrize("kind", ["verify-bk", "q-relevable", "br-nr"])
+def test_bench_pool_reference_records_replay(kind):
+    """Each pool item of these kinds with a reference record renders it exactly."""
+    replayed = 0
+    for ctx in _bench_pool_contexts():
+        for chk in ctx["checks"]:
+            if chk["line"].split()[0] != kind or chk["expected"] is None:
+                continue
+            text = "\n".join(["scenario t", "seed 0", *ctx["directives"], f"check {chk['line']}"])
+            (sc,) = parse_scenarios(text + "\n")
+            rec = run_check(sc, sc.checks[0])
+            lines = render(Report("t", "0", 0, 0, [rec]), timing=False).splitlines()
+            start = next(i for i, l in enumerate(lines) if l.startswith("check "))
+            block = "\n".join(lines[start : lines.index("end", start) + 1])
+            assert block == chk["expected"], ctx["directives"]
+            replayed += 1
+    assert replayed >= 12
 
 
 def test_empty_check_list_is_empty_pass_report():

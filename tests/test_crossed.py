@@ -1,11 +1,16 @@
 """Crossed products: group law, closed forms, twists, odd powers."""
 
 import itertools
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cohomkit.abelian import FinAbGroup, kernel, same_invariants
+from cohomkit.checks import _random_triples, check_verify_bk
 from cohomkit.cochain import Cochain, cup, differential, pointwise_tensor, random_cochain, zero_cochain
 from cohomkit.cohomology import ShortExactSequence, cohomology, connecting_cochain
 from cohomkit.crossed import (
@@ -22,7 +27,9 @@ from cohomkit.crossed import (
     twisted_cocycle_condition_definitional,
     twisted_cocycle_condition_formula,
 )
+from cohomkit.fixtures import BK_FAMILY
 from cohomkit.groups import cyclic_group, named_group
+from cohomkit.scenario import parse_scenarios
 
 D22 = build_bk(FinAbGroup((2,)), cyclic_group(2))
 
@@ -113,6 +120,47 @@ def test_center_and_derived(orders, gname, expect_center_is_Z):
     # degenerate case: the whole group is abelian, so the center is everything
     if not expect_center_is_Z:
         assert rep["radical_size"] == d.cp.Msum.ab.cardinality
+
+
+def _per_pair_center_and_derived(cp):
+    """Reference: products and commutators of every pair, closure by hand."""
+    elems = list(_elements(cp))
+    Z = np.array([e[0] for e in elems]).reshape(len(elems), cp.kz)
+    A = np.array([e[1] for e in elems])
+    center, comms = [], set()
+    for z, a in elems:
+        l, r = cp.mul(z, a, Z, A), cp.mul(Z, A, z, a)
+        if (l[0] == r[0]).all() and (l[1] == r[1]).all():
+            center.append((tuple(z.tolist()), tuple(a.tolist())))
+        cz, ca = cp.commutator(z, a, Z, A)
+        comms.update((tuple(u), tuple(v)) for u, v in zip(cz.tolist(), ca.tolist()))
+    derived = {((0,) * cp.kz, (0,) * cp.ka)}
+    frontier = list(comms)
+    while frontier:
+        g = frontier.pop()
+        for h in list(derived):
+            z, a = cp.mul(*(np.array(c, dtype=np.int64) for c in (*g, *h)))
+            t = (tuple(z.tolist()), tuple(a.tolist()))
+            if t not in derived:
+                derived.add(t)
+                frontier.append(t)
+    return center, sorted(derived)
+
+
+BRUTE_BK = [(orders, g) for _, orders, g in BK_FAMILY] + [((3,), "1"), ((4,), "1"), ((2, 2), "1")]
+
+
+@pytest.mark.parametrize("orders,gname", BRUTE_BK)
+def test_brute_center_and_derived_match_per_pair_reference(orders, gname):
+    cp = build_bk(FinAbGroup(orders), named_group(gname)).cp
+    if cp.order > 256:
+        with pytest.raises(ValueError):
+            cp.center_and_derived_brute()
+        return
+    center, derived = cp.center_and_derived_brute()
+    want_center, want_derived = _per_pair_center_and_derived(cp)
+    assert sorted(center) == sorted(want_center)
+    assert derived == want_derived
 
 
 def test_nondegenerate_examples():
@@ -320,6 +368,117 @@ def test_q_power_identity_and_relevability(q):
         z1, a1 = cp.power(np.zeros(cp.kz, dtype=np.int64), a, q)
         z2, a2 = q_power_closed_form(cp, a, q)
         assert (z1 == z2).all() and (a1 == a2).all()
+
+
+@pytest.mark.parametrize("orders,gname", [((2,), "C2"), ((4,), "1"), ((3,), "C2")])
+def test_batched_power_matches_per_element(orders, gname):
+    cp = build_bk(FinAbGroup(orders), named_group(gname)).cp
+    coords = np.random.default_rng(0).integers(0, cp.amods, size=(40, cp.ka))
+    for q in (3, 5):
+        zb, ab = cp.power(np.zeros((len(coords), cp.kz), dtype=np.int64), coords, q)
+        zc, ac = q_power_closed_form(cp, coords, q)
+        assert (zb == zc).all() and (ab == ac).all()
+        for a, z1, a1 in zip(coords, zb, ab):
+            z2, a2 = cp.power(np.zeros(cp.kz, dtype=np.int64), a, q)
+            assert (z1 == z2).all() and (a1 == a2).all()
+
+
+def _per_call_triples(cp, rng):
+    """Reference: z, then a, drawn separately for each element of each triple."""
+    zhigh, ahigh = np.maximum(cp.zmods, 1), np.maximum(cp.amods, 1)
+    return [
+        [rng.integers(0, zhigh).tolist() + rng.integers(0, ahigh).tolist() for _ in range(3)]
+        for _ in range(200)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cp",
+    [
+        D22.cp,
+        build_bk(FinAbGroup((3,)), cyclic_group(1)).cp,  # no Z coordinates
+        SimpleNamespace(zmods=np.array([1, 4]), amods=np.array([3, 1, 9]), kz=2, ka=3),
+    ],
+    ids=["F128", "empty-Z", "order-1-factors"],
+)
+def test_random_triples_match_per_call_draws(cp):
+    for seed in (0, 5):
+        got = _random_triples(cp, np.random.default_rng(seed))
+        assert got.tolist() == _per_call_triples(cp, np.random.default_rng(seed))
+
+
+def test_verify_bk_witness_is_first_non_associative_triple(monkeypatch):
+    from cohomkit.crossed import CrossedProduct
+
+    mul = CrossedProduct.mul
+
+    def skewed(self, z1, a1, z2, a2):
+        # a term that is not bilinear in (a1, a2) breaks associativity on some triples
+        z, a = mul(self, z1, a1, z2, a2)
+        a1, a2 = np.asarray(a1), np.asarray(a2)
+        return (z + a1[..., :1] * a2[..., :1] * a2[..., 1:2]) % self.zmods, a
+
+    monkeypatch.setattr(CrossedProduct, "mul", skewed)
+    (sc,) = parse_scenarios("scenario s\nseed 4\nbase C2\ngalois C2\ncheck verify-bk\n")
+    rec = check_verify_bk(sc, sc.checks[0])
+    cp = D22.cp
+    for triple in _per_call_triples(cp, np.random.default_rng(4)):
+        (z1, a1), (z2, a2), (z3, a3) = [
+            (np.array(t[: cp.kz]), np.array(t[cp.kz :])) for t in triple
+        ]
+        l = cp.mul(*cp.mul(z1, a1, z2, a2), z3, a3)
+        r = cp.mul(z1, a1, *cp.mul(z2, a2, z3, a3))
+        if (l[0] != r[0]).any() or (l[1] != r[1]).any():
+            break
+    assert rec.status == "fail" and rec.witness == {"triple": triple}
+
+
+def test_identity_checks_survive_optimized_mode():
+    """The class-2, lift, power and conjugator checks raise under python -O."""
+    script = """
+import sys
+import numpy as np
+import cohomkit.brauer as B
+import cohomkit.crossed as C
+from cohomkit.abelian import AbHom, FinAbGroup
+from cohomkit.groups import cyclic_group, named_group
+
+assert sys.flags.optimize
+def outcome(fn):
+    try:
+        fn()
+    except (ValueError, AssertionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+print(outcome(lambda: B.lambda_map(named_group("S3"))))
+# a lambda that disagrees with the commutators of the lifts
+B.AbHom = lambda s, t, m: AbHom(s, t, np.asarray(m) + 1)
+print(outcome(lambda: B.lambda_map(named_group("Heis27"))))
+B.AbHom = AbHom
+cp = C.build_bk(FinAbGroup((2,)), cyclic_group(2)).cp
+closed = C.q_power_closed_form
+C.q_power_closed_form = lambda cp, a, q: ((closed(cp, a, q)[0] + 1) % cp.zmods, closed(cp, a, q)[1])
+print(outcome(lambda: C.q_power_and_relevable(cp, 1, 3)))
+C.q_power_closed_form = closed
+C.CrossedProduct.conjugate = lambda self, z, a, zp, ap: ((zp + 1) % self.zmods, ap)
+print(outcome(lambda: C.q_power_and_relevable(cp, 1, 3)))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: group must be nilpotent of class <= 2",
+        "AssertionError: lambda depends on the lifts",
+        "AssertionError: odd power identity failed",
+        "AssertionError: explicit conjugator failed",
+    ]
 
 
 def test_q_one_everything_relevable():

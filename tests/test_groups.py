@@ -12,9 +12,11 @@ from cohomkit.groups import (
     LocalizationContext,
     Subgroup,
     alternating_subgroup_s3,
+    center_subgroup,
     coset_section,
     cyclic_group,
     cyclic_subgroups,
+    derived_subgroup,
     direct_product,
     dual_module,
     generated_subgroup,
@@ -288,6 +290,16 @@ def test_generated_subgroup_matches_bfs_closure(case):
     assert sub.members == tuple(sorted(want))
     assert all(type(m) is int for m in sub.members)
     assert sub.normal == _is_normal(G, want)
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_GROUPS))
+def test_center_and_derived_subgroup_match_per_pair_loops(name):
+    G = _CATALOG_GROUPS[name]
+    pairs = [(a, b) for a in range(G.size) for b in range(G.size)]
+    center = {a for a in range(G.size) if all(G.op(a, b) == G.op(b, a) for b in range(G.size))}
+    commutators = {G.op(G.op(a, b), G.op(int(G.inv[a]), int(G.inv[b]))) for a, b in pairs}
+    assert center_subgroup(G).members == tuple(sorted(center))
+    assert derived_subgroup(G).members == tuple(sorted(_bfs_closure(G, commutators)))
 
 
 @given(_group_and_elements())
