@@ -47,7 +47,6 @@ from .cohomology import (
     CohomologyClass,
     CohomologyGroup,
     ShortExactSequence,
-    cohomology,
     connecting_cochain,
     connecting_map,
     cyclic_cohomology_size,

@@ -46,10 +46,7 @@ class FinAbGroup:
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for n in self.orders:
-            e = lcm(e, n)
-        return e
+        return lcm(*self.orders)
 
     @property
     def is_trivial(self) -> bool:
@@ -117,11 +114,7 @@ class AbElement:
         return not any(self.coords)
 
     def order(self) -> int:
-        o = 1
-        for a, n in zip(self.coords, self.parent.orders):
-            if a:
-                o = lcm(o, n // gcd(a, n))
-        return o
+        return lcm(*(n // gcd(a, n) for a, n in zip(self.coords, self.parent.orders)))
 
 
 class AbHom:
@@ -211,9 +204,7 @@ class Presentation:
     def __init__(self, ambient_orders, s_gens, t_gens=()):
         self.ambient_orders = tuple(int(n) for n in ambient_orders)
         n = len(self.ambient_orders)
-        self.L = 1
-        for o in self.ambient_orders:
-            self.L = lcm(self.L, o)
+        self.L = lcm(*self.ambient_orders)
         lattice = np.diag(np.array(self.ambient_orders, dtype=np.int64))
 
         def as_rows(gens):
@@ -287,9 +278,7 @@ def _scaled_matrix(h: AbHom, L: int) -> np.ndarray:
 
 def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """(K, incl) with incl injective, h . incl == 0, image(incl) = Ker h."""
-    L = 1
-    for o in h.source.orders + h.target.orders:
-        L = lcm(L, o)
+    L = lcm(h.source.exponent, h.target.exponent)
     pres = Presentation(h.source.orders, kernel_uniform(_scaled_matrix(h, L), L))
     K = pres.group
     cols = [pres.rep(g) for g in _pres_generators(pres)]
@@ -317,9 +306,7 @@ def cokernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
 
 
 def image_size(h: AbHom) -> int:
-    L = 1
-    for o in h.target.orders:
-        L = lcm(L, o)
+    L = h.target.exponent
     lattice = h.target.order_lattice()
     span = ModSpan(np.concatenate([h.matrix.T % L, lattice]), L, n=h.target.rank)
     latt = ModSpan(lattice, L, n=h.target.rank)
@@ -329,9 +316,7 @@ def image_size(h: AbHom) -> int:
 def solve_preimage(h: AbHom, t: AbElement):
     """Some s with h(s) == t, or None when t is outside the image."""
     assert t.parent == h.target
-    L = 1
-    for o in h.source.orders + h.target.orders:
-        L = lcm(L, o)
+    L = lcm(h.source.exponent, h.target.exponent)
     A = _scaled_matrix(h, L)
     scales = np.array([L // m for m in h.target.orders], dtype=np.int64)
     b = (np.array(t.coords, dtype=np.int64) * scales) % L
@@ -412,6 +397,18 @@ def all_coords(A: FinAbGroup) -> np.ndarray:
     if not A.rank:
         return np.zeros((1, 0), dtype=np.int64)
     return np.indices(A.orders, dtype=np.int64).reshape(A.rank, -1).T.copy()
+
+
+def span_elements(span: ModSpan, mods) -> np.ndarray:
+    """Every element of a span, reduced mod the coordinate orders, as rows in
+    lexicographic order: the sums of multiples of each basis row in turn."""
+    mods = np.asarray(mods, dtype=np.int64)
+    out = np.zeros((1, len(mods)), dtype=np.int64)
+    for b in span.basis % mods:
+        order = lcm(*(int(m) // gcd(int(x), int(m)) for x, m in zip(b, mods)))
+        multiples = (np.arange(order, dtype=np.int64)[:, None] * b) % mods
+        out = np.unique(((out[:, None, :] + multiples) % mods).reshape(-1, len(mods)), axis=0)
+    return out
 
 
 def vanishing_products(product, lam: AbHom) -> np.ndarray:

@@ -47,6 +47,7 @@ from .groups import (
     derived_subgroup,
     generated_subgroup,
     is_simple_module,
+    minimal_generating_set,
     restrict_module,
     subgroup_group,
     trivial_module,
@@ -77,14 +78,7 @@ class AbelianStructure:
 
 def abelian_structure(G: FiniteGroup) -> AbelianStructure:
     assert G.is_abelian(), "cyclic decomposition requires an abelian group"
-    gens: list[int] = []
-    span = {0}
-    for g in G.elements():
-        if g not in span:
-            gens.append(g)
-            span = set(generated_subgroup(G, gens).members)
-            if len(span) == G.size:
-                break
+    gens = minimal_generating_set(G)
     if not gens:
         pres = Presentation((), np.zeros((0, 0)), np.zeros((0, 0)))
         return AbelianStructure(G, pres.group, np.zeros((G.size, 0), dtype=np.int64), [])
@@ -143,8 +137,8 @@ def lambda_map(F: FiniteGroup, rng=None) -> LambdaData:
     D = derived_subgroup(F)
     if not set(D.members) <= set(Z.members):
         raise ValueError("group must be nilpotent of class <= 2")
-    Zgrp, Zembed = subgroup_group(Z)
-    zpos = {int(m): i for i, m in enumerate(Zembed)}
+    Zgrp, _ = subgroup_group(Z)
+    zpos = Z.positions
     Zc = abelian_structure(Zgrp)
     from .groups import quotient_group
 
@@ -161,7 +155,8 @@ def lambda_map(F: FiniteGroup, rng=None) -> LambdaData:
     cols = []
     for (i, j) in wedge.pairs:
         c = F.op(F.op(lifts[i], lifts[j]), F.op(int(F.inv[lifts[i]]), int(F.inv[lifts[j]])))
-        assert c in zpos, "commutator escaped the center"
+        if zpos[c] < 0:
+            raise AssertionError("commutator escaped the center")
         cols.append(Zc.coords[zpos[c]])
     lam = AbHom(
         wedge.group,
@@ -377,12 +372,7 @@ def b0_oracle(
 
 def _restriction_kernel(P: FinAbGroup, blocks, targets):
     """Kernel of P -> prod targets without materializing the product group."""
-    L = 1
-    for o in P.orders:
-        L = lcm(L, o)
-    for T in targets:
-        for o in T.orders:
-            L = lcm(L, o)
+    L = lcm(P.exponent, *(T.exponent for T in targets))
     rows = []
     for block, T in zip(blocks, targets):
         mat = np.asarray(block, dtype=np.int64).reshape(len(T.orders), P.rank)

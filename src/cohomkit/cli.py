@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .fixtures import SUITE_SCENARIOS
 from .report import Report, render, render_text, scenario_digest
@@ -19,19 +18,14 @@ from .checks import run_check
 BOUND_ENV = "COHOMKIT_BOUND"
 
 
-def _run_scenario(sc: Scenario, jobs: int = 1) -> Report:
+def _run_scenario(sc: Scenario) -> Report:
     report = Report(
         scenario=sc.name,
         digest=scenario_digest(sc.canonical_text()),
         seed=sc.seed,
         bound=sc.bound,
     )
-    if jobs > 1 and len(sc.checks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_check, sc, spec) for spec in sc.checks]
-            report.records = [f.result() for f in futures]  # declaration order
-    else:
-        report.records = [run_check(sc, spec) for spec in sc.checks]
+    report.records = [run_check(sc, spec) for spec in sc.checks]
     return report
 
 
@@ -77,7 +71,6 @@ def main(argv=None) -> int:
         p.add_argument("--bound", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "structured"), default="structured")
-        p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     if args.command == "list-fixtures":
@@ -110,7 +103,7 @@ def main(argv=None) -> int:
         print("cohomkit: no scenarios found", file=sys.stderr)
         return 2
     _apply_overrides(scenarios, args)
-    reports = [_run_scenario(sc, jobs=args.jobs) for sc in scenarios]
+    reports = [_run_scenario(sc) for sc in scenarios]
     return _emit(reports, args.format, args.out)
 
 

@@ -188,13 +188,9 @@ def conjugation_action(
     The coefficient module must restrict to a trivial H-module, which holds
     throughout (base coefficients carry the trivial subgroup action).
     """
-    assert H.normal
-    hpos = {int(m): i for i, m in enumerate(embed)}
-    sinv = int(G.inv[sigma])
-    perm = np.array(
-        [hpos[G.op(G.op(sinv, int(embed[t])), sigma)] for t in range(len(embed))],
-        dtype=np.int64,
-    )
+    if not H.normal:
+        raise ValueError("conjugation action requires a normal subgroup")
+    perm = H.positions[G.mul[G.mul[G.inv[sigma], embed], sigma]]
     out = c.table
     for axis in range(c.degree):
         out = np.take(out, perm, axis=axis)

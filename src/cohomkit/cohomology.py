@@ -16,30 +16,18 @@ on slice coordinates, where the coboundary subgroup is a Howell span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import prod
 
 import numpy as np
 
-from .abelian import AbElement, AbHom, Presentation
+from .abelian import AbElement, AbHom, Presentation, span_elements
 from .cochain import Cochain, differential, zero_cochain
-from .groups import FiniteGroup, GModule, generated_subgroup
+from .groups import GModule, minimal_generating_set
 from .intmat import ModSpan, kernel_uniform as _kernel_uniform
 
 
 class BoundExceeded(RuntimeError):
     """A computation was rejected because it would exceed the work bound."""
-
-
-def minimal_generating_set(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = {0}
-    for g in G.elements():
-        if g not in span:
-            gens.append(g)
-            span = set(generated_subgroup(G, gens).members)
-            if len(span) == G.size:
-                break
-    return gens
 
 
 @dataclass
@@ -72,10 +60,7 @@ class CohomologyGroup:
         G = module.group
         self.n = G.size
         self.k = module.ab.rank
-        self.L = 1
-        for o in module.ab.orders:
-            self.L = lcm(self.L, o)
-        self.L = max(self.L, 1)
+        self.L = module.ab.exponent
         self._orders = np.array(module.ab.orders, dtype=np.int64)
         self._rng = np.random.default_rng(rng_seed)
         if degree == 0:
@@ -362,33 +347,18 @@ class CohomologyGroup:
         return self.presentation.is_zero_class(self.slice_coords(c))
 
     def cocycles(self, cap: int = 1 << 16) -> list[Cochain]:
-        """Every cocycle, by enumerating the slice-coordinate span."""
-        mods = np.array(
-            (tuple(self.module.ab.orders) * (self.s // max(self.k, 1)))[: self.s],
-            dtype=np.int64,
-        )
+        """Every cocycle, in lexicographic order of its slice coordinates."""
         if self.s == 0:
             return [zero_cochain(self.module, self.degree)]
+        mods = np.array(self.presentation.ambient_orders, dtype=np.int64)
         span = self.presentation.s_span
-        lattice = self.presentation.t_span  # contains the order lattice
-        total = span.size()
-        out_vecs = {tuple(np.zeros(self.s, dtype=np.int64))}
-        frontier = [np.zeros(self.s, dtype=np.int64)]
-        basis = [b % mods for b in span.basis]
-        while frontier:
-            v = frontier.pop()
-            for b in basis:
-                w = (v + b) % mods
-                t = tuple(int(x) for x in w)
-                if t not in out_vecs:
-                    if len(out_vecs) > cap:
-                        raise BoundExceeded(f"more than {cap} cocycles")
-                    out_vecs.add(t)
-                    frontier.append(np.array(t, dtype=np.int64))
+        # the span contains the order lattice, which has prod(L / m) elements
+        count = span.size() // prod(self.L // int(m) for m in mods)
+        if count > cap:
+            raise BoundExceeded(f"{count} cocycles exceed enumeration cap {cap}")
         out = []
         shape = (self.n,) * self.degree + (self.k,)
-        for t in sorted(out_vecs):
-            vec = np.array(t, dtype=np.int64)
+        for vec in span_elements(span, mods):
             if self.degree == 0 or self.n == 1:
                 out.append(Cochain(self.module, self.degree, vec.reshape(shape)))
             else:
@@ -441,25 +411,25 @@ class ShortExactSequence:
     def __post_init__(self):
         from .abelian import image_size, kernel
 
-        assert self.sub.group is self.mid.group is self.quot.group
-        G = self.mid.group
-        for g in G.elements():
-            mods_mid = np.array(self.mid.ab.orders, dtype=np.int64).reshape(-1, 1)
-            assert (
-                (self.incl.matrix @ self.sub.act[g]) % mods_mid
-                == (self.mid.act[g] @ self.incl.matrix) % mods_mid
-            ).all(), "inclusion not equivariant"
-            mods_q = np.array(self.quot.ab.orders, dtype=np.int64).reshape(-1, 1)
-            assert (
-                (self.proj.matrix @ self.mid.act[g]) % mods_q
-                == (self.quot.act[g] @ self.proj.matrix) % mods_q
-            ).all(), "projection not equivariant"
+        if not (self.sub.group is self.mid.group is self.quot.group):
+            raise ValueError("the three modules must share one group")
+        mods_mid = np.array(self.mid.ab.orders, dtype=np.int64).reshape(-1, 1)
+        mods_q = np.array(self.quot.ab.orders, dtype=np.int64).reshape(-1, 1)
+        # every g at once: (n, rows, cols) stacks of action matrices
+        if ((self.incl.matrix @ self.sub.act - self.mid.act @ self.incl.matrix) % mods_mid).any():
+            raise ValueError("inclusion not equivariant")
+        if ((self.proj.matrix @ self.mid.act - self.quot.act @ self.proj.matrix) % mods_q).any():
+            raise ValueError("projection not equivariant")
         K, _ = kernel(self.incl)
-        assert K.cardinality == 1, "inclusion must be injective"
-        assert image_size(self.proj) == self.quot.ab.cardinality, "projection must be surjective"
-        assert self.proj.compose(self.incl).is_zero, "composition must vanish"
+        if K.cardinality != 1:
+            raise ValueError("inclusion must be injective")
+        if image_size(self.proj) != self.quot.ab.cardinality:
+            raise ValueError("projection must be surjective")
+        if not self.proj.compose(self.incl).is_zero:
+            raise ValueError("composition must vanish")
         K2, _ = kernel(self.proj)
-        assert K2.cardinality == self.sub.ab.cardinality, "sequence not exact in the middle"
+        if K2.cardinality != self.sub.ab.cardinality:
+            raise ValueError("sequence not exact in the middle")
 
     def section_of_proj(self):
         """Cached set-theoretic section of proj (pointwise preimages)."""

@@ -11,13 +11,15 @@ Up to |F| = 2^9 the multiplication table can be materialized
 The twisted-form calculus (twisted cocycle condition, the connecting map in
 closed form, conjugacy witnesses, odd-power conjugators) lives here too; each
 closed form ships next to a definitional evaluation so tests can compare the
-two paths on every input.
+two paths on every input.  The relevability check enumerates its eligible subgroup with
+``abelian.span_elements``, the enumerator that ``CohomologyGroup.cocycles``
+uses too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .abelian import (
     all_coords,
     kernel,
     solve_preimage,
+    span_elements,
 )
 from .cochain import Cochain, cup, differential, pointwise_tensor, zero_cochain
 from .cohomology import cohomology
@@ -622,7 +625,7 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
     lattice = ModSpan(np.diag(cp.amods), L, n=cp.ka)
     eligible_size = span.size() // lattice.size()
     # enumerate the subgroup and test relevability of each element
-    elems = _enumerate_span(span, cp.amods)
+    elems = span_elements(span, cp.amods)
     rel_rows = elems[[_is_relevable(cp, sigma, q, a) for a in elems]]
     # the explicit conjugator a' = ((q+1)/2 x, y) of every relevable a
     km = cp.ka // 2
@@ -661,12 +664,3 @@ def _is_relevable(cp: CrossedProduct, sigma: int, q: int, a: np.ndarray) -> bool
     span = ModSpan(np.concatenate([V, img % L, np.diag(cp.zmods)]), L, n=cp.kz)
     return span.contains(target)
 
-
-def _enumerate_span(span: ModSpan, mods: np.ndarray) -> np.ndarray:
-    """All elements of a span, reduced mod the coordinate orders, as sorted rows."""
-    out = np.zeros((1, len(mods)), dtype=np.int64)
-    for b in span.basis % mods:
-        order = lcm(1, *(int(m) // gcd(int(x), int(m)) for x, m in zip(b, mods)))
-        multiples = (np.arange(order, dtype=np.int64)[:, None] * b) % mods
-        out = np.unique(((out[:, None, :] + multiples) % mods).reshape(-1, len(mods)), axis=0)
-    return out

@@ -3,9 +3,12 @@
 Conventions that everything downstream relies on:
 
 * the identity always has index 0;
-* coset representatives, set-theoretic sections and localization transversals
-  are chosen as the member of lowest index, so every derived table is
-  reproducible byte for byte;
+* one function, :func:`cosets`, fixes the coset convention: the
+  representative of a coset is its member of lowest index, and cosets are
+  numbered in the order of their representatives.  Quotient projections,
+  induced-module cosets and set-theoretic sections are its right cosets H g;
+  localization transversals are its left cosets g H, read off the transposed
+  table.  So every derived table is reproducible byte for byte;
 * induced-module coordinates are laid out coset-major: coordinate
   (c, i) = coset index c, base-module factor i.
 """
@@ -13,7 +16,7 @@ Conventions that everything downstream relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +135,25 @@ class Subgroup:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """positions[g]: the index of g among the sorted members, -1 outside."""
+        pos = np.full(self.parent.size, -1, dtype=np.int64)
+        pos[list(self.members)] = np.arange(self.size)
+        return pos
+
+
+def cosets(mul: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
+    """(coset_of, reps) for the right cosets H g of the subgroup with these members.
+
+    The representative of a coset is its lowest member, and cosets are
+    numbered in the order of their representatives, so reps is sorted and
+    reps[0] = 0.  Passing the transposed table gives the left cosets g H.
+    """
+    lowest = mul[np.asarray(members, dtype=np.int64)].min(axis=0)
+    reps = np.unique(lowest)
+    return np.searchsorted(reps, lowest), reps
+
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
     """The subgroup generated by gens: closure of {1} under right
@@ -145,6 +167,21 @@ def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
         frontier = step[~seen[step]]
         seen[frontier] = True
     return Subgroup.make(G, np.flatnonzero(seen))
+
+
+def minimal_generating_set(G: FiniteGroup) -> list[int]:
+    """Greedy in element order: each element outside the span of the
+    generators so far joins them."""
+    gens: list[int] = []
+    inside = np.zeros(G.size, dtype=bool)
+    inside[0] = True
+    for g in G.elements():
+        if not inside[g]:
+            gens.append(g)
+            inside[list(generated_subgroup(G, gens).members)] = True
+            if inside.all():
+                break
+    return gens
 
 
 def center_subgroup(G: FiniteGroup) -> Subgroup:
@@ -188,31 +225,17 @@ def subgroup_group(sub: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """The subgroup as a group in its own right, plus the index embedding."""
     members = np.array(sub.members, dtype=np.int64)  # sorted; identity (0) first
     G = sub.parent
-    pos = np.full(G.size, -1, dtype=np.int64)
-    pos[members] = np.arange(members.size)
-    mul = pos[G.mul[np.ix_(members, members)]]
+    mul = sub.positions[G.mul[np.ix_(members, members)]]
     H = FiniteGroup(mul, labels=[G.labels[m] for m in sub.members], name=f"{G.name}-sub")
     return H, members
 
 
 def quotient_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
     """(G/H, projection array); H must be normal.  Coset reps: lowest index."""
-    assert H.normal, "quotient requires a normal subgroup"
-    hset = set(H.members)
-    coset_of = np.full(G.size, -1, dtype=np.int64)
-    reps = []
-    for g in G.elements():
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in hset:
-            coset_of[G.op(h, g)] = idx
-    m = len(reps)
-    mul = np.zeros((m, m), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            mul[i, j] = coset_of[G.op(a, b)]
+    if not H.normal:
+        raise ValueError("quotient requires a normal subgroup")
+    coset_of, reps = cosets(G.mul, H.members)
+    mul = coset_of[G.mul[np.ix_(reps, reps)]]
     Q = FiniteGroup(mul, labels=[G.labels[r] for r in reps], name=f"{G.name}/H")
     return Q, coset_of
 
@@ -456,32 +479,21 @@ class InducedModule(GModule):
     """Functions G/H -> A with G acting by right translation of the argument."""
 
     def __init__(self, G: FiniteGroup, H: Subgroup, A: FinAbGroup):
-        assert H.normal, "induced modules here require a normal subgroup"
+        if not H.normal:
+            raise ValueError("induced modules here require a normal subgroup")
         self.base = A
         self.H = H
-        hset = set(H.members)
-        coset_of = np.full(G.size, -1, dtype=np.int64)
-        reps: list[int] = []
-        for g in G.elements():
-            if coset_of[g] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for h in hset:
-                coset_of[G.op(h, g)] = idx
-        self.coset_of = coset_of
-        self.coset_reps = np.array(reps, dtype=np.int64)
-        m = len(reps)
+        self.coset_of, self.coset_reps = cosets(G.mul, H.members)
+        m = self.coset_reps.size
         self.n_cosets = m
         k = A.rank
         ab = FinAbGroup(tuple(A.orders) * m)
-        act = np.zeros((G.size, m * k, m * k), dtype=np.int64)
-        for s in G.elements():
-            for c in range(m):
-                src = int(coset_of[G.op(reps[c], s)])  # c * sbar
-                for i in range(k):
-                    act[s, c * k + i, src * k + i] = 1
-        super().__init__(G, ab, act)
+        # moved[s, c, d] = 1 when d is the coset c * sbar; each coordinate
+        # block of coset c goes to the block of c * sbar
+        src = self.coset_of[G.mul[self.coset_reps]].T
+        moved = (src[:, :, None] == np.arange(m)).astype(np.int64)
+        act = np.einsum("scd,ij->scidj", moved, np.eye(k, dtype=np.int64))
+        super().__init__(G, ab, act.reshape(G.size, m * k, m * k))
 
     def coset_mul(self, c1: int, c2: int) -> int:
         return int(self.coset_of[self.group.op(int(self.coset_reps[c1]), int(self.coset_reps[c2]))])
@@ -562,40 +574,30 @@ class CosetSection:
     """
 
     def __init__(self, G: FiniteGroup, H: Subgroup):
-        assert H.normal
+        if not H.normal:
+            raise ValueError("coset sections here require a normal subgroup")
         self.G = G
         self.H = H
         self.Hgroup, self.Hembed = subgroup_group(H)
-        self.hpos = {int(m): i for i, m in enumerate(self.Hembed)}
-        ind = InducedModule(G, H, FinAbGroup((1,)))  # reuse coset bookkeeping
-        self.coset_of = ind.coset_of
-        self.u = ind.coset_reps.copy()  # lowest-index section; u[0] = identity
-        assert self.u[0] == 0
-        m = len(self.u)
-        gamma = np.zeros((m, G.size), dtype=np.int64)
-        for c in range(m):
-            for s in G.elements():
-                target = int(self.coset_of[G.op(int(self.u[c]), s)])
-                val = G.op(G.op(int(self.u[c]), s), int(G.inv[int(self.u[target])]))
-                assert val in self.hpos, "section value escaped the subgroup"
-                gamma[c, s] = self.hpos[val]
-        self.gamma = gamma
-        self.n_cosets = m
+        self.coset_of, self.u = cosets(G.mul, H.members)  # lowest-index section; u[0] = identity
+        self.n_cosets = self.u.size
+        self._cs = self.coset_of[G.mul[self.u]]  # _cs[c, s]: the coset c * sbar
+        self.gamma = H.positions[G.mul[G.mul[self.u], G.inv[self.u[self._cs]]]]
         self._check_cocycle_condition()
 
     def _check_cocycle_condition(self):
-        G, m = self.G, self.n_cosets
-        for c in range(m):
-            for s in G.elements():
-                cs = int(self.coset_of[G.op(int(self.u[c]), s)])
-                for t in G.elements():
-                    lhs = self.gamma[c, G.op(s, t)]
-                    rhs = self.Hgroup.op(int(self.gamma[c, s]), int(self.gamma[cs, t]))
-                    assert lhs == rhs, f"section cocycle condition fails at ({c},{s},{t})"
+        if (self.gamma < 0).any():
+            raise AssertionError("section value escaped the subgroup")
+        # gamma(c, s t) == gamma(c, s) * gamma(c sbar, t) for every (c, s, t)
+        lhs = self.gamma[:, self.G.mul]
+        rhs = self.Hgroup.mul[self.gamma[:, :, None], self.gamma[self._cs]]
+        if (lhs != rhs).any():
+            c, s, t = np.argwhere(lhs != rhs)[0]
+            raise AssertionError(f"section cocycle condition fails at ({c},{s},{t})")
 
     def coset_action(self, c: int, s: int) -> int:
         """The coset c * sbar."""
-        return int(self.coset_of[self.G.op(int(self.u[c]), s)])
+        return int(self._cs[c, s])
 
 
 def coset_section(G: FiniteGroup, H: Subgroup) -> CosetSection:
@@ -612,44 +614,30 @@ class LocalizationContext:
 
     def __post_init__(self):
         G, H, D = self.G, self.H, self.D
-        self.H_D = Subgroup.make(G, sorted(set(H.members) & set(D.members)))
+        self.H_D = Subgroup.make(G, np.intersect1d(H.members, D.members))
         self.Dgroup, self.Dembed = subgroup_group(D)
-        dpos = {int(m): i for i, m in enumerate(self.Dembed)}
         # H_D as a subgroup of Dgroup
-        self.H_D_in_D = Subgroup.make(self.Dgroup, [dpos[m] for m in self.H_D.members])
+        self.H_D_in_D = Subgroup.make(self.Dgroup, D.positions[list(self.H_D.members)])
         self.quotient, self.proj = quotient_group(G, H)  # the ambient Galois quotient
-        gv_members = sorted(set(int(self.proj[d]) for d in D.members))
-        self.gv = Subgroup.make(self.quotient, gv_members)
-        gvset = set(gv_members)
+        Q = self.quotient
+        self.gv = Subgroup.make(Q, self.proj[list(D.members)])
         # left-coset transversal of gv in the quotient, lowest index first
-        reps = []
-        assigned = {}
-        for g in self.quotient.elements():
-            if g in assigned:
-                continue
-            reps.append(g)
-            for h in gvset:
-                assigned[self.quotient.op(g, h)] = g
-        self.transversal = tuple(reps)
-        self.e = len(reps)
-        assert self.transversal[0] == 0
-        # unique factorization g = s * h
-        for g in self.quotient.elements():
-            count = sum(
-                1
-                for s in self.transversal
-                for h in gvset
-                if self.quotient.op(s, h) == g
-            )
-            assert count == 1, "transversal does not give unique factorization"
+        self._left_coset, reps = cosets(Q.mul.T, self.gv.members)
+        self.transversal = tuple(int(s) for s in reps)
+        self.e = reps.size
+        self._check_factorization()
+
+    def _check_factorization(self):
+        """Unique factorization g = s * h: the products s h are a permutation of G/H."""
+        Q = self.quotient
+        products = np.sort(Q.mul[np.ix_(self.transversal, self.gv.members)], axis=None)
+        if not np.array_equal(products, np.arange(Q.size)):
+            raise AssertionError("transversal does not give unique factorization")
 
     def factor(self, g: int) -> tuple[int, int]:
         """g = s * h with s in the transversal, h in gv."""
-        for s in self.transversal:
-            h = self.quotient.op(int(self.quotient.inv[s]), g)
-            if h in set(self.gv.members):
-                return s, h
-        raise AssertionError("factorization failed")
+        s = self.transversal[self._left_coset[g]]
+        return s, self.quotient.op(int(self.quotient.inv[s]), g)
 
 
 # ---------------------------------------------------------------------------
@@ -702,18 +690,20 @@ class OmegaDecomposition:
         self.inverse = AbHom(total, self.MM.ab, inv)
 
     def verify(self) -> None:
-        mods = np.array(self.MM.ab.orders, dtype=np.int64).reshape(-1, 1)
-        ident = np.eye(self.MM.ab.rank, dtype=np.int64) % mods
-        assert ((self.inverse.matrix @ self.forward.matrix) % mods == ident).all()
-        mods2 = np.array(self.sum_group.orders, dtype=np.int64).reshape(-1, 1)
-        ident2 = np.eye(self.sum_group.rank, dtype=np.int64) % mods2
-        assert ((self.forward.matrix @ self.inverse.matrix) % mods2 == ident2).all()
+        _check_mutually_inverse(self.forward, self.inverse, "omega")
         indmods = np.array(self.ind_AA.ab.orders, dtype=np.int64).reshape(-1, 1)
-        for g in range(self.n_cosets):
-            for s in self.G.elements():
-                lhs = (self.components[g].matrix @ self.MM.act[s]) % indmods
-                rhs = (self.ind_AA.act[s] @ self.components[g].matrix) % indmods
-                assert (lhs == rhs).all(), f"omega component {g} not equivariant at {s}"
+        for g, comp in enumerate(c.matrix for c in self.components):
+            # every s at once: (n, rows, cols) stacks
+            bad = ((comp @ self.MM.act - self.ind_AA.act @ comp) % indmods).any(axis=(1, 2))
+            if bad.any():
+                raise AssertionError(f"omega component {g} not equivariant at {int(np.argmax(bad))}")
+
+
+def _check_mutually_inverse(forward: AbHom, inverse: AbHom, name: str) -> None:
+    for first, second in ((forward, inverse), (inverse, forward)):
+        mods = np.array(first.source.orders, dtype=np.int64).reshape(-1, 1)
+        if ((second.matrix @ first.matrix - np.eye(len(mods), dtype=np.int64)) % mods).any():
+            raise AssertionError(f"{name} forward and inverse maps are not mutually inverse")
 
 
 def _sum_of(A: FinAbGroup, copies: int):
@@ -751,23 +741,19 @@ class VarsigmaDecomposition:
         self.M_res, self.Dembed = restrict_module(self.M, ctx.D)
         self.M_local = induced_module(ctx.Dgroup, ctx.H_D_in_D, A)
         ka = A.rank
-        # quotient-element <-> coset dictionaries
-        coset_of_q = {}
-        for c in range(self.M.n_cosets):
-            coset_of_q[int(ctx.proj[int(self.M.coset_reps[c])])] = c
-        local_coset_of_gv = {}
-        for c in range(self.M_local.n_cosets):
-            parent_elt = int(self.Dembed[int(self.M_local.coset_reps[c])])
-            local_coset_of_gv[int(ctx.proj[parent_elt])] = c
+        m_local = self.M_local.n_cosets
+        # M.coset_of and ctx.proj both come from ``cosets``, so the global
+        # coset of an element of G/H is that element itself; a local coset
+        # corresponds to the image in G/H of its representative, an element of gv
+        self.gv_of_local_coset = ctx.proj[self.Dembed[self.M_local.coset_reps]]
+        self.local_coset_of_gv = np.full(ctx.quotient.size, -1, dtype=np.int64)
+        self.local_coset_of_gv[self.gv_of_local_coset] = np.arange(m_local)
+        eye = np.eye(ka, dtype=np.int64)
         comps = []
         for s in ctx.transversal:
-            rows = np.zeros((self.M_local.ab.rank, self.M.ab.rank), dtype=np.int64)
-            for h_elt, c_local in local_coset_of_gv.items():
-                g = ctx.quotient.op(s, h_elt)
-                c_global = coset_of_q[g]
-                for i in range(ka):
-                    rows[c_local * ka + i, c_global * ka + i] = 1
-            comps.append(AbHom(self.M.ab, self.M_local.ab, rows))
+            moved = np.zeros((m_local, self.M.n_cosets), dtype=np.int64)
+            moved[np.arange(m_local), ctx.quotient.mul[s, self.gv_of_local_coset]] = 1
+            comps.append(AbHom(self.M.ab, self.M_local.ab, np.kron(moved, eye)))
         self.components = comps
         total, injections, _ = _sum_of(self.M_local.ab, ctx.e)
         self.sum_group = total
@@ -777,30 +763,20 @@ class VarsigmaDecomposition:
         self.forward = AbHom(self.M.ab, total, fwd)
         inv = np.zeros((self.M.ab.rank, total.rank), dtype=np.int64)
         local_rank = self.M_local.ab.rank
-        for c_global in range(self.M.n_cosets):
-            g = int(ctx.proj[int(self.M.coset_reps[c_global])])
+        for g in range(self.M.n_cosets):
             s, h = ctx.factor(g)
-            sidx = ctx.transversal.index(s)
-            c_local = local_coset_of_gv[h]
-            for i in range(ka):
-                inv[c_global * ka + i, sidx * local_rank + c_local * ka + i] = 1
+            col = ctx.transversal.index(s) * local_rank + self.local_coset_of_gv[h] * ka
+            inv[g * ka : (g + 1) * ka, col : col + ka] = eye
         self.inverse = AbHom(total, self.M.ab, inv)
 
     def verify(self) -> None:
-        mods = np.array(self.M.ab.orders, dtype=np.int64).reshape(-1, 1)
-        ident = np.eye(self.M.ab.rank, dtype=np.int64) % mods
-        assert ((self.inverse.matrix @ self.forward.matrix) % mods == ident).all()
-        mods2 = np.array(self.sum_group.orders, dtype=np.int64).reshape(-1, 1)
-        ident2 = np.eye(self.sum_group.rank, dtype=np.int64) % mods2
-        assert ((self.forward.matrix @ self.inverse.matrix) % mods2 == ident2).all()
-        # D-equivariance of each component
+        _check_mutually_inverse(self.forward, self.inverse, "varsigma")
+        # D-equivariance of each component, every d at once
         locmods = np.array(self.M_local.ab.orders, dtype=np.int64).reshape(-1, 1)
-        for idx in range(self.ctx.e):
-            for d_loc in self.ctx.Dgroup.elements():
-                d_glob = int(self.Dembed[d_loc])
-                lhs = (self.components[idx].matrix @ self.M.act[d_glob]) % locmods
-                rhs = (self.M_local.act[d_loc] @ self.components[idx].matrix) % locmods
-                assert (lhs == rhs).all(), f"varsigma component {idx} not equivariant"
+        acts = self.M.act[self.Dembed]
+        for idx, comp in enumerate(c.matrix for c in self.components):
+            if ((comp @ acts - self.M_local.act @ comp) % locmods).any():
+                raise AssertionError(f"varsigma component {idx} not equivariant")
 
 
 def varsigma_decomposition(ctx: LocalizationContext, A: FinAbGroup) -> VarsigmaDecomposition:
@@ -816,9 +792,7 @@ def varsigma_decomposition(ctx: LocalizationContext, A: FinAbGroup) -> VarsigmaD
 
 def stable_span(M: GModule, vectors) -> ModSpan:
     """The smallest action-stable subgroup containing the given elements."""
-    L = 1
-    for o in M.ab.orders:
-        L = lcm(L, o)
+    L = M.ab.exponent
     rows = [np.asarray(v, dtype=np.int64) for v in vectors]
     rows.extend(np.diag(np.array(M.ab.orders, dtype=np.int64)))
     span = ModSpan(rows, L, n=M.ab.rank)
@@ -838,9 +812,7 @@ def submodule_lattice(M: GModule, cap: int = 4096) -> list[ModSpan]:
     """All action-stable subgroups; requires |ab| <= cap."""
     if M.ab.cardinality > cap:
         raise ValueError(f"module of size {M.ab.cardinality} exceeds lattice bound {cap}")
-    L = 1
-    for o in M.ab.orders:
-        L = lcm(L, o)
+    L = M.ab.exponent
     lattice = np.diag(np.array(M.ab.orders, dtype=np.int64))
     atoms = {}
     for x in M.ab.elements():

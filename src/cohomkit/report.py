@@ -46,9 +46,10 @@ class CheckRecord:
     time_ms: int = 0
 
     def __post_init__(self):
-        assert self.status in STATUS_ORDER
-        if self.status == "fail":
-            assert self.witness is not None, "failing checks must carry a witness"
+        if self.status not in STATUS_ORDER:
+            raise ValueError(f"unknown check status {self.status!r}")
+        if self.status == "fail" and self.witness is None:
+            raise AssertionError("failing checks must carry a witness")
 
 
 @dataclass

@@ -114,7 +114,8 @@ class ShapiroSquares:
                     rows[self.tensorMM.index(c1 * ka + i, c2 * ka + j), t] = 1
         self.j_hom = AbHom(self.AA.group, self.MM.ab, rows)
         if ctx is not None:
-            assert ctx.G is G and ctx.H == H
+            if ctx.G is not G or ctx.H != H:
+                raise ValueError("localization context belongs to another (G, H)")
             self.vs = VarsigmaDecomposition(ctx, A)
             self.vs.verify()
             self.Dgrp = ctx.Dgroup
@@ -128,12 +129,8 @@ class ShapiroSquares:
             self.trivHD_AA = trivial_module(self.HDgrp, self.AA.group)
             self.trivD_AA = trivial_module(self.Dgrp, self.AA.group)
             self.MM_res, _ = restrict_module(self.MM, ctx.D)
-            # 1-1 dictionaries between local cosets and decomposition-group elements
-            self.gv_of_local_coset = {}
-            for c in range(self.M_local.n_cosets):
-                parent = int(self.vs.Dembed[int(self.M_local.coset_reps[c])])
-                self.gv_of_local_coset[c] = int(ctx.proj[parent])
-            self.local_coset_of_gv = {v: k for k, v in self.gv_of_local_coset.items()}
+            # positions in H of the members of H_D
+            self.hd_in_H = H.positions[self.vs.Dembed[self.HDembed]]
 
     # -- caches ---------------------------------------------------------------
 
@@ -149,9 +146,6 @@ class ShapiroSquares:
 
     def conj_HD(self, sigma_local: int, c: Cochain) -> Cochain:
         return conjugation_action(self.Dgrp, self.ctx.H_D_in_D, self.HDembed, sigma_local, c)
-
-    def HD_parent_members(self):
-        return [int(self.vs.Dembed[int(self.HDembed[i])]) for i in range(len(self.HDembed))]
 
     def sh_v_components(self, z: Cochain) -> list[Cochain]:
         """sh_v of a cochain over D valued in M: one H_D-cochain per transversal rep."""
@@ -173,7 +167,7 @@ class ShapiroSquares:
                 comp = z.mapped(hom, loc_tensor[0])
                 parts = sh_prime(comp, self.local_omega, self.trivHD_AA, self.HDembed)
                 for c_local, part in enumerate(parts):
-                    h = self.gv_of_local_coset[c_local]
+                    h = int(self.vs.gv_of_local_coset[c_local])
                     out[(h, si, ti)] = part
         return out
 
@@ -273,7 +267,7 @@ class ShapiroSquares:
 
     def local_section_index(self, h_gv: int) -> int:
         """Lift of a decomposition-quotient element through the local section."""
-        c_local = self.local_coset_of_gv[h_gv]
+        c_local = self.vs.local_coset_of_gv[h_gv]
         return int(self.local_section.u[c_local])
 
     def square_j_local(self) -> SquareResult:
@@ -287,13 +281,10 @@ class ShapiroSquares:
                 classes, detail = _class_sample(HD, self.class_cap)
             except BoundExceeded as e:
                 return SquareResult("j-local", "skipped", detail=str(e))
-            hd_idx = np.array(
-                [int(self.HDembed[i]) for i in range(len(self.HDembed))], dtype=np.int64
-            )
             for cx in classes:
                 jx = cx.rep.mapped(self.j_hom, self.MM_res)
                 lhs = self.sh_v_prime_components(jx)
-                take = tuple(hd_idx for _ in range(r))
+                take = tuple(self.HDembed for _ in range(r))
                 res = Cochain(self.trivHD_AA, r, cx.rep.table[np.ix_(*take)])
                 for key, left in lhs.items():
                     checked += 1
@@ -313,33 +304,21 @@ class ShapiroSquares:
         except BoundExceeded as e:
             return SquareResult("loc-H1", "skipped", detail=str(e))
         checked = 0
-        hpos = {int(m): i for i, m in enumerate(self.embed)}
-        hd_in_H = np.array([hpos[m] for m in self.HD_parent_members()], dtype=np.int64)
         for ca in classes:
             x = shapiro_inverse_1(ca.rep, self.section, self.M)
             xv = Cochain(self.M_res, 1, x.table[self.vs.Dembed])
             lhs = self.sh_v_components(xv)
             for si, s in enumerate(self.ctx.transversal):
-                # global coset of s, then its lowest-index section lift in G
-                coset = self._coset_of_quotient(s)
-                sigma = int(self.G.inv[int(self.section.u[coset])])
+                # s is its own global coset; its lowest-index section lift in G
+                sigma = int(self.G.inv[int(self.section.u[s])])
                 conj = self.conj_H(sigma, ca.rep)
-                rhs = Cochain(self.trivHD_A, 1, conj.table[hd_in_H])
+                rhs = Cochain(self.trivHD_A, 1, conj.table[self.hd_in_H])
                 checked += 1
                 if not H1HD.classes_equal(lhs[si], rhs):
                     return SquareResult(
                         "loc-H1", "fail", checked, detail, {"a": ca.coords.coords, "s": int(s)}
                     )
         return SquareResult("loc-H1", "pass", checked, detail)
-
-    def _coset_of_quotient(self, q: int) -> int:
-        """Translate a G/H quotient element into the induced-module coset index."""
-        rep = None
-        for g in self.G.elements():
-            if int(self.ctx.proj[g]) == q:
-                rep = g
-                break
-        return int(self.M.coset_of[rep])
 
     def square_loc_h2(self) -> SquareResult:
         if self.ctx is None:
@@ -360,8 +339,7 @@ class ShapiroSquares:
         ka = self.A.rank
         kaa = self.AA.group.rank
         m = self.M.n_cosets
-        hpos = {int(mm): i for i, mm in enumerate(self.embed)}
-        hd_in_H = np.array([hpos[mm] for mm in self.HD_parent_members()], dtype=np.int64)
+        hd_in_H = self.hd_in_H
         qq = self.ctx.quotient
         for g0 in range(m):
             for alpha in gens:
@@ -384,11 +362,10 @@ class ShapiroSquares:
                     s = self.ctx.transversal[si]
                     t_ = self.ctx.transversal[ti]
                     sht = qq.op(qq.op(s, h), int(qq.inv[t_]))
-                    # family is zero except at position g0
-                    target_coset = self._coset_of_quotient(sht)
-                    if target_coset == g0:
-                        coset_t = self._coset_of_quotient(t_)
-                        sigma = int(self.G.inv[int(self.section.u[coset_t])])
+                    # family is zero except at position g0; elements of G/H
+                    # are their own coset indices
+                    if sht == g0:
+                        sigma = int(self.G.inv[int(self.section.u[t_])])
                         conj = self.conj_H(sigma, alpha)
                         rhs = Cochain(self.trivHD_AA, 2, conj.table[np.ix_(hd_in_H, hd_in_H)])
                     else:

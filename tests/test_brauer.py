@@ -1,12 +1,12 @@
 """Bogomolov multipliers both ways, the pure-tensor quotient, cyclic kernels."""
 
 import itertools
-import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cohomkit.cohomology
 from cohomkit.abelian import (
     AbHom,
     FinAbGroup,
@@ -221,9 +221,7 @@ def test_pruned_commuting_pair_sweep_matches_all_pairs(name):
 
 
 def test_oracle_solves_each_subgroup_table_once(monkeypatch):
-    # the package export ``cohomkit.cohomology`` is the function; the module
-    # holding CohomologyGroup is only reachable through sys.modules
-    CG = sys.modules["cohomkit.cohomology"].CohomologyGroup
+    CG = cohomkit.cohomology.CohomologyGroup
     built = []
     init = CG.__init__
 

@@ -258,14 +258,3 @@ def test_suite_scenarios_parse():
     names = [sc.name for sc in scenarios]
     assert "bk-smallest" in names
 
-
-def test_jobs_parallel_matches_serial(tmp_path):
-    from cohomkit.cli import _run_scenario
-    from cohomkit.scenario import parse_scenarios
-
-    text = "scenario p\nbase C2\ngalois C2\ncheck bk-build\ncheck br-nr\ncheck q-relevable q=3\n"
-    (sc,) = parse_scenarios(text)
-    serial = _run_scenario(sc, jobs=1)
-    parallel = _run_scenario(sc, jobs=3)
-    assert [r.name for r in serial.records] == [r.name for r in parallel.records]
-    assert [r.status for r in serial.records] == [r.status for r in parallel.records]

@@ -434,14 +434,20 @@ def test_verify_bk_witness_is_first_non_associative_triple(monkeypatch):
 
 
 def test_identity_checks_survive_optimized_mode():
-    """The class-2, lift, power and conjugator checks raise under python -O."""
+    """The class-2, lift, power and conjugator checks, the normality checks,
+    the section, factorization and decomposition invariants, the exactness of a short exact
+    sequence and the witness rule of a failing record raise under python -O."""
     script = """
 import sys
 import numpy as np
 import cohomkit.brauer as B
 import cohomkit.crossed as C
+import cohomkit.groups as G
 from cohomkit.abelian import AbHom, FinAbGroup
+from cohomkit.cochain import Cochain, conjugation_action
+from cohomkit.cohomology import ShortExactSequence
 from cohomkit.groups import cyclic_group, named_group
+from cohomkit.report import CheckRecord
 
 assert sys.flags.optimize
 def outcome(fn):
@@ -463,6 +469,35 @@ print(outcome(lambda: C.q_power_and_relevable(cp, 1, 3)))
 C.q_power_closed_form = closed
 C.CrossedProduct.conjugate = lambda self, z, a, zp, ap: ((zp + 1) % self.zmods, ap)
 print(outcome(lambda: C.q_power_and_relevable(cp, 1, 3)))
+S3 = named_group("S3")
+A3 = G.alternating_subgroup_s3(S3)
+T = G.generated_subgroup(S3, [next(g for g in S3.elements() if S3.order_of(g) == 2)])
+print(outcome(lambda: G.quotient_group(S3, T)))
+print(outcome(lambda: G.induced_module(S3, T, FinAbGroup((2,)))))
+print(outcome(lambda: G.CosetSection(S3, T)))
+Tgrp, Tembed = G.subgroup_group(T)
+c = Cochain(G.trivial_module(Tgrp, FinAbGroup((2,))), 1, np.zeros((2, 1)))
+print(outcome(lambda: conjugation_action(S3, T, Tembed, 1, c)))
+sec = G.CosetSection(S3, A3)
+sec.gamma[0, 1] = (sec.gamma[0, 1] + 1) % 3
+print(outcome(sec._check_cocycle_condition))
+sec.gamma[0, 1] = -1
+print(outcome(sec._check_cocycle_condition))
+ctx = G.LocalizationContext(S3, A3, G.Subgroup.make(S3, [0]))
+ctx.transversal = (0, 0)
+print(outcome(ctx._check_factorization))
+om = G.OmegaDecomposition(S3, A3, FinAbGroup((3,)))
+om.inverse = AbHom(om.inverse.source, om.inverse.target, np.zeros_like(om.inverse.matrix))
+print(outcome(om.verify))
+vs = G.VarsigmaDecomposition(G.LocalizationContext(S3, A3, G.Subgroup.make(S3, range(6))), FinAbGroup((3,)))
+vs.components[0] = AbHom(vs.components[0].source, vs.components[0].target, [[1, 0], [0, 0]])
+print(outcome(vs.verify))
+C2 = cyclic_group(2)
+sub, mid = G.trivial_module(C2, FinAbGroup((2,))), G.trivial_module(C2, FinAbGroup((4,)))
+quo = G.trivial_module(C2, FinAbGroup((4,)))
+incl, proj = AbHom(sub.ab, mid.ab, [[2]]), AbHom(mid.ab, quo.ab, [[1]])
+print(outcome(lambda: ShortExactSequence(sub, mid, quo, incl, proj)))
+print(outcome(lambda: CheckRecord("x", "fail", {})))
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
@@ -478,6 +513,17 @@ print(outcome(lambda: C.q_power_and_relevable(cp, 1, 3)))
         "AssertionError: lambda depends on the lifts",
         "AssertionError: odd power identity failed",
         "AssertionError: explicit conjugator failed",
+        "ValueError: quotient requires a normal subgroup",
+        "ValueError: induced modules here require a normal subgroup",
+        "ValueError: coset sections here require a normal subgroup",
+        "ValueError: conjugation action requires a normal subgroup",
+        "AssertionError: section cocycle condition fails at (0,1,1)",
+        "AssertionError: section value escaped the subgroup",
+        "AssertionError: transversal does not give unique factorization",
+        "AssertionError: omega forward and inverse maps are not mutually inverse",
+        "AssertionError: varsigma component 0 not equivariant",
+        "ValueError: composition must vanish",
+        "AssertionError: failing checks must carry a witness",
     ]
 
 

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import FinAbGroup, is_cyclic
+from cohomkit.abelian import AbHom, FinAbGroup, is_cyclic
+from cohomkit.crossed import build_bk
 from cohomkit.groups import (
     GROUP_CATALOG,
     GModule,
     LocalizationContext,
+    OmegaDecomposition,
     Subgroup,
+    VarsigmaDecomposition,
+    all_subgroups,
     alternating_subgroup_s3,
     center_subgroup,
     coset_section,
+    cosets,
     cyclic_group,
     cyclic_subgroups,
     derived_subgroup,
@@ -22,6 +27,7 @@ from cohomkit.groups import (
     generated_subgroup,
     induced_module,
     is_simple_module,
+    minimal_generating_set,
     named_group,
     omega_decomposition,
     quotient_group,
@@ -92,7 +98,7 @@ def test_induced_module_s3_swap():
 def test_induced_requires_normal_subgroup():
     S3 = named_group("S3")
     t = [g for g in S3.elements() if S3.order_of(g) == 2][0]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="normal subgroup"):
         induced_module(S3, generated_subgroup(S3, [t]), FinAbGroup((2,)))
 
 
@@ -325,3 +331,188 @@ def test_subgroup_make_rejects_missing_identity_and_bad_indices():
         Subgroup.make(C4, [2])
     with pytest.raises(ValueError, match="out of range"):
         Subgroup.make(C4, [0, 4])
+
+
+# -- cosets, sections and transversals against the per-element loops --------
+
+
+_COSET_GROUPS = {**_CATALOG_GROUPS, "D8xC2": direct_product(named_group("D8"), cyclic_group(2))}
+_SUBGROUPS = {name: all_subgroups(G) for name, G in _COSET_GROUPS.items()}
+_NORMAL_PAIRS = [
+    (name, H) for name, subs in sorted(_SUBGROUPS.items()) for H in subs if H.normal
+]
+
+
+def _right_cosets_loop(G, H):
+    """The right cosets H g, numbered as first met in element order."""
+    coset_of = np.full(G.size, -1, dtype=np.int64)
+    reps = []
+    for g in range(G.size):
+        if coset_of[g] >= 0:
+            continue
+        reps.append(g)
+        for h in H.members:
+            coset_of[G.op(h, g)] = len(reps) - 1
+    return coset_of, reps
+
+
+def _left_transversal_loop(Q, gv):
+    reps, assigned = [], {}
+    for g in range(Q.size):
+        if g in assigned:
+            continue
+        reps.append(g)
+        for h in gv:
+            assigned[Q.op(g, h)] = g
+    return tuple(reps)
+
+
+def _factor_scan(Q, transversal, gv, g):
+    for s in transversal:
+        h = Q.op(int(Q.inv[s]), g)
+        if h in gv:
+            return s, h
+    raise AssertionError("no factorization")
+
+
+@pytest.mark.parametrize("name", sorted(_COSET_GROUPS))
+def test_cosets_match_the_right_coset_loop_on_every_subgroup(name):
+    G = _COSET_GROUPS[name]
+    for H in _SUBGROUPS[name]:
+        coset_of, reps = cosets(G.mul, H.members)
+        want_of, want_reps = _right_cosets_loop(G, H)
+        assert coset_of.tolist() == want_of.tolist()
+        assert reps.tolist() == want_reps
+
+
+def test_quotient_and_induced_module_match_the_coset_loop():
+    A = FinAbGroup((2, 2))  # |A|^27 stays below the cardinality cap
+    k = A.rank
+    for name, H in _NORMAL_PAIRS:
+        G = _COSET_GROUPS[name]
+        coset_of, reps = _right_cosets_loop(G, H)
+        m = len(reps)
+        Q, proj = quotient_group(G, H)
+        assert proj.tolist() == coset_of.tolist()
+        want_mul = [[int(coset_of[G.op(a, b)]) for b in reps] for a in reps]
+        assert Q.mul.tolist() == want_mul
+        M = induced_module(G, H, A)
+        assert M.coset_of.tolist() == coset_of.tolist()
+        assert M.coset_reps.tolist() == reps
+        act = np.zeros((G.size, m * k, m * k), dtype=np.int64)
+        for s in range(G.size):
+            for c in range(m):
+                src = int(coset_of[G.op(reps[c], s)])
+                for i in range(k):
+                    act[s, c * k + i, src * k + i] = 1
+        assert (M.act == act).all(), (name, H.members)
+
+
+def test_section_gamma_matches_the_double_loop():
+    for name, H in _NORMAL_PAIRS:
+        G = _COSET_GROUPS[name]
+        coset_of, u = _right_cosets_loop(G, H)
+        hpos = {m: i for i, m in enumerate(H.members)}
+        gamma = np.zeros((len(u), G.size), dtype=np.int64)
+        for c in range(len(u)):
+            for s in range(G.size):
+                target = int(coset_of[G.op(u[c], s)])
+                gamma[c, s] = hpos[G.op(G.op(u[c], s), int(G.inv[u[target]]))]
+        sec = coset_section(G, H)
+        assert sec.u.tolist() == u
+        assert (sec.gamma == gamma).all(), (name, H.members)
+        assert [sec.coset_action(c, s) for c in range(len(u)) for s in range(G.size)] == [
+            int(coset_of[G.op(u[c], s)]) for c in range(len(u)) for s in range(G.size)
+        ]
+
+
+def test_section_checks_reject_a_corrupted_gamma():
+    S3 = named_group("S3")
+    sec = coset_section(S3, alternating_subgroup_s3(S3))
+    sec.gamma[0, 1] = (sec.gamma[0, 1] + 1) % 3
+    with pytest.raises(AssertionError, match="cocycle condition fails"):
+        sec._check_cocycle_condition()
+    sec.gamma[0, 1] = -1
+    with pytest.raises(AssertionError, match="escaped the subgroup"):
+        sec._check_cocycle_condition()
+
+
+def test_transversal_and_factor_match_the_left_coset_loop():
+    contexts = 0
+    for name, H in _NORMAL_PAIRS:
+        G = _COSET_GROUPS[name]
+        if G.size > 32:
+            continue
+        for D in _SUBGROUPS[name]:
+            ctx = LocalizationContext(G, H, D)
+            Q = ctx.quotient
+            gv = sorted({int(ctx.proj[d]) for d in D.members})
+            assert list(ctx.gv.members) == gv
+            assert ctx.transversal == _left_transversal_loop(Q, gv)
+            assert ctx.e == len(ctx.transversal)
+            for g in range(Q.size):
+                assert ctx.factor(g) == _factor_scan(Q, ctx.transversal, set(gv), g)
+            contexts += 1
+    assert contexts == 1031
+
+
+def test_factorization_check_rejects_a_bad_transversal():
+    S3 = named_group("S3")
+    ctx = LocalizationContext(S3, alternating_subgroup_s3(S3), Subgroup.make(S3, [0]))
+    ctx.transversal = (0, 0)
+    with pytest.raises(AssertionError, match="unique factorization"):
+        ctx._check_factorization()
+
+
+def test_decomposition_checks_reject_corrupted_maps():
+    S3 = named_group("S3")
+    A3 = alternating_subgroup_s3(S3)
+    omega = OmegaDecomposition(S3, A3, FinAbGroup((3,)))
+    omega.verify()
+    inv = omega.inverse
+    omega.inverse = AbHom(inv.source, inv.target, np.zeros_like(inv.matrix))
+    with pytest.raises(AssertionError, match="not mutually inverse"):
+        omega.verify()
+    ctx = LocalizationContext(S3, A3, Subgroup.make(S3, list(S3.elements())))
+    vs = VarsigmaDecomposition(ctx, FinAbGroup((3,)))
+    vs.verify()
+    comp = vs.components[0]
+    vs.components[0] = AbHom(comp.source, comp.target, [[1, 0], [0, 0]])
+    with pytest.raises(AssertionError, match="not equivariant"):
+        vs.verify()
+
+
+def test_quotient_and_section_reject_non_normal_subgroups():
+    S3 = named_group("S3")
+    t = [g for g in S3.elements() if S3.order_of(g) == 2][0]
+    H = generated_subgroup(S3, [t])
+    with pytest.raises(ValueError, match="normal subgroup"):
+        quotient_group(S3, H)
+    with pytest.raises(ValueError, match="normal subgroup"):
+        coset_section(S3, H)
+
+
+def test_subgroup_positions_invert_the_embedding():
+    for name, subs in _SUBGROUPS.items():
+        for H in subs:
+            _, embed = subgroup_group(H)
+            pos = H.positions
+            assert (pos[embed] == np.arange(H.size)).all()
+            assert (pos >= 0).sum() == H.size
+
+
+def _greedy_generators_loop(G):
+    gens, span = [], {0}
+    for g in range(G.size):
+        if g not in span:
+            gens.append(g)
+            span = set(generated_subgroup(G, gens).members)
+            if len(span) == G.size:
+                break
+    return gens
+
+
+def test_generating_set_matches_the_greedy_loop():
+    f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
+    for G in [*_COSET_GROUPS.values(), f128]:
+        assert minimal_generating_set(G) == _greedy_generators_loop(G)
