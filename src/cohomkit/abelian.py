@@ -7,8 +7,19 @@ whatever presentation the computation produces, and two presentations are
 compared through the multiset of their primary cyclic factors.
 
 Kernels, cokernels, images and membership questions all route through the
-Howell-form machinery of :mod:`cohomkit.intmat`, with cyclic orders encoded
-as lattice rows over Z/L, L the lcm of all involved orders.
+Howell-form machinery of :mod:`cohomkit.intmat`, over Z/L with L the lcm of
+the cyclic orders involved.  One rule turns a product Z/o_1 x ... x Z/o_k of
+cyclic groups of mixed orders into linear algebra over Z/L:
+
+* a condition with values in coordinate i holds mod o_i exactly when, scaled
+  by L/o_i, it holds mod L (:func:`scaled_rows`);
+* a subgroup is the span over Z/L of its generators together with the
+  order-lattice rows o_i e_i (:func:`subgroup_span`), and its order is the
+  size of that span divided by the lattice's prod(L/o_i)
+  (:func:`subgroup_order`).
+
+Every module states mixed orders through these three functions; none
+re-derives the rule.
 """
 
 from __future__ import annotations
@@ -59,6 +70,11 @@ class FinAbGroup:
         return AbElement(self, tuple(int(c) % n for c, n in zip(coords, self.orders)))
 
     def generators(self) -> list["AbElement"]:
+        """The unit vectors of the factors of order > 1, in factor order.
+
+        On a group with no factor of order 1, such as the group of a
+        :class:`Presentation`, these are all the unit vectors.
+        """
         gens = []
         for i, n in enumerate(self.orders):
             if n > 1:
@@ -71,10 +87,6 @@ class FinAbGroup:
 
     def random_element(self, rng) -> "AbElement":
         return AbElement(self, tuple(rng.randrange(n) for n in self.orders))
-
-    def order_lattice(self) -> np.ndarray:
-        """Rows n_i * e_i spanning the identifications of the residue vectors."""
-        return np.diag(np.array(self.orders, dtype=np.int64))
 
     def __repr__(self):
         if self.is_trivial:
@@ -189,6 +201,38 @@ class AbHom:
 
 
 # ---------------------------------------------------------------------------
+# Mixed orders over Z/L
+# ---------------------------------------------------------------------------
+
+
+def scaled_rows(matrix, orders, L: int) -> np.ndarray:
+    """Conditions with values in Z/orders[i] (row i) as conditions mod L.
+
+    Row i is reduced mod orders[i], then multiplied by L // orders[i]; each
+    orders[i] must divide L.  Every entry of the result is below L.
+    """
+    orders = np.asarray(orders, dtype=np.int64).reshape(-1, 1)
+    return np.asarray(matrix, dtype=np.int64) % orders * (L // orders)
+
+
+def subgroup_span(orders, rows=(), track: bool = False) -> ModSpan:
+    """The subgroup generated by ``rows`` in prod Z/orders[i], as a span over
+    Z/lcm(orders): the rows first, then the order-lattice rows o_i e_i."""
+    orders = tuple(int(o) for o in orders)
+    n = len(orders)
+    rows = np.asarray(rows, dtype=np.int64)
+    rows = rows.reshape(-1, n) if rows.size else rows.reshape(0, n)
+    lattice = np.diag(np.array(orders, dtype=np.int64))
+    return ModSpan(np.concatenate([rows, lattice]), lcm(*orders), n=n, track=track)
+
+
+def subgroup_order(span: ModSpan, orders) -> int:
+    """The order of a subgroup of prod Z/orders[i] given by a span that holds
+    the order lattice, such as one from :func:`subgroup_span`."""
+    return span.size() // prod(span.L // int(o) for o in orders)
+
+
+# ---------------------------------------------------------------------------
 # Presentations of subquotients S/T inside an ambient product of cyclics
 # ---------------------------------------------------------------------------
 
@@ -205,18 +249,8 @@ class Presentation:
         self.ambient_orders = tuple(int(n) for n in ambient_orders)
         n = len(self.ambient_orders)
         self.L = lcm(*self.ambient_orders)
-        lattice = np.diag(np.array(self.ambient_orders, dtype=np.int64))
-
-        def as_rows(gens):
-            arr = np.asarray(list(gens), dtype=np.int64)
-            if arr.size == 0:
-                return arr.reshape(0, n)
-            return arr.reshape(-1, n)
-
-        s_rows = as_rows(s_gens)
-        t_rows = as_rows(t_gens)
-        self.s_span = ModSpan(np.concatenate([s_rows, lattice]), self.L, n=n)
-        self.t_span = ModSpan(np.concatenate([t_rows, lattice]), self.L, n=n)
+        self.s_span = subgroup_span(self.ambient_orders, s_gens)
+        self.t_span = subgroup_span(self.ambient_orders, t_gens)
         for row in self.t_span.basis:
             if not self.s_span.contains(row):
                 raise ValueError("denominator subgroup is not contained in numerator")
@@ -271,24 +305,14 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_matrix(h: AbHom, L: int) -> np.ndarray:
-    scales = np.array([L // m for m in h.target.orders], dtype=np.int64).reshape(-1, 1)
-    return (h.matrix * scales) % L
-
-
 def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """(K, incl) with incl injective, h . incl == 0, image(incl) = Ker h."""
     L = lcm(h.source.exponent, h.target.exponent)
-    pres = Presentation(h.source.orders, kernel_uniform(_scaled_matrix(h, L), L))
+    pres = Presentation(h.source.orders, kernel_uniform(scaled_rows(h.matrix, h.target.orders, L), L))
     K = pres.group
-    cols = [pres.rep(g) for g in _pres_generators(pres)]
+    cols = [pres.rep(g) for g in K.generators()]
     incl = AbHom(K, h.source, np.array(cols, dtype=np.int64).T if cols else np.zeros((h.source.rank, 0)))
     return K, incl
-
-
-def _pres_generators(pres: Presentation) -> list[AbElement]:
-    G = pres.group
-    return [G.element([int(i == j) for j in range(G.rank)]) for i in range(G.rank)]
 
 
 def cokernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
@@ -306,21 +330,16 @@ def cokernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
 
 
 def image_size(h: AbHom) -> int:
-    L = h.target.exponent
-    lattice = h.target.order_lattice()
-    span = ModSpan(np.concatenate([h.matrix.T % L, lattice]), L, n=h.target.rank)
-    latt = ModSpan(lattice, L, n=h.target.rank)
-    return span.size() // latt.size()
+    return subgroup_order(subgroup_span(h.target.orders, h.matrix.T), h.target.orders)
 
 
 def solve_preimage(h: AbHom, t: AbElement):
     """Some s with h(s) == t, or None when t is outside the image."""
     assert t.parent == h.target
     L = lcm(h.source.exponent, h.target.exponent)
-    A = _scaled_matrix(h, L)
-    scales = np.array([L // m for m in h.target.orders], dtype=np.int64)
-    b = (np.array(t.coords, dtype=np.int64) * scales) % L
-    c = solve_mod(A, b, L)
+    # one condition per target coordinate: row i of [matrix | t] holds mod o_i
+    Ab = scaled_rows(np.column_stack([h.matrix, t.coords]), h.target.orders, L)
+    c = solve_mod(Ab[:, :-1], Ab[:, -1], L)
     if c is None:
         return None
     return h.source.element(c)
@@ -418,8 +437,8 @@ def vanishing_products(product, lam: AbHom) -> np.ndarray:
     ExteriorSquare) with ``factors`` (A, B) and ``coefficients``, and lam is
     a hom C -> T.  For a fixed a, b -> lam(a.b) is a hom B -> T; the products
     with first factor a that lam kills are a.K_a for its kernel K_a, spanned
-    by a.k over generators k of K_a.  So one Howell kernel per element of A,
-    on the scaled matrix as in :func:`kernel`, replaces a test per pair.
+    by a.k over generators k of K_a.  So one Howell kernel per element of A
+    replaces a test per pair.
     """
     A, B = product.factors
     T = lam.target
@@ -430,12 +449,11 @@ def vanishing_products(product, lam: AbHom) -> np.ndarray:
     coef = product.coefficients
     # beta[i, k, j]: the coefficient of a_i b_j in lam(a.b)_k
     beta = np.einsum("kp,pij->ikj", lam.matrix, coef) % tmods
-    scales = L // tmods
     bmods = np.array(B.orders, dtype=np.int64)
     cmods = np.array(product.group.orders, dtype=np.int64)
     rows = []
     for a in all_coords(A):
-        K = kernel_uniform((np.tensordot(a, beta, axes=1) % tmods) * scales, L) % bmods
+        K = kernel_uniform(scaled_rows(np.tensordot(a, beta, axes=1), T.orders, L), L) % bmods
         rows.append(np.einsum("pij,i,rj->rp", coef, a, K) % cmods)
     return np.concatenate(rows)
 

@@ -32,6 +32,9 @@ from .abelian import (
     FinAbGroup,
     Presentation,
     kernel,
+    scaled_rows,
+    subgroup_order,
+    subgroup_span,
     vanishing_products,
 )
 from .cochain import Cochain
@@ -52,7 +55,7 @@ from .groups import (
     subgroup_group,
     trivial_module,
 )
-from .intmat import ModSpan
+from .intmat import kernel_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +105,7 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
     for g, vec in elem_of.items():
         coords[g] = pres.class_coords(np.array(vec, dtype=np.int64)).coords
     reps = []
-    for i in range(pres.group.rank):
-        unit = pres.group.element([int(i == j) for j in range(pres.group.rank)])
+    for unit in pres.group.generators():
         vec = pres.rep(unit)
         g = 0
         for gi, e in zip(gens, vec):
@@ -341,8 +343,7 @@ def b0_oracle(
         return P
     # basis class representatives as full tables
     gens = []
-    for i in range(P.rank):
-        coords = P.element([int(i == j) for j in range(P.rank)])
+    for coords in P.generators():
         vec = pres.rep(coords)
         table = H2._tables_from_slices(vec.reshape(1, -1))[..., 0].reshape(F.size, F.size, 1)
         gens.append(table)
@@ -372,24 +373,15 @@ def b0_oracle(
 
 def _restriction_kernel(P: FinAbGroup, blocks, targets):
     """Kernel of P -> prod targets without materializing the product group."""
-    L = lcm(P.exponent, *(T.exponent for T in targets))
-    rows = []
-    for block, T in zip(blocks, targets):
-        mat = np.asarray(block, dtype=np.int64).reshape(len(T.orders), P.rank)
-        for r, o in zip(mat, T.orders):
-            rows.append((r * (L // o)) % L)
-    if not rows:
-        return P, [P.element([int(i == j) for j in range(P.rank)]) for i in range(P.rank)]
-    from .intmat import kernel_uniform
-
-    krows = kernel_uniform(np.array(rows, dtype=np.int64), L)
-    pres = Presentation(P.orders, krows)
-    K = pres.group
-    gens = []
-    for i in range(K.rank):
-        unit = K.element([int(i == j) for j in range(K.rank)])
-        gens.append(P.element(pres.rep(unit)))
-    return K, gens
+    orders = [o for T in targets for o in T.orders]
+    if not orders:
+        return P, P.generators()
+    L = lcm(P.exponent, *orders)
+    mat = np.concatenate(
+        [np.asarray(block, dtype=np.int64).reshape(T.rank, P.rank) for block, T in zip(blocks, targets)]
+    )
+    pres = Presentation(P.orders, kernel_uniform(scaled_rows(mat, orders, L), L))
+    return pres.group, [P.element(pres.rep(unit)) for unit in pres.group.generators()]
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +402,13 @@ def br_nr_bk(datum: BKDatum) -> BrNrReport:
     phi = datum.phi
     K, incl = kernel(phi)
     MM = datum.MMmod.ab
-    L = MM.exponent
     # generators of the span of the pure tensors x (x) y with phi(x (x) y) = 0
     rows = vanishing_products(datum.tensorMM, phi)
-    lattice = np.diag(np.array(MM.orders, dtype=np.int64))
-    pure_span = ModSpan(np.concatenate([rows, lattice]), L, n=MM.rank)
-    lat_span = ModSpan(lattice, L, n=MM.rank)
-    pure_size = pure_span.size() // lat_span.size()
+    pure_span = subgroup_span(MM.orders, rows)
+    pure_size = subgroup_order(pure_span, MM.orders)
     # the pure span is a subgroup: it holds Ker phi iff it holds its generators
     all_in = all(pure_span.contains(g) for g in incl.matrix.T)
-    pres = Presentation(MM.orders, incl.matrix.T, np.concatenate([rows, lattice]))
+    pres = Presentation(MM.orders, incl.matrix.T, rows)
     return BrNrReport(
         kernel_size=K.cardinality,
         pure_span_size=pure_size,
@@ -446,11 +435,8 @@ def sha_cyclic(M: GModule, degree: int, work_bound: int = 1 << 26) -> ShaReport:
     G = M.group
     H = cohomology(M, degree, work_bound=work_bound)
     subs = cyclic_subgroups(G)
-    gens = []
     P = H.group
-    for i in range(P.rank):
-        coords = P.element([int(i == j) for j in range(P.rank)])
-        gens.append(H.rep(coords))
+    gens = [H.rep(coords) for coords in P.generators()]
     blocks = []
     targets = []
     locals_ = []
@@ -508,24 +494,17 @@ def cyclic_span_detect(G: FinAbGroup, family: list[AbElement], a: AbElement, n: 
     cyclic subgroup is membership of a(x) in the Z/n-span of the a_i(x).
     """
     for x in G.elements():
-        vals = np.array([[hom_value(G, h, x, n)] for h in family], dtype=np.int64)
-        rows = np.concatenate([vals.reshape(-1, 1), np.array([[n]])]) if family else np.array([[n]])
-        span = ModSpan(rows % n if n > 1 else rows * 0, max(n, 1), n=1)
-        if not span.contains(np.array([hom_value(G, a, x, n)])):
+        vals = [hom_value(G, h, x, n) for h in family]
+        if not subgroup_span((n,), vals).contains([hom_value(G, a, x, n)]):
             return False
     return True
 
 
 def global_span_membership(G: FinAbGroup, family: list[AbElement], a: AbElement, n: int) -> bool:
     """a in span{a_i} inside Hom(G, Z/n), decided exactly."""
-    k = G.rank
     if not family:
         return a.is_zero
-    rows = np.array([list(h.coords) for h in family], dtype=np.int64)
-    L = max(G.exponent, 1)
-    lattice = np.diag(np.array(G.orders, dtype=np.int64))
-    span = ModSpan(np.concatenate([rows % L, lattice]), L, n=k)
-    return span.contains(np.array(a.coords, dtype=np.int64))
+    return subgroup_span(G.orders, [h.coords for h in family]).contains(a.coords)
 
 
 # ---------------------------------------------------------------------------

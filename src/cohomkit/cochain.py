@@ -127,20 +127,6 @@ def is_cocycle(c: Cochain) -> bool:
     return differential(c).is_zero
 
 
-class ComposedPairing:
-    """A bilinear map followed by a homomorphism (e.g. phi after tensor)."""
-
-    def __init__(self, base, hom: AbHom):
-        self.left = base.left
-        self.right = base.right
-        self.base = base
-        self.hom = hom
-        self.group = hom.target
-
-    def pair_coords(self, a, b):
-        return self.hom.apply_coords(self.base.pair_coords(a, b))
-
-
 def cup(x: Cochain, y: Cochain, pairing, target_module: GModule) -> Cochain:
     """Cup product along a bilinear pairing on coefficients."""
     assert x.module.group is y.module.group

@@ -16,14 +16,21 @@ on slice coordinates, where the coboundary subgroup is a Howell span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from .abelian import AbElement, AbHom, Presentation, span_elements
+from .abelian import (
+    AbElement,
+    AbHom,
+    Presentation,
+    scaled_rows,
+    span_elements,
+    subgroup_order,
+    subgroup_span,
+)
 from .cochain import Cochain, differential, zero_cochain
 from .groups import GModule, minimal_generating_set
-from .intmat import ModSpan, kernel_uniform as _kernel_uniform
+from .intmat import kernel_uniform as _kernel_uniform
 
 
 class BoundExceeded(RuntimeError):
@@ -88,16 +95,9 @@ class CohomologyGroup:
 
     def _init_degree0(self):
         M = self.module
-        rows = []
-        eye = np.eye(self.k, dtype=np.int64)
-        for g in M.group.elements():
-            rows.append(M.act[g] - eye)
-        A = np.concatenate(rows, axis=0) if rows else np.zeros((0, self.k))
-        scales = []
-        for _ in M.group.elements():
-            scales.extend([self.L // o for o in M.ab.orders])
-        A = (A * np.array(scales, dtype=np.int64).reshape(-1, 1)) % self.L
-        self._z_rows = _kernel_uniform(A, self.L)
+        # fixed points: (g - 1) m = 0 for every g, one condition row per (g, i)
+        A = (M.act - np.eye(self.k, dtype=np.int64)).reshape(self.n * self.k, self.k)
+        self._z_rows = _kernel_uniform(scaled_rows(A, M.ab.orders * self.n, self.L), self.L)
         self._b_rows = np.zeros((0, self.k), dtype=np.int64)
         self.presentation = Presentation(self.module.ab.orders, self._z_rows, self._b_rows)
         self.group = self.presentation.group
@@ -167,10 +167,8 @@ class CohomologyGroup:
     def _pair_rows(self, xi: int, g: int) -> np.ndarray:
         x = self.X[xi]
         f = self.module.group.op(x, g)
-        # coordinate i holds mod o_i; scaled by L/o_i it holds mod L
-        rows = self._E[f] - self._law_rhs(self._E, x, g)
-        rows = rows * (self.L // self._orders)[:, None] % self.L
-        return rows.reshape(self.W * self.k, self.s)
+        rows = (self._E[f] - self._law_rhs(self._E, x, g)).reshape(self.W * self.k, self.s)
+        return scaled_rows(rows, np.tile(self._orders, self.W), self.L)
 
     # -- cocycles ------------------------------------------------------------
 
@@ -322,7 +320,8 @@ class CohomologyGroup:
         return not self._violating_pairs(vec.reshape(1, -1))
 
     def class_of(self, c: Cochain) -> CohomologyClass:
-        assert self.is_cocycle(c), "not a cocycle"
+        if not self.is_cocycle(c):
+            raise ValueError("not a cocycle")
         coords = self.presentation.class_coords(self.slice_coords(c))
         return CohomologyClass(self, coords, c)
 
@@ -343,17 +342,17 @@ class CohomologyGroup:
         return out
 
     def is_coboundary(self, c: Cochain) -> bool:
-        assert self.is_cocycle(c), "membership test requires a cocycle"
+        if not self.is_cocycle(c):
+            raise ValueError("not a cocycle")
         return self.presentation.is_zero_class(self.slice_coords(c))
 
     def cocycles(self, cap: int = 1 << 16) -> list[Cochain]:
         """Every cocycle, in lexicographic order of its slice coordinates."""
         if self.s == 0:
             return [zero_cochain(self.module, self.degree)]
-        mods = np.array(self.presentation.ambient_orders, dtype=np.int64)
+        mods = self.presentation.ambient_orders
         span = self.presentation.s_span
-        # the span contains the order lattice, which has prod(L / m) elements
-        count = span.size() // prod(self.L // int(m) for m in mods)
+        count = subgroup_order(span, mods)
         if count > cap:
             raise BoundExceeded(f"{count} cocycles exceed enumeration cap {cap}")
         out = []
@@ -374,13 +373,7 @@ class CohomologyGroup:
         if self.degree == 0:
             return None
         vec = self.slice_coords(c) % self.L
-        lattice = np.kron(
-            np.eye(self.s // self.k, dtype=np.int64) if self.k else np.zeros((0, 0)),
-            np.diag(np.array(self.module.ab.orders, dtype=np.int64)),
-        ).reshape(-1, self.s) if self.s else np.zeros((0, 0), dtype=np.int64)
-        gens = np.concatenate([self._b_rows, lattice]) if self.s else self._b_rows
-        span = ModSpan(gens, self.L, n=self.s, track=True)
-        sol = span.solve(vec)
+        sol = subgroup_span(self.ambient_orders, self._b_rows, track=True).solve(vec)
         if sol is None:
             return None
         sol = sol[: self._b_rows.shape[0]]  # coefficients of the basis coboundaries

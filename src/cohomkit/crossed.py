@@ -30,8 +30,11 @@ from .abelian import (
     TensorProduct,
     all_coords,
     kernel,
+    scaled_rows,
     solve_preimage,
     span_elements,
+    subgroup_order,
+    subgroup_span,
 )
 from .cochain import Cochain, cup, differential, pointwise_tensor, zero_cochain
 from .cohomology import cohomology
@@ -41,12 +44,13 @@ from .groups import (
     InducedModule,
     Subgroup,
     center_subgroup,
+    constant_inclusion,
     derived_subgroup,
     induced_module,
     quotient_module,
     tensor_module,
 )
-from .intmat import ModSpan, kernel_uniform
+from .intmat import kernel_uniform
 
 
 def pullback_module(M: GModule, Q: FiniteGroup, hom: np.ndarray) -> GModule:
@@ -167,9 +171,7 @@ class CrossedProduct:
         L = lcm(self.Zmod.ab.exponent, self.Msum.ab.exponent)
         # one condition row per (probe index j, Z coordinate k)
         A = self._antisymmetrized().transpose(2, 0, 1).reshape(self.ka * self.kz, self.ka)
-        scales = np.tile(np.array([L // int(o) for o in self.Zmod.ab.orders], dtype=np.int64), self.ka)
-        A = (A * scales.reshape(-1, 1)) % L
-        return kernel_uniform(A, L)
+        return kernel_uniform(scaled_rows(A, self.Zmod.ab.orders * self.ka, L), L)
 
     def derived_structured(self) -> np.ndarray:
         """Generators of [F, F] inside Z: antisymmetrizations of basis pairs, as rows."""
@@ -285,16 +287,7 @@ def build_bk(A: FinAbGroup, ggroup: FiniteGroup) -> BKDatum:
     M = induced_module(ggroup, H1, A)
     MM, tensorMM = tensor_module(M, M)
     AA = TensorProduct(A, A)
-    ka = A.rank
-    kaa = AA.group.rank
-    m = M.n_cosets
-    rows = np.zeros((MM.ab.rank, kaa), dtype=np.int64)
-    for c1 in range(m):
-        for c2 in range(m):
-            for t in range(kaa):
-                i, j = divmod(t, ka)
-                rows[tensorMM.index(c1 * ka + i, c2 * ka + j), t] = 1
-    j_hom = AbHom(AA.group, MM.ab, rows)
+    j_hom = constant_inclusion(M, tensorMM)
     Zmod, phi, _pres = quotient_module(MM, j_hom.matrix.T)
     Z = Zmod.ab
     km = M.ab.rank
@@ -349,18 +342,11 @@ def center_equals_embedded_Z(datum: BKDatum) -> dict:
     """Structured check Z(F) = [F,F] = Z; brute-forced too when |F| <= 2^8."""
     cp = datum.cp
     report: dict = {"Z_size": cp.Zmod.ab.cardinality}
-    La = cp.Msum.ab.exponent
-    rad = cp.antisym_radical()
-    alat = np.diag(cp.amods)
-    radspan = ModSpan(np.concatenate([rad, alat]) if rad.size else alat, La, n=cp.ka)
-    alat_span = ModSpan(alat, La, n=cp.ka)
-    report["radical_size"] = radspan.size() // alat_span.size()
+    radspan = subgroup_span(cp.amods, cp.antisym_radical())
+    report["radical_size"] = subgroup_order(radspan, cp.amods)
     report["center_is_Z"] = report["radical_size"] == 1
-    Lz = cp.Zmod.ab.exponent
-    zlat = np.diag(cp.zmods)
-    dspan = ModSpan(np.concatenate([cp.derived_structured(), zlat]), Lz, n=cp.kz)
-    zlat_span = ModSpan(zlat, Lz, n=cp.kz)
-    report["derived_size"] = dspan.size() // zlat_span.size()
+    dspan = subgroup_span(cp.zmods, cp.derived_structured())
+    report["derived_size"] = subgroup_order(dspan, cp.zmods)
     report["derived_is_Z"] = report["derived_size"] == report["Z_size"]
     if cp.order <= 256:
         center, derived = cp.center_and_derived_brute()
@@ -534,10 +520,9 @@ def kernel_module(Mmod: GModule, h: AbHom) -> tuple[GModule, AbHom]:
     """Kernel of an equivariant hom as a module, with its inclusion."""
     K, incl = kernel(h)
     acts = np.zeros((Mmod.group.size, K.rank, K.rank), dtype=np.int64)
-    gens = [K.element([int(i == j) for j in range(K.rank)]) for i in range(K.rank)]
     for g in Mmod.group.elements():
         cols = []
-        for gen in gens:
+        for gen in K.generators():
             moved = Mmod.ab.element(Mmod.apply(g, np.array(incl(gen).coords)))
             pre = solve_preimage(incl, moved)
             assert pre is not None, "kernel is not stable under the action"
@@ -616,14 +601,10 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
         raise AssertionError("odd power identity failed")
     # the subgroup {a : sigma a = q a}
     L = cp.Msum.ab.exponent
-    mat = (cp.Msum.act[sigma] - q * np.eye(cp.ka, dtype=np.int64)) % np.array(
-        cp.Msum.ab.orders, dtype=np.int64
-    ).reshape(-1, 1)
-    scales = np.array([L // o for o in cp.Msum.ab.orders], dtype=np.int64).reshape(-1, 1)
-    eligible = kernel_uniform((mat * scales) % L, L)
-    span = ModSpan(np.concatenate([eligible, np.diag(cp.amods)]), L, n=cp.ka)
-    lattice = ModSpan(np.diag(cp.amods), L, n=cp.ka)
-    eligible_size = span.size() // lattice.size()
+    mat = cp.Msum.act[sigma] - q * np.eye(cp.ka, dtype=np.int64)
+    eligible = kernel_uniform(scaled_rows(mat, cp.Msum.ab.orders, L), L)
+    span = subgroup_span(cp.amods, eligible)
+    eligible_size = subgroup_order(span, cp.amods)
     # enumerate the subgroup and test relevability of each element
     elems = span_elements(span, cp.amods)
     rel_rows = elems[[_is_relevable(cp, sigma, q, a) for a in elems]]
@@ -636,8 +617,7 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
     zc, ac = cp.conjugate(zero, ap, zero, (q * rel_rows) % cp.amods)
     if (zc != zq).any() or (ac != aq).any():
         raise AssertionError("explicit conjugator failed")
-    rel_span = ModSpan(np.concatenate([rel_rows, np.diag(cp.amods)]), L, n=cp.ka)
-    generated = rel_span.size() == span.size()
+    generated = subgroup_span(cp.amods, rel_rows).size() == span.size()
     return QRelevabilityReport(
         q=q,
         sigma=sigma,
@@ -660,7 +640,5 @@ def _is_relevable(cp: CrossedProduct, sigma: int, q: int, a: np.ndarray) -> bool
     img = (cp.Zmod.act[sigma] - q * np.eye(cp.kz, dtype=np.int64)).T  # rows: images of basis
     half = (q * (q - 1)) // 2
     target = (half * cp.pair(a, a)) % cp.zmods
-    L = cp.Zmod.ab.exponent
-    span = ModSpan(np.concatenate([V, img % L, np.diag(cp.zmods)]), L, n=cp.kz)
-    return span.contains(target)
+    return subgroup_span(cp.zmods, np.concatenate([V, img])).contains(target)
 

@@ -25,6 +25,7 @@ from .abelian import (
     FinAbGroup,
     Presentation,
     TensorProduct,
+    subgroup_span,
 )
 from .intmat import ModSpan
 
@@ -34,8 +35,9 @@ class FiniteGroup:
 
     def __init__(self, mul, labels=None, name: str = "G", check: bool = True):
         self.mul = np.asarray(mul, dtype=np.int64)
+        if self.mul.ndim != 2 or self.mul.shape[0] != self.mul.shape[1]:
+            raise ValueError(f"multiplication table must be square, not of shape {self.mul.shape}")
         n = self.mul.shape[0]
-        assert self.mul.shape == (n, n)
         self.size = n
         self.name = name
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
@@ -44,7 +46,8 @@ class FiniteGroup:
         inv = np.full(n, -1, dtype=np.int64)
         for g in range(n):
             hits = np.flatnonzero(self.mul[g] == 0)
-            assert hits.size == 1, f"element {g} has no unique inverse"
+            if hits.size != 1:
+                raise ValueError(f"element {g} has no unique inverse")
             inv[g] = hits[0]
         self.inv = inv
 
@@ -513,6 +516,20 @@ def restrict_module(M: GModule, D: Subgroup) -> tuple[GModule, np.ndarray]:
     return GModule(Dgrp, M.ab, act), embed
 
 
+def constant_inclusion(M: InducedModule, tensor: TensorProduct) -> AbHom:
+    """The inclusion j: A (x) A -> M (x) M of constant functions, M = Ind(A).
+
+    a (x) b goes to the sum over coset pairs (c1, c2) of (a at c1) (x) (b at
+    c2); ``tensor`` is the TensorProduct of M.ab with itself.
+    """
+    ka, m = M.base.rank, M.n_cosets
+    AA = TensorProduct(M.base, M.base)
+    c1, i, c2, j = np.indices((m, ka, m, ka)).reshape(4, -1)
+    rows = np.zeros((tensor.group.rank, AA.group.rank), dtype=np.int64)
+    rows[tensor.index(c1 * ka + i, c2 * ka + j), AA.index(i, j)] = 1
+    return AbHom(AA.group, tensor.group, rows)
+
+
 def tensor_module(M: GModule, N: GModule) -> tuple[GModule, TensorProduct]:
     assert M.group is N.group
     T = TensorProduct(M.ab, N.ab)
@@ -550,10 +567,9 @@ def quotient_module(M: GModule, span_rows) -> tuple[GModule, AbHom, Presentation
         proj_cols.append(pres.class_coords(e).coords)
     proj = AbHom(M.ab, Q, np.array(proj_cols, dtype=np.int64).T if k else np.zeros((Q.rank, 0)))
     acts = np.zeros((M.group.size, Q.rank, Q.rank), dtype=np.int64)
-    gens = [Q.element([int(i == j) for j in range(Q.rank)]) for i in range(Q.rank)]
     for g in M.group.elements():
         cols = []
-        for gen in gens:
+        for gen in Q.generators():
             lifted = pres.rep(gen)
             moved = M.apply(g, lifted)
             cols.append(proj.apply_coords(moved))
@@ -646,16 +662,17 @@ class LocalizationContext:
 
 
 class OmegaDecomposition:
-    """Componentwise isomorphism M (x) M  ->  Ind(A (x) A)^[G:H].
+    """Componentwise isomorphism M (x) M  ->  Ind(A (x) A)^[G:H] for M = Ind_H^G(A).
 
     Component at coset g sends f to h |-> f(g h, h); the inverse reassembles
     f(g, h) from component g h^{-1} evaluated at h.
     """
 
-    def __init__(self, G: FiniteGroup, H: Subgroup, A: FinAbGroup):
+    def __init__(self, M: InducedModule):
+        G, H, A = M.group, M.H, M.base
         self.G, self.H, self.A = G, H, A
-        self.M = induced_module(G, H, A)
-        self.MM, self.tensor = tensor_module(self.M, self.M)
+        self.M = M
+        self.MM, self.tensor = tensor_module(M, M)
         self.AA = TensorProduct(A, A)
         self.ind_AA = induced_module(G, H, self.AA.group)
         m = self.M.n_cosets
@@ -673,12 +690,9 @@ class OmegaDecomposition:
                     rows[h * kaa + t, src] = 1
             comps.append(AbHom(self.MM.ab, self.ind_AA.ab, rows))
         self.components = comps
-        total, injections, projections = _sum_of(self.ind_AA.ab, m)
+        total = FinAbGroup(tuple(self.ind_AA.ab.orders) * m)
         self.sum_group = total
-        fwd = np.zeros((total.rank, self.MM.ab.rank), dtype=np.int64)
-        for g in range(m):
-            fwd += injections[g].matrix @ comps[g].matrix
-        self.forward = AbHom(self.MM.ab, total, fwd)
+        self.forward = AbHom(self.MM.ab, total, np.concatenate([c.matrix for c in comps]))
         inv = np.zeros((self.MM.ab.rank, total.rank), dtype=np.int64)
         for gg in range(m):
             for hh in range(m):
@@ -706,39 +720,25 @@ def _check_mutually_inverse(forward: AbHom, inverse: AbHom, name: str) -> None:
             raise AssertionError(f"{name} forward and inverse maps are not mutually inverse")
 
 
-def _sum_of(A: FinAbGroup, copies: int):
-    total = FinAbGroup(tuple(A.orders) * copies)
-    injections = []
-    projections = []
-    k = A.rank
-    for c in range(copies):
-        m = np.zeros((total.rank, k), dtype=np.int64)
-        for i in range(k):
-            m[c * k + i, i] = 1
-        injections.append(AbHom(A, total, m))
-        projections.append(AbHom(total, A, m.T))
-    return total, injections, projections
-
-
 def omega_decomposition(G: FiniteGroup, H: Subgroup, A: FinAbGroup) -> OmegaDecomposition:
-    omega = OmegaDecomposition(G, H, A)
+    omega = OmegaDecomposition(induced_module(G, H, A))
     omega.verify()
     return omega
 
 
 class VarsigmaDecomposition:
-    """Restriction of an induced module to D, split along a transversal.
+    """Restriction of M = Ind_H^G(A) to D, split along a transversal.
 
     Component at a transversal element s sends f to h |-> f(s h) on the
     local induced module over (D, H_D).
     """
 
-    def __init__(self, ctx: LocalizationContext, A: FinAbGroup):
-        self.ctx = ctx
-        self.A = A
-        G, H = ctx.G, ctx.H
-        self.M = induced_module(G, H, A)
-        self.M_res, self.Dembed = restrict_module(self.M, ctx.D)
+    def __init__(self, ctx: LocalizationContext, M: InducedModule):
+        if M.group is not ctx.G or M.H != ctx.H:
+            raise ValueError("localization context belongs to another (G, H) than the induced module")
+        A = M.base
+        self.ctx, self.A, self.M = ctx, A, M
+        self.M_res, self.Dembed = restrict_module(M, ctx.D)
         self.M_local = induced_module(ctx.Dgroup, ctx.H_D_in_D, A)
         ka = A.rank
         m_local = self.M_local.n_cosets
@@ -755,12 +755,9 @@ class VarsigmaDecomposition:
             moved[np.arange(m_local), ctx.quotient.mul[s, self.gv_of_local_coset]] = 1
             comps.append(AbHom(self.M.ab, self.M_local.ab, np.kron(moved, eye)))
         self.components = comps
-        total, injections, _ = _sum_of(self.M_local.ab, ctx.e)
+        total = FinAbGroup(tuple(self.M_local.ab.orders) * ctx.e)
         self.sum_group = total
-        fwd = np.zeros((total.rank, self.M.ab.rank), dtype=np.int64)
-        for idx in range(ctx.e):
-            fwd += injections[idx].matrix @ comps[idx].matrix
-        self.forward = AbHom(self.M.ab, total, fwd)
+        self.forward = AbHom(self.M.ab, total, np.concatenate([c.matrix for c in comps]))
         inv = np.zeros((self.M.ab.rank, total.rank), dtype=np.int64)
         local_rank = self.M_local.ab.rank
         for g in range(self.M.n_cosets):
@@ -780,7 +777,7 @@ class VarsigmaDecomposition:
 
 
 def varsigma_decomposition(ctx: LocalizationContext, A: FinAbGroup) -> VarsigmaDecomposition:
-    vs = VarsigmaDecomposition(ctx, A)
+    vs = VarsigmaDecomposition(ctx, induced_module(ctx.G, ctx.H, A))
     vs.verify()
     return vs
 
@@ -793,9 +790,7 @@ def varsigma_decomposition(ctx: LocalizationContext, A: FinAbGroup) -> VarsigmaD
 def stable_span(M: GModule, vectors) -> ModSpan:
     """The smallest action-stable subgroup containing the given elements."""
     L = M.ab.exponent
-    rows = [np.asarray(v, dtype=np.int64) for v in vectors]
-    rows.extend(np.diag(np.array(M.ab.orders, dtype=np.int64)))
-    span = ModSpan(rows, L, n=M.ab.rank)
+    span = subgroup_span(M.ab.orders, [np.asarray(v, dtype=np.int64) for v in vectors])
     while True:
         extra = []
         for b in span.basis:
@@ -812,8 +807,6 @@ def submodule_lattice(M: GModule, cap: int = 4096) -> list[ModSpan]:
     """All action-stable subgroups; requires |ab| <= cap."""
     if M.ab.cardinality > cap:
         raise ValueError(f"module of size {M.ab.cardinality} exceeds lattice bound {cap}")
-    L = M.ab.exponent
-    lattice = np.diag(np.array(M.ab.orders, dtype=np.int64))
     atoms = {}
     for x in M.ab.elements():
         span = stable_span(M, [np.array(x.coords, dtype=np.int64)])
@@ -823,7 +816,7 @@ def submodule_lattice(M: GModule, cap: int = 4096) -> list[ModSpan]:
     while frontier:
         s = frontier.pop()
         for a in list(atoms.values()):
-            joined = ModSpan(np.concatenate([s.basis, a.basis, lattice]), L, n=M.ab.rank)
+            joined = subgroup_span(M.ab.orders, np.concatenate([s.basis, a.basis]))
             key = joined.basis.tobytes() + bytes(str(joined.basis.shape), "ascii")
             if key not in found:
                 if len(found) > 4 * cap:

@@ -40,6 +40,8 @@ from .groups import (
     OmegaDecomposition,
     Subgroup,
     VarsigmaDecomposition,
+    constant_inclusion,
+    induced_module,
     restrict_module,
     subgroup_group,
     tensor_module,
@@ -64,12 +66,7 @@ def _class_sample(H: CohomologyGroup, cap: int):
 
     if H.size <= cap:
         return H.classes(), "all-classes"
-    gens = []
-    G = H.group
-    for i in range(G.rank):
-        coords = G.element([int(i == j) for j in range(G.rank)])
-        gens.append(CohomologyClass(H, coords, H.rep(coords)))
-    return gens, "generators"
+    return [CohomologyClass(H, c, H.rep(c)) for c in H.group.generators()], "generators"
 
 
 class ShapiroSquares:
@@ -91,7 +88,7 @@ class ShapiroSquares:
         self.class_cap = class_cap
         self.work_bound = work_bound
         self.section = CosetSection(G, H)
-        self.omega = OmegaDecomposition(G, H, A)
+        self.omega = OmegaDecomposition(induced_module(G, H, A))
         self.omega.verify()
         self.M = self.omega.M
         self.MM = self.omega.MM
@@ -102,27 +99,15 @@ class ShapiroSquares:
         self.trivH_AA = trivial_module(self.Hgrp, self.AA.group)
         self.trivG_AA = trivial_module(G, self.AA.group)
         self._cache: dict = {}
-        # constant-function inclusion j: A (x) A -> M (x) M
-        ka = A.rank
-        kaa = self.AA.group.rank
-        m = self.M.n_cosets
-        rows = np.zeros((self.MM.ab.rank, kaa), dtype=np.int64)
-        for c1 in range(m):
-            for c2 in range(m):
-                for t in range(kaa):
-                    i, j = divmod(t, ka)
-                    rows[self.tensorMM.index(c1 * ka + i, c2 * ka + j), t] = 1
-        self.j_hom = AbHom(self.AA.group, self.MM.ab, rows)
+        self.j_hom = constant_inclusion(self.M, self.tensorMM)
         if ctx is not None:
-            if ctx.G is not G or ctx.H != H:
-                raise ValueError("localization context belongs to another (G, H)")
-            self.vs = VarsigmaDecomposition(ctx, A)
+            self.vs = VarsigmaDecomposition(ctx, self.M)
             self.vs.verify()
             self.Dgrp = ctx.Dgroup
             self.M_res = self.vs.M_res
             self.M_local = self.vs.M_local
             self.local_section = CosetSection(self.Dgrp, ctx.H_D_in_D)
-            self.local_omega = OmegaDecomposition(self.Dgrp, ctx.H_D_in_D, A)
+            self.local_omega = OmegaDecomposition(self.M_local)
             self.local_omega.verify()
             self.HDgrp, self.HDembed = subgroup_group(ctx.H_D_in_D)
             self.trivHD_A = trivial_module(self.HDgrp, A)
@@ -330,11 +315,7 @@ class ShapiroSquares:
             return SquareResult("loc-H2", "skipped", detail=str(e))
         # both paths are additive in the family (alpha_g): presentation
         # generators placed at a single position g0 span everything
-        gens = []
-        Ggrp = H2H.group
-        for i in range(Ggrp.rank):
-            coords = Ggrp.element([int(i == j) for j in range(Ggrp.rank)])
-            gens.append(H2H.rep(coords))
+        gens = [H2H.rep(coords) for coords in H2H.group.generators()]
         checked = 0
         ka = self.A.rank
         kaa = self.AA.group.rank

@@ -1,6 +1,7 @@
 """Groups-as-cyclic-products: homs, kernels, cokernels, pairings."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,16 +16,20 @@ from cohomkit.abelian import (
     FinAbGroup,
     Presentation,
     TensorProduct,
+    all_coords,
     cokernel,
     image_size,
     invariant_factors,
     is_cyclic,
     kernel,
     same_invariants,
+    scaled_rows,
     solve_preimage,
+    subgroup_order,
+    subgroup_span,
     vanishing_products,
 )
-from cohomkit.intmat import ModSpan, OverflowAbort
+from cohomkit.intmat import OverflowAbort, kernel_uniform
 
 Z4 = FinAbGroup((4,))
 
@@ -236,6 +241,62 @@ def test_presentation_quotient_sizes():
     assert pres.is_zero_class([2, 0]) and not pres.is_zero_class([0, 2])
 
 
+# -- the mixed-order rule -------------------------------------------------------
+
+_MIXED_ORDERS = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=3)
+
+
+def _generated(rows, orders) -> np.ndarray:
+    """The subgroup of prod Z/orders generated by rows, by closure under adding
+    each row; its elements as sorted rows."""
+    mods = np.array(orders, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(mods)) % mods
+    members = np.zeros((1, len(mods)), dtype=np.int64)
+    while True:
+        sums = ((members[:, None] + rows) % mods).reshape(-1, len(mods))
+        grown = np.unique(np.concatenate([members, sums]), axis=0)
+        if len(grown) == len(members):
+            return members
+        members = grown
+
+
+@st.composite
+def _mixed_hom(draw):
+    """(source orders, target orders, M): x -> M x is well defined from
+    prod Z/source to prod Z/target; entries unreduced and of either sign."""
+    src, tgt = tuple(draw(_MIXED_ORDERS)), tuple(draw(_MIXED_ORDERS))
+    e = draw(st.lists(st.integers(-30, 30), min_size=len(src) * len(tgt), max_size=len(src) * len(tgt)))
+    t = np.array(tgt, dtype=np.int64).reshape(-1, 1)
+    sm = np.array(src, dtype=np.int64).reshape(1, -1)
+    return src, tgt, np.array(e, dtype=np.int64).reshape(len(tgt), len(src)) * (t // np.gcd(t, sm))
+
+
+@given(_mixed_hom())
+@settings(max_examples=100, deadline=None)
+def test_scaled_rows_kernel_is_the_solution_set(instance):
+    src, tgt, M = instance
+    L = math.lcm(*src, *tgt)
+    K = kernel_uniform(scaled_rows(M, tgt, L), L)
+    xs = all_coords(FinAbGroup(src))
+    solutions = xs[~((xs @ M.T) % np.array(tgt)).any(axis=1)]
+    assert np.array_equal(_generated(K, src), solutions)
+
+
+@given(_MIXED_ORDERS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_subgroup_order_counts_the_combinations(orders, data):
+    m = data.draw(st.integers(0, 3))
+    rows = np.array(
+        data.draw(st.lists(st.integers(-30, 30), min_size=m * len(orders), max_size=m * len(orders))),
+        dtype=np.int64,
+    ).reshape(m, len(orders))
+    G = FinAbGroup(tuple(orders))
+    # c . rows for every c with c_k below the order of row k
+    row_orders = tuple(G.element(r).order() for r in rows)
+    combos = all_coords(FinAbGroup(row_orders)) @ rows % np.array(orders)
+    assert subgroup_order(subgroup_span(orders, rows), orders) == len(np.unique(combos, axis=0))
+
+
 # -- spans of vanishing products ----------------------------------------------
 
 
@@ -254,8 +315,7 @@ def pair_loop_vanishing_products(product, lam):
 
 def span_basis(rows, C: FinAbGroup) -> np.ndarray:
     """Canonical Howell basis of the subgroup of C generated by rows."""
-    lattice = C.order_lattice().reshape(C.rank, C.rank)
-    return ModSpan(np.concatenate([rows, lattice]), max(C.exponent, 1), n=C.rank).basis
+    return subgroup_span(C.orders, rows).basis
 
 
 @st.composite

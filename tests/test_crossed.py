@@ -445,7 +445,7 @@ import cohomkit.crossed as C
 import cohomkit.groups as G
 from cohomkit.abelian import AbHom, FinAbGroup
 from cohomkit.cochain import Cochain, conjugation_action
-from cohomkit.cohomology import ShortExactSequence
+from cohomkit.cohomology import ShortExactSequence, cohomology
 from cohomkit.groups import cyclic_group, named_group
 from cohomkit.report import CheckRecord
 
@@ -486,10 +486,12 @@ print(outcome(sec._check_cocycle_condition))
 ctx = G.LocalizationContext(S3, A3, G.Subgroup.make(S3, [0]))
 ctx.transversal = (0, 0)
 print(outcome(ctx._check_factorization))
-om = G.OmegaDecomposition(S3, A3, FinAbGroup((3,)))
+om = G.OmegaDecomposition(G.induced_module(S3, A3, FinAbGroup((3,))))
 om.inverse = AbHom(om.inverse.source, om.inverse.target, np.zeros_like(om.inverse.matrix))
 print(outcome(om.verify))
-vs = G.VarsigmaDecomposition(G.LocalizationContext(S3, A3, G.Subgroup.make(S3, range(6))), FinAbGroup((3,)))
+vs = G.VarsigmaDecomposition(
+    G.LocalizationContext(S3, A3, G.Subgroup.make(S3, range(6))), G.induced_module(S3, A3, FinAbGroup((3,)))
+)
 vs.components[0] = AbHom(vs.components[0].source, vs.components[0].target, [[1, 0], [0, 0]])
 print(outcome(vs.verify))
 C2 = cyclic_group(2)
@@ -498,6 +500,13 @@ quo = G.trivial_module(C2, FinAbGroup((4,)))
 incl, proj = AbHom(sub.ab, mid.ab, [[2]]), AbHom(mid.ab, quo.ab, [[1]])
 print(outcome(lambda: ShortExactSequence(sub, mid, quo, incl, proj)))
 print(outcome(lambda: CheckRecord("x", "fail", {})))
+# u(e) = 1, u(g) = 0 is no cocycle: du(e, e) = u(e) != 0
+H1 = cohomology(G.trivial_module(C2, FinAbGroup((2,))), 1)
+u = Cochain(H1.module, 1, np.array([[1], [0]]))
+print(outcome(lambda: H1.class_of(u)))
+print(outcome(lambda: H1.is_coboundary(u)))
+print(outcome(lambda: G.FiniteGroup([[0, 1]], check=False)))
+print(outcome(lambda: G.FiniteGroup([[0, 1], [1, 1]], check=False)))
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
@@ -524,6 +533,10 @@ print(outcome(lambda: CheckRecord("x", "fail", {})))
         "AssertionError: varsigma component 0 not equivariant",
         "ValueError: composition must vanish",
         "AssertionError: failing checks must carry a witness",
+        "ValueError: not a cocycle",
+        "ValueError: not a cocycle",
+        "ValueError: multiplication table must be square, not of shape (1, 2)",
+        "ValueError: element 1 has no unique inverse",
     ]
 
 

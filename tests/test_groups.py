@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import AbHom, FinAbGroup, is_cyclic
+from cohomkit.abelian import AbHom, FinAbGroup, TensorProduct, is_cyclic
 from cohomkit.crossed import build_bk
 from cohomkit.groups import (
     GROUP_CATALOG,
@@ -17,6 +17,7 @@ from cohomkit.groups import (
     all_subgroups,
     alternating_subgroup_s3,
     center_subgroup,
+    constant_inclusion,
     coset_section,
     cosets,
     cyclic_group,
@@ -135,6 +136,30 @@ def test_omega_is_equivariant_isomorphism(gname, hmem, aorders):
     G = named_group(gname)
     H = alternating_subgroup_s3(G) if hmem is None else Subgroup.make(G, hmem)
     omega_decomposition(G, H, FinAbGroup(aorders)).verify()
+
+
+@pytest.mark.parametrize(
+    "gname,hmem,aorders",
+    [("C4", [0], (3,)), ("S3", None, (2, 4)), ("C2xC2", [0, 3], (2, 3, 4))],
+)
+def test_constant_inclusion_matches_the_coset_loop(gname, hmem, aorders):
+    G = named_group(gname)
+    H = alternating_subgroup_s3(G) if hmem is None else Subgroup.make(G, hmem)
+    A = FinAbGroup(aorders)
+    M = induced_module(G, H, A)
+    MM, tensor = tensor_module(M, M)
+    AA = TensorProduct(A, A)
+    ka, m = A.rank, M.n_cosets
+    rows = np.zeros((MM.ab.rank, AA.group.rank), dtype=np.int64)
+    for c1 in range(m):
+        for c2 in range(m):
+            for t in range(AA.group.rank):
+                i, j = divmod(t, ka)
+                rows[tensor.index(c1 * ka + i, c2 * ka + j), t] = 1
+    want = AbHom(AA.group, MM.ab, rows)
+    got = constant_inclusion(M, tensor)
+    assert got.source == want.source and got.target == want.target
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_varsigma_fixtures():
@@ -467,15 +492,17 @@ def test_factorization_check_rejects_a_bad_transversal():
 def test_decomposition_checks_reject_corrupted_maps():
     S3 = named_group("S3")
     A3 = alternating_subgroup_s3(S3)
-    omega = OmegaDecomposition(S3, A3, FinAbGroup((3,)))
+    omega = OmegaDecomposition(induced_module(S3, A3, FinAbGroup((3,))))
     omega.verify()
     inv = omega.inverse
     omega.inverse = AbHom(inv.source, inv.target, np.zeros_like(inv.matrix))
     with pytest.raises(AssertionError, match="not mutually inverse"):
         omega.verify()
     ctx = LocalizationContext(S3, A3, Subgroup.make(S3, list(S3.elements())))
-    vs = VarsigmaDecomposition(ctx, FinAbGroup((3,)))
+    vs = VarsigmaDecomposition(ctx, induced_module(S3, A3, FinAbGroup((3,))))
     vs.verify()
+    with pytest.raises(ValueError, match="another"):
+        VarsigmaDecomposition(ctx, induced_module(S3, Subgroup.make(S3, [0]), FinAbGroup((3,))))
     comp = vs.components[0]
     vs.components[0] = AbHom(comp.source, comp.target, [[1, 0], [0, 0]])
     with pytest.raises(AssertionError, match="not equivariant"):

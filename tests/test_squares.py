@@ -42,6 +42,25 @@ def test_localization_with_full_group_reduces_to_global():
     assert ctx.e == 1
 
 
+def test_squares_build_each_induced_module_of_a_once(monkeypatch):
+    from cohomkit import groups
+
+    S3 = named_group("S3")
+    A3 = groups.alternating_subgroup_s3(S3)
+    A = FinAbGroup((2, 4))
+    built = []
+    init = groups.InducedModule.__init__
+
+    def counting_init(self, G, H, B):
+        built.append((G.size, B))
+        init(self, G, H, B)
+
+    monkeypatch.setattr(groups.InducedModule, "__init__", counting_init)
+    ShapiroSquares(S3, A3, A, ctx=LocalizationContext(S3, A3, Subgroup.make(S3, [0])))
+    assert built.count((6, A)) == 1  # Ind_H^G(A)
+    assert built.count((1, A)) == 1  # Ind_{H_D}^D(A), D trivial
+
+
 def _twistless_cup(x, y, pairing, target_module):
     """A broken cup product that forgets the action twist on the right factor."""
     n = x.module.group.size
