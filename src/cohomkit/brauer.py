@@ -341,47 +341,43 @@ def b0_oracle(
     P = pres.group
     if P.is_trivial:
         return P
-    # basis class representatives as full tables
-    gens = []
-    for coords in P.generators():
-        vec = pres.rep(coords)
-        table = H2._tables_from_slices(vec.reshape(1, -1))[..., 0].reshape(F.size, F.size, 1)
-        gens.append(table)
-    subs = commuting_pair_subgroups(F, full_abelian_sweep=full_abelian_sweep)
-    blocks = []
-    targets = []
+    reps = [H2.cochain(pres.rep(coords)) for coords in P.generators()]
+    local = []
     solved = {}  # multiplication table of A -> (H2A, presA)
-    for sub in subs:
+    for sub in commuting_pair_subgroups(F, full_abelian_sweep=full_abelian_sweep):
         Agrp, embed = subgroup_group(sub)
         key = Agrp.mul.tobytes()
         if key not in solved:
             solved[key] = _qz_presentation(Agrp, N)
-        H2A, presA = solved[key]
-        QA = presA.group
-        targets.append(QA)
-        cols = []
-        for table in gens:
-            res = table[np.ix_(embed, embed)]
-            cls = presA.class_coords(H2A.slice_coords(Cochain(H2A.module, 2, res)))
-            cols.append(cls.coords)
-        blocks.append(np.array(cols, dtype=np.int64).T if QA.rank else np.zeros((0, P.rank)))
-    if not targets:
-        return P
-    K, _ = _restriction_kernel(P, blocks, targets)
+        local.append((embed, *solved[key]))
+    K, _ = _restriction_kernel(P, reps, local)
     return K
 
 
-def _restriction_kernel(P: FinAbGroup, blocks, targets):
-    """Kernel of P -> prod targets without materializing the product group."""
-    orders = [o for T in targets for o in T.orders]
+def _restriction_kernel(P: FinAbGroup, reps: list[Cochain], local):
+    """Kernel of P -> prod_A presA.group, without materializing the product.
+
+    ``reps[i]`` represents the i-th generator of P; ``local`` holds one
+    ``(embed, HA, presA)`` per subgroup A, and a generator goes to the class
+    in presA of its restriction through ``embed``.  Returns the kernel and
+    its generators as elements of P.
+    """
+    orders = [o for _, _, presA in local for o in presA.group.orders]
     if not orders:
         return P, P.generators()
+    blocks = []
+    for embed, HA, presA in local:
+        cols = [presA.class_coords(HA.slice_coords(_restrict(rep, embed, HA))).coords for rep in reps]
+        blocks.append(np.array(cols, dtype=np.int64).reshape(len(reps), presA.group.rank).T)
     L = lcm(P.exponent, *orders)
-    mat = np.concatenate(
-        [np.asarray(block, dtype=np.int64).reshape(T.rank, P.rank) for block, T in zip(blocks, targets)]
-    )
+    mat = np.concatenate(blocks)
     pres = Presentation(P.orders, kernel_uniform(scaled_rows(mat, orders, L), L))
     return pres.group, [P.element(pres.rep(unit)) for unit in pres.group.generators()]
+
+
+def _restrict(c: Cochain, embed: np.ndarray, HA) -> Cochain:
+    """The restriction of `c` through `embed`, as a cochain of HA's module."""
+    return Cochain(HA.module, c.degree, c.restricted_table(embed))
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +428,22 @@ class ShaReport:
 
 
 def sha_cyclic(M: GModule, degree: int, work_bound: int = 1 << 26) -> ShaReport:
-    G = M.group
     H = cohomology(M, degree, work_bound=work_bound)
-    subs = cyclic_subgroups(G)
+    subs = cyclic_subgroups(M.group)
     P = H.group
-    gens = [H.rep(coords) for coords in P.generators()]
-    blocks = []
-    targets = []
-    locals_ = []
+    reps = [H.rep(coords) for coords in P.generators()]
+    local = []
     for sub in subs:
         Mres, embed = restrict_module(M, sub)
         HC = cohomology(Mres, degree, work_bound=work_bound)
-        targets.append(HC.group)
-        locals_.append((HC, embed))
-        cols = []
-        for g in gens:
-            idx = tuple(embed for _ in range(degree))
-            res = Cochain(Mres, degree, g.table[np.ix_(*idx)] if degree else g.table)
-            cols.append(HC.class_of(res).coords.coords)
-        blocks.append(
-            np.array(cols, dtype=np.int64).T if HC.group.rank else np.zeros((0, P.rank))
-        )
-    K, kgens = _restriction_kernel(P, blocks, targets)
-    # re-verify: every kernel generator restricts to a coboundary on every
-    # cyclic subgroup
-    verified = True
-    for cls in kgens:
-        rep = H.rep(cls)
-        for HC, embed in locals_:
-            idx = tuple(embed for _ in range(degree))
-            res = Cochain(HC.module, degree, rep.table[np.ix_(*idx)] if degree else rep.table)
-            if not HC.is_coboundary(res):
-                verified = False
+        local.append((embed, HC, HC.presentation))
+    K, kgens = _restriction_kernel(P, reps, local)
+    # re-verify on every cyclic subgroup: every generator restricts to a
+    # cocycle and every kernel generator to a coboundary
+    kreps = [H.rep(cls) for cls in kgens]
+    verified = all(
+        HC.is_cocycle(_restrict(rep, embed, HC)) for rep in reps for embed, HC, _ in local
+    ) and all(HC.is_coboundary(_restrict(rep, embed, HC)) for rep in kreps for embed, HC, _ in local)
     return ShaReport(
         degree=degree, total=P, kernel=K, cyclic_count=len(subs), verified=verified
     )
@@ -480,11 +460,13 @@ def hom_value(G: FinAbGroup, h: AbElement, x: AbElement, n: int) -> int:
     A hom G -> Z/n is encoded by coordinates h_i mod the factor orders, with
     h(x) = sum h_i x_i (n / o_i); this needs exp(G) | n.
     """
-    total = 0
-    for hi, xi, o in zip(h.coords, x.coords, G.orders):
-        assert n % o == 0, "exponent of G must divide n"
-        total += hi * xi * (n // o)
-    return total % n
+    _require_exponent_divides(G, n)
+    return sum(hi * xi * (n // o) for hi, xi, o in zip(h.coords, x.coords, G.orders)) % n
+
+
+def _require_exponent_divides(G: FinAbGroup, n: int) -> None:
+    if n % G.exponent:
+        raise ValueError("exponent of G must divide n")
 
 
 def cyclic_span_detect(G: FinAbGroup, family: list[AbElement], a: AbElement, n: int) -> bool:
@@ -502,6 +484,7 @@ def cyclic_span_detect(G: FinAbGroup, family: list[AbElement], a: AbElement, n: 
 
 def global_span_membership(G: FinAbGroup, family: list[AbElement], a: AbElement, n: int) -> bool:
     """a in span{a_i} inside Hom(G, Z/n), decided exactly."""
+    _require_exponent_divides(G, n)
     if not family:
         return a.is_zero
     return subgroup_span(G.orders, [h.coords for h in family]).contains(a.coords)

@@ -236,7 +236,7 @@ def check_verify_shapiro(sc: Scenario, spec: CheckSpec) -> CheckRecord:
     ctx = None
     if sc.decomposition is not None:
         ctx = LocalizationContext(sc.group, sc.subgroup, sc.decomposition)
-    results = verify_shapiro_squares(sc.group, sc.subgroup, sc.base, ctx=ctx)
+    results = verify_shapiro_squares(sc.group, sc.subgroup, sc.base, ctx=ctx, work_bound=sc.bound)
     data = {}
     witness = None
     worst = "pass"

@@ -71,6 +71,14 @@ class Cochain:
         assert len(args) == self.degree
         return self.module.ab.element(self.table[tuple(int(a) for a in args)])
 
+    def restricted_table(self, embed) -> np.ndarray:
+        """The table with every argument reindexed through `embed`.
+
+        With `embed` the embedding array of a subgroup this is the table of
+        the restriction; with a permutation it reindexes the arguments.
+        """
+        return self.table[np.ix_(*(embed,) * self.degree)]
+
     def mapped(self, h: AbHom, target_module: GModule) -> "Cochain":
         """Push the coefficients through an equivariant homomorphism."""
         flat = self.table.reshape(_lead(self.table), self.module.ab.rank)
@@ -177,10 +185,7 @@ def conjugation_action(
     if not H.normal:
         raise ValueError("conjugation action requires a normal subgroup")
     perm = H.positions[G.mul[G.mul[G.inv[sigma], embed], sigma]]
-    out = c.table
-    for axis in range(c.degree):
-        out = np.take(out, perm, axis=axis)
-    return Cochain(c.module, c.degree, out)
+    return Cochain(c.module, c.degree, c.restricted_table(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -193,42 +198,23 @@ def shapiro_forward(x: Cochain, H_module: GModule, embed: np.ndarray) -> Cochain
     M = x.module
     if not isinstance(M, InducedModule):
         raise ValueError("shapiro_forward requires a cochain valued in an induced module")
-    ka = M.base.rank
-    idx = tuple(np.asarray(embed, dtype=np.int64) for _ in range(x.degree))
-    sub = x.table[np.ix_(*idx)] if x.degree else x.table
-    out = sub[..., 0:ka]  # identity coset is coset 0
+    out = x.restricted_table(embed)[..., 0 : M.base.rank]  # identity coset is coset 0
     return Cochain(H_module, x.degree, out)
 
 
 def shapiro_inverse_1(a: Cochain, section: CosetSection, M: InducedModule) -> Cochain:
     """x_s(c) = a_{gamma(c, s)}; satisfies sh(x) = a on the nose."""
     assert a.degree == 1
-    G = section.G
-    n = G.size
-    m = section.n_cosets
-    ka = M.base.rank
-    out = np.zeros((n, m * ka), dtype=np.int64)
-    for s in range(n):
-        for c in range(m):
-            out[s, c * ka : (c + 1) * ka] = a.table[int(section.gamma[c, s])]
-    return Cochain(M, 1, out)
+    # (s, c, i) flattens to the induced coordinate c * ka + i
+    return Cochain(M, 1, a.table[section.gamma.T])
 
 
 def shapiro_inverse_2(a: Cochain, section: CosetSection, M: InducedModule) -> Cochain:
     """x_{s,t}(c) = a_{gamma(c,s), gamma(c sbar, t)}; sh(x) = a exactly."""
     assert a.degree == 2
-    G = section.G
-    n = G.size
-    m = section.n_cosets
-    ka = M.base.rank
-    out = np.zeros((n, n, m * ka), dtype=np.int64)
-    for s in range(n):
-        for c in range(m):
-            cs = section.coset_action(c, s)
-            g1 = int(section.gamma[c, s])
-            for t in range(n):
-                out[s, t, c * ka : (c + 1) * ka] = a.table[g1, int(section.gamma[cs, t])]
-    return Cochain(M, 2, out)
+    gamma = section.gamma
+    # indices (s, t, c): gamma(c, s) and gamma(c sbar, t)
+    return Cochain(M, 2, a.table[gamma.T[:, None, :], gamma[section._cs.T].transpose(0, 2, 1)])
 
 
 def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np.ndarray) -> list[Cochain]:
@@ -238,8 +224,7 @@ def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np
     ka = omega.A.rank
     kaa = omega.AA.group.rank
     m = omega.n_cosets
-    idx = tuple(np.asarray(embed, dtype=np.int64) for _ in range(x.degree))
-    sub = x.table[np.ix_(*idx)] if x.degree else x.table
+    sub = x.restricted_table(embed)
     comps = []
     for g in range(m):
         cols = [omega.tensor.index(g * ka + (t // ka), 0 * ka + (t % ka)) for t in range(kaa)]

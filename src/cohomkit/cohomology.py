@@ -314,8 +314,7 @@ class CohomologyGroup:
         if self.n == 1:
             return self.degree % 2 == 0 or not c.table.any()
         vec = self.slice_coords(c)
-        tables = self._tables_from_slices(vec.reshape(1, -1))
-        if (tables[..., 0].reshape(c.table.shape) != c.table).any():
+        if (self.cochain(vec).table != c.table).any():
             return False
         return not self._violating_pairs(vec.reshape(1, -1))
 
@@ -325,13 +324,14 @@ class CohomologyGroup:
         coords = self.presentation.class_coords(self.slice_coords(c))
         return CohomologyClass(self, coords, c)
 
-    def rep(self, coords: AbElement) -> Cochain:
-        vec = self.presentation.rep(coords)
-        shape = (self.n,) * self.degree + (self.k,)
+    def cochain(self, vec: np.ndarray) -> Cochain:
+        """The cochain with slice coordinates `vec`, expanded by the cocycle law."""
         if self.degree == 0 or self.n == 1:
-            return Cochain(self.module, self.degree, vec.reshape(shape))
-        table = self._tables_from_slices(vec.reshape(1, -1))[..., 0]
-        return Cochain(self.module, self.degree, table.reshape(shape))
+            return Cochain(self.module, self.degree, vec)
+        return Cochain(self.module, self.degree, self._tables_from_slices(np.reshape(vec, (1, -1))))
+
+    def rep(self, coords: AbElement) -> Cochain:
+        return self.cochain(self.presentation.rep(coords))
 
     def classes(self, cap: int = 20000) -> list[CohomologyClass]:
         if self.size > cap:
@@ -355,15 +355,7 @@ class CohomologyGroup:
         count = subgroup_order(span, mods)
         if count > cap:
             raise BoundExceeded(f"{count} cocycles exceed enumeration cap {cap}")
-        out = []
-        shape = (self.n,) * self.degree + (self.k,)
-        for vec in span_elements(span, mods):
-            if self.degree == 0 or self.n == 1:
-                out.append(Cochain(self.module, self.degree, vec.reshape(shape)))
-            else:
-                table = self._tables_from_slices(vec.reshape(1, -1))[..., 0]
-                out.append(Cochain(self.module, self.degree, table.reshape(shape)))
-        return out
+        return [self.cochain(vec) for vec in span_elements(span, mods)]
 
     def classes_equal(self, c1: Cochain, c2: Cochain) -> bool:
         return self.is_coboundary(c1 - c2)

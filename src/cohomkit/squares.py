@@ -49,6 +49,8 @@ from .groups import (
 )
 
 SQUARE_NAMES = ("cup", "j", "cup-local", "j-local", "loc-H1", "loc-H2")
+LOCAL_SQUARES = ("cup-local", "j-local", "loc-H1", "loc-H2")
+CLASS_CAP = 81  # squares run over every class up to this many, else over generators
 
 
 @dataclass
@@ -60,17 +62,22 @@ class SquareResult:
     witness: dict | None = None
 
 
-def _class_sample(H: CohomologyGroup, cap: int):
+def _class_sample(H: CohomologyGroup):
     """All classes when few, presentation generators otherwise (paths are additive)."""
     from .cohomology import CohomologyClass
 
-    if H.size <= cap:
+    if H.size <= CLASS_CAP:
         return H.classes(), "all-classes"
     return [CohomologyClass(H, c, H.rep(c)) for c in H.group.generators()], "generators"
 
 
 class ShapiroSquares:
-    """All compatibility-square checks for one (G, H, A) datum."""
+    """All compatibility-square checks for one (G, H, A) datum.
+
+    Each ``square_*`` method yields its comparisons as
+    ``(detail, witness, H, left, right)``: the square commutes on that input
+    when ``left`` is a cocycle of ``H`` in the class of ``right``.
+    """
 
     def __init__(
         self,
@@ -78,14 +85,10 @@ class ShapiroSquares:
         H: Subgroup,
         A: FinAbGroup,
         ctx: LocalizationContext | None = None,
-        cup_fn=cup,
-        class_cap: int = 81,
         work_bound: int = 1 << 26,
     ):
         self.G, self.H, self.A = G, H, A
         self.ctx = ctx
-        self.cup_fn = cup_fn
-        self.class_cap = class_cap
         self.work_bound = work_bound
         self.section = CosetSection(G, H)
         self.omega = OmegaDecomposition(induced_module(G, H, A))
@@ -162,166 +165,88 @@ class ShapiroSquares:
             self._cache["local_tensor"] = tensor_module(self.M_local, self.M_local)
         return self._cache["local_tensor"]
 
-    # -- the six squares -------------------------------------------------------
-
-    def square_cup(self) -> SquareResult:
-        try:
-            H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
-            H2AA = self.coh(("H", "AA", 2), self.trivH_AA, 2)
-            classes, detail = _class_sample(H1, self.class_cap)
-        except BoundExceeded as e:
-            return SquareResult("cup", "skipped", detail=str(e))
-        checked = 0
-        for ca in classes:
-            for cb in classes:
-                x = shapiro_inverse_1(ca.rep, self.section, self.M)
-                y = shapiro_inverse_1(cb.rep, self.section, self.M)
-                xy = self.cup_fn(x, y, self.tensorMM, self.MM)
-                comps = sh_prime(xy, self.omega, self.trivH_AA, self.embed)
-                for g in range(self.M.n_cosets):
-                    sigma = int(self.G.inv[int(self.section.u[g])])
-                    rhs = self.cup_fn(self.conj_H(sigma, ca.rep), cb.rep, self.AA, self.trivH_AA)
-                    checked += 1
-                    if not H2AA.is_cocycle(comps[g]) or not H2AA.classes_equal(comps[g], rhs):
-                        return SquareResult(
-                            "cup",
-                            "fail",
-                            checked,
-                            detail,
-                            {"a": ca.coords.coords, "b": cb.coords.coords, "coset": g},
-                        )
-        return SquareResult("cup", "pass", checked, detail)
-
-    def square_j(self) -> SquareResult:
-        checked = 0
-        for r in (1, 2):
-            try:
-                HG = self.coh(("G", "AA", r), self.trivG_AA, r)
-                HH = self.coh(("H", "AA", r), self.trivH_AA, r)
-                classes, detail = _class_sample(HG, self.class_cap)
-            except BoundExceeded as e:
-                return SquareResult("j", "skipped", detail=str(e))
-            for cx in classes:
-                jx = cx.rep.mapped(self.j_hom, self.MM)
-                comps = sh_prime(jx, self.omega, self.trivH_AA, self.embed)
-                idx = tuple(self.embed for _ in range(r))
-                res = Cochain(self.trivH_AA, r, cx.rep.table[np.ix_(*idx)])
-                for g in range(self.M.n_cosets):
-                    checked += 1
-                    if not HH.classes_equal(comps[g], res):
-                        return SquareResult(
-                            "j", "fail", checked, detail, {"r": r, "x": cx.coords.coords, "coset": g}
-                        )
-        return SquareResult("j", "pass", checked, detail)
-
-    def square_cup_local(self) -> SquareResult:
-        if self.ctx is None:
-            return SquareResult("cup-local", "skipped", detail="no localization context")
-        try:
-            H1D = self.coh(("D", "M", 1), self.M_res, 1)
-            H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
-            classes, detail = _class_sample(H1D, self.class_cap)
-        except BoundExceeded as e:
-            return SquareResult("cup-local", "skipped", detail=str(e))
-        checked = 0
-        MMres = self.MM_res
-        for cx in classes:
-            for cy in classes:
-                xy = self.cup_fn(cx.rep, cy.rep, self.tensorMM, MMres)
-                lhs = self.sh_v_prime_components(xy)
-                a_comps = self.sh_v_components(cx.rep)
-                b_comps = self.sh_v_components(cy.rep)
-                for (h, si, ti), left in lhs.items():
-                    hloc = self.local_section_index(h)
-                    rhs = self.cup_fn(
-                        self.conj_HD(int(self.Dgrp.inv[hloc]), a_comps[si]),
-                        b_comps[ti],
-                        self.AA,
-                        self.trivHD_AA,
-                    )
-                    checked += 1
-                    if not H2HD.is_cocycle(left) or not H2HD.classes_equal(left, rhs):
-                        return SquareResult(
-                            "cup-local",
-                            "fail",
-                            checked,
-                            detail,
-                            {"x": cx.coords.coords, "y": cy.coords.coords, "hst": (h, si, ti)},
-                        )
-        return SquareResult("cup-local", "pass", checked, detail)
-
     def local_section_index(self, h_gv: int) -> int:
         """Lift of a decomposition-quotient element through the local section."""
         c_local = self.vs.local_coset_of_gv[h_gv]
         return int(self.local_section.u[c_local])
 
-    def square_j_local(self) -> SquareResult:
-        if self.ctx is None:
-            return SquareResult("j-local", "skipped", detail="no localization context")
-        checked = 0
-        for r in (1, 2):
-            try:
-                HD = self.coh(("D", "AA", r), self.trivD_AA, r)
-                HHD = self.coh(("HD", "AA", r), self.trivHD_AA, r)
-                classes, detail = _class_sample(HD, self.class_cap)
-            except BoundExceeded as e:
-                return SquareResult("j-local", "skipped", detail=str(e))
-            for cx in classes:
-                jx = cx.rep.mapped(self.j_hom, self.MM_res)
-                lhs = self.sh_v_prime_components(jx)
-                take = tuple(self.HDembed for _ in range(r))
-                res = Cochain(self.trivHD_AA, r, cx.rep.table[np.ix_(*take)])
-                for key, left in lhs.items():
-                    checked += 1
-                    if not HHD.classes_equal(left, res):
-                        return SquareResult(
-                            "j-local", "fail", checked, detail, {"r": r, "x": cx.coords.coords, "hst": key}
-                        )
-        return SquareResult("j-local", "pass", checked, detail)
+    # -- the six squares -------------------------------------------------------
 
-    def square_loc_h1(self) -> SquareResult:
-        if self.ctx is None:
-            return SquareResult("loc-H1", "skipped", detail="no localization context")
-        try:
-            H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
-            H1HD = self.coh(("HD", "A", 1), self.trivHD_A, 1)
-            classes, detail = _class_sample(H1, self.class_cap)
-        except BoundExceeded as e:
-            return SquareResult("loc-H1", "skipped", detail=str(e))
-        checked = 0
+    def square_cup(self):
+        H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
+        H2AA = self.coh(("H", "AA", 2), self.trivH_AA, 2)
+        classes, detail = _class_sample(H1)
         for ca in classes:
             x = shapiro_inverse_1(ca.rep, self.section, self.M)
-            xv = Cochain(self.M_res, 1, x.table[self.vs.Dembed])
-            lhs = self.sh_v_components(xv)
+            for cb in classes:
+                y = shapiro_inverse_1(cb.rep, self.section, self.M)
+                comps = sh_prime(cup(x, y, self.tensorMM, self.MM), self.omega, self.trivH_AA, self.embed)
+                for g, left in enumerate(comps):
+                    sigma = int(self.G.inv[int(self.section.u[g])])
+                    rhs = cup(self.conj_H(sigma, ca.rep), cb.rep, self.AA, self.trivH_AA)
+                    yield detail, {"a": ca.coords.coords, "b": cb.coords.coords, "coset": g}, H2AA, left, rhs
+
+    def square_j(self):
+        for r in (1, 2):
+            HG = self.coh(("G", "AA", r), self.trivG_AA, r)
+            HH = self.coh(("H", "AA", r), self.trivH_AA, r)
+            classes, detail = _class_sample(HG)
+            for cx in classes:
+                comps = sh_prime(cx.rep.mapped(self.j_hom, self.MM), self.omega, self.trivH_AA, self.embed)
+                res = Cochain(self.trivH_AA, r, cx.rep.restricted_table(self.embed))
+                for g, left in enumerate(comps):
+                    yield detail, {"r": r, "x": cx.coords.coords, "coset": g}, HH, left, res
+
+    def square_cup_local(self):
+        H1D = self.coh(("D", "M", 1), self.M_res, 1)
+        H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
+        classes, detail = _class_sample(H1D)
+        for cx in classes:
+            a_comps = self.sh_v_components(cx.rep)
+            for cy in classes:
+                lhs = self.sh_v_prime_components(cup(cx.rep, cy.rep, self.tensorMM, self.MM_res))
+                b_comps = self.sh_v_components(cy.rep)
+                for (h, si, ti), left in lhs.items():
+                    sigma = int(self.Dgrp.inv[self.local_section_index(h)])
+                    rhs = cup(self.conj_HD(sigma, a_comps[si]), b_comps[ti], self.AA, self.trivHD_AA)
+                    witness = {"x": cx.coords.coords, "y": cy.coords.coords, "hst": (h, si, ti)}
+                    yield detail, witness, H2HD, left, rhs
+
+    def square_j_local(self):
+        for r in (1, 2):
+            HD = self.coh(("D", "AA", r), self.trivD_AA, r)
+            HHD = self.coh(("HD", "AA", r), self.trivHD_AA, r)
+            classes, detail = _class_sample(HD)
+            for cx in classes:
+                lhs = self.sh_v_prime_components(cx.rep.mapped(self.j_hom, self.MM_res))
+                res = Cochain(self.trivHD_AA, r, cx.rep.restricted_table(self.HDembed))
+                for key, left in lhs.items():
+                    yield detail, {"r": r, "x": cx.coords.coords, "hst": key}, HHD, left, res
+
+    def square_loc_h1(self):
+        H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
+        H1HD = self.coh(("HD", "A", 1), self.trivHD_A, 1)
+        classes, detail = _class_sample(H1)
+        for ca in classes:
+            x = shapiro_inverse_1(ca.rep, self.section, self.M)
+            lhs = self.sh_v_components(Cochain(self.M_res, 1, x.restricted_table(self.vs.Dembed)))
             for si, s in enumerate(self.ctx.transversal):
                 # s is its own global coset; its lowest-index section lift in G
                 sigma = int(self.G.inv[int(self.section.u[s])])
-                conj = self.conj_H(sigma, ca.rep)
-                rhs = Cochain(self.trivHD_A, 1, conj.table[self.hd_in_H])
-                checked += 1
-                if not H1HD.classes_equal(lhs[si], rhs):
-                    return SquareResult(
-                        "loc-H1", "fail", checked, detail, {"a": ca.coords.coords, "s": int(s)}
-                    )
-        return SquareResult("loc-H1", "pass", checked, detail)
+                rhs = Cochain(self.trivHD_A, 1, self.conj_H(sigma, ca.rep).restricted_table(self.hd_in_H))
+                yield detail, {"a": ca.coords.coords, "s": int(s)}, H1HD, lhs[si], rhs
 
-    def square_loc_h2(self) -> SquareResult:
-        if self.ctx is None:
-            return SquareResult("loc-H2", "skipped", detail="no localization context")
-        try:
-            H2H = self.coh(("H", "AA", 2), self.trivH_AA, 2)
-            H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
-        except BoundExceeded as e:
-            return SquareResult("loc-H2", "skipped", detail=str(e))
+    def square_loc_h2(self):
+        H2H = self.coh(("H", "AA", 2), self.trivH_AA, 2)
+        H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
         # both paths are additive in the family (alpha_g): presentation
         # generators placed at a single position g0 span everything
         gens = [H2H.rep(coords) for coords in H2H.group.generators()]
-        checked = 0
         ka = self.A.rank
         kaa = self.AA.group.rank
         m = self.M.n_cosets
-        hd_in_H = self.hd_in_H
         qq = self.ctx.quotient
+        zero = Cochain(self.trivHD_AA, 2, np.zeros((len(self.hd_in_H),) * 2 + (kaa,), dtype=np.int64))
         for g0 in range(m):
             for alpha in gens:
                 x = shapiro_inverse_2(alpha, self.section, self.omega.ind_AA)
@@ -337,43 +262,40 @@ class ShapiroSquares:
                             dst = self.tensorMM.index(c1 * ka + i, c2 * ka + j)
                             ytab[:, :, dst] = x.table[:, :, c2 * kaa + t]
                 y = Cochain(self.MM, 2, ytab)
-                yv = Cochain(self.MM_res, 2, y.table[np.ix_(self.vs.Dembed, self.vs.Dembed)])
-                lhs = self.sh_v_prime_components(yv)
-                for (h, si, ti), left in lhs.items():
+                yv = Cochain(self.MM_res, 2, y.restricted_table(self.vs.Dembed))
+                alpha_table = alpha.table.tolist()
+                for (h, si, ti), left in self.sh_v_prime_components(yv).items():
                     s = self.ctx.transversal[si]
                     t_ = self.ctx.transversal[ti]
                     sht = qq.op(qq.op(s, h), int(qq.inv[t_]))
                     # family is zero except at position g0; elements of G/H
                     # are their own coset indices
+                    rhs = zero
                     if sht == g0:
-                        sigma = int(self.G.inv[int(self.section.u[t_])])
-                        conj = self.conj_H(sigma, alpha)
-                        rhs = Cochain(self.trivHD_AA, 2, conj.table[np.ix_(hd_in_H, hd_in_H)])
-                    else:
-                        rhs = Cochain(
-                            self.trivHD_AA, 2, np.zeros((len(hd_in_H),) * 2 + (kaa,), dtype=np.int64)
-                        )
-                    checked += 1
-                    if not H2HD.classes_equal(left, rhs):
-                        return SquareResult(
-                            "loc-H2",
-                            "fail",
-                            checked,
-                            "generators",
-                            {"g0": g0, "alpha": alpha.table.tolist(), "hst": (h, si, ti)},
-                        )
-        return SquareResult("loc-H2", "pass", checked, "generators")
+                        conj = self.conj_H(int(self.G.inv[int(self.section.u[t_])]), alpha)
+                        rhs = Cochain(self.trivHD_AA, 2, conj.restricted_table(self.hd_in_H))
+                    yield "generators", {"g0": g0, "alpha": alpha_table, "hst": (h, si, ti)}, H2HD, left, rhs
+
+    # -- the comparison loop ---------------------------------------------------
+
+    def _check(self, name: str) -> SquareResult:
+        """Run one square: the first comparison that does not commute fails it."""
+        if self.ctx is None and name in LOCAL_SQUARES:
+            return SquareResult(name, "skipped", detail="no localization context")
+        square = getattr(self, "square_" + name.lower().replace("-", "_"))
+        checked = 0
+        detail = ""
+        try:
+            for detail, witness, H, left, right in square():
+                checked += 1
+                if not H.is_cocycle(left) or not H.classes_equal(left, right):
+                    return SquareResult(name, "fail", checked, detail, witness)
+        except BoundExceeded as e:
+            return SquareResult(name, "skipped", detail=str(e))
+        return SquareResult(name, "pass", checked, detail)
 
     def run(self, names=SQUARE_NAMES) -> list[SquareResult]:
-        dispatch = {
-            "cup": self.square_cup,
-            "j": self.square_j,
-            "cup-local": self.square_cup_local,
-            "j-local": self.square_j_local,
-            "loc-H1": self.square_loc_h1,
-            "loc-H2": self.square_loc_h2,
-        }
-        return [dispatch[n]() for n in names]
+        return [self._check(name) for name in names]
 
 
 def verify_shapiro_squares(
@@ -381,7 +303,6 @@ def verify_shapiro_squares(
     H: Subgroup,
     A: FinAbGroup,
     ctx: LocalizationContext | None = None,
-    cup_fn=cup,
-    class_cap: int = 81,
+    work_bound: int = 1 << 26,
 ) -> list[SquareResult]:
-    return ShapiroSquares(G, H, A, ctx=ctx, cup_fn=cup_fn, class_cap=class_cap).run()
+    return ShapiroSquares(G, H, A, ctx=ctx, work_bound=work_bound).run()

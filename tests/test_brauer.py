@@ -13,9 +13,12 @@ from cohomkit.abelian import (
     TensorProduct,
     kernel,
     same_invariants,
+    subgroup_order,
+    subgroup_span,
     vanishing_products,
 )
 from cohomkit.brauer import (
+    _restriction_kernel,
     abelian_structure,
     b0_closed_form,
     b0_closed_form_cp,
@@ -35,16 +38,19 @@ from cohomkit.brauer import (
 from cohomkit.crossed import build_bk
 from cohomkit.fixtures import class_two_group
 from cohomkit.intmat import ModSpan
+from cohomkit.cochain import Cochain
 from cohomkit.groups import (
     GModule,
     Subgroup,
     cyclic_group,
+    cyclic_subgroups,
     direct_product,
     generated_subgroup,
     dual_module,
     induced_module,
     named_group,
     quotient_module,
+    restrict_module,
     trivial_module,
 )
 
@@ -315,6 +321,70 @@ def test_sha_nonzero_regression():
     rep = sha_cyclic(M, 1)
     assert rep.verified
     assert same_invariants(rep.kernel, FinAbGroup((2,)))
+
+
+def _klein_on_z8():
+    acts = np.array([1, 3, 5, 7], dtype=np.int64).reshape(4, 1, 1)
+    return GModule(named_group("C2xC2"), FinAbGroup((8,)), acts)
+
+
+@pytest.mark.parametrize(
+    "make,degree,kernel_size",
+    [
+        (_klein_on_z8, 1, 2),
+        # x1 u x2 restricts to a1 a2 (x u x) = 0 on every cyclic subgroup
+        (lambda: trivial_module(direct_product(cyclic_group(3), cyclic_group(3)), FinAbGroup((3,))), 2, 3),
+        (lambda: trivial_module(named_group("C4"), FinAbGroup((2,))), 2, 1),
+        # H^1(S3, Z/3) = 0 while H^1(C3, Z/3) = Z/3: P is trivial
+        (lambda: trivial_module(named_group("S3"), FinAbGroup((3,))), 1, 1),
+    ],
+    ids=["klein-z8", "c3xc3-deg2", "c4-deg2", "trivial-P"],
+)
+def test_restriction_kernel_matches_enumeration(make, degree, kernel_size):
+    """Kernel of restriction to cyclic subgroups, against a loop over every class."""
+    M = make()
+    H = cohomkit.cohomology.cohomology(M, degree)
+    P = H.group
+    local = []
+    for sub in cyclic_subgroups(M.group):
+        Mres, embed = restrict_module(M, sub)
+        HC = cohomkit.cohomology.cohomology(Mres, degree)
+        local.append((embed, HC, HC.presentation))
+    K, kgens = _restriction_kernel(P, [H.rep(c) for c in P.generators()], local)
+
+    def restriction(c, embed, HC):
+        args = itertools.product(embed, repeat=degree)
+        return Cochain(HC.module, degree, np.array([c.table[a] for a in args]))
+
+    want = [
+        cls.coords
+        for cls in P.elements()
+        if all(HC.is_coboundary(restriction(H.rep(cls), embed, HC)) for embed, HC, _ in local)
+    ]
+    assert K.cardinality == len(want) == kernel_size
+    span = subgroup_span(P.orders, [g.coords for g in kgens])
+    assert subgroup_order(span, P.orders) == len(want)
+    assert all(span.contains(c) for c in want)
+
+
+def test_sha_broken_restriction_reads_unverified(monkeypatch):
+    """A restriction that leaves the cocycles gives verified false, not a traceback.
+
+    The shift sits at the identity of each nontrivial subgroup, off the
+    generator slices, so the class coordinates read as before and only the
+    re-verification can see it.
+    """
+    restricted_table = Cochain.restricted_table
+
+    def shifted(self, embed):
+        table = restricted_table(self, embed).copy()
+        if len(embed) > 1:
+            table[0] += 1
+        return table
+
+    monkeypatch.setattr(Cochain, "restricted_table", shifted)
+    rep = sha_cyclic(_klein_on_z8(), 1)
+    assert not rep.verified
 
 
 # -- cyclic span detection ----------------------------------------------------

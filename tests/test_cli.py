@@ -198,6 +198,21 @@ def test_cli_bound_zero_heavy_checks_skipped(tmp_path):
     assert "skipped" in out.read_text()
 
 
+def test_cli_bound_reaches_the_shapiro_squares(tmp_path):
+    f = tmp_path / "s.scn"
+    f.write_text(
+        "scenario s\ngroup S3\nsubgroup gen:3\nbase C3\ndecomposition trivial\nbound 10\n"
+        "check cohomology degree=2\ncheck verify-shapiro\n"
+    )
+    out = tmp_path / "r.txt"
+    assert main(["run", str(f), "--out", str(out)]) == 3
+    text = out.read_text()
+    shapiro = text[text.index("check verify-shapiro") :]
+    assert "status skipped" in shapiro
+    for square in ("cup skipped(0)", "j skipped(0)", "loc-H2 skipped(0)", "loc-H1 pass(6)"):
+        assert f"square.{square}" in shapiro
+
+
 def test_cli_env_bound_override(tmp_path, monkeypatch):
     f = tmp_path / "s.scn"
     f.write_text(MINIMAL)

@@ -267,3 +267,15 @@ def test_pointwise_tensor():
     for s in C2.elements():
         want = tens.pair_coords(x.table[s], y.table[s])
         assert (t.table[s] == want).all()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_restricted_table_matches_per_element_indexing(degree):
+    D8 = named_group("D8")
+    M = trivial_module(D8, FinAbGroup((2, 4)))
+    c = random_cochain(M, degree, np.random.default_rng(degree))
+    embed = np.array([0, 5, 2, 7])
+    got = c.restricted_table(embed)
+    assert got.shape == (len(embed),) * degree + (2,)
+    for args in itertools.product(range(len(embed)), repeat=degree):
+        assert (got[args] == c.table[tuple(embed[i] for i in args)]).all()

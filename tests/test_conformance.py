@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from cohomkit.checks import run_check
+from cohomkit.cli import main
 from cohomkit.report import Report, render, scenario_digest, strip_timing
 from cohomkit.scenario import parse_scenarios
 
@@ -51,3 +52,9 @@ def test_conformance_vector_under_python_O(path):
 
 def test_vectors_present():
     assert len(VECTORS) >= 3
+
+
+def test_suite_report(tmp_path):
+    out = tmp_path / "suite.report"
+    assert main(["suite", "--out", str(out)]) == 0
+    assert _normalize(out.read_text()) == _normalize((DATA / "suite.report").read_text())

@@ -507,6 +507,11 @@ print(outcome(lambda: H1.class_of(u)))
 print(outcome(lambda: H1.is_coboundary(u)))
 print(outcome(lambda: G.FiniteGroup([[0, 1]], check=False)))
 print(outcome(lambda: G.FiniteGroup([[0, 1], [1, 1]], check=False)))
+# characters of C4 do not take values in Z/2
+C4 = FinAbGroup((4,))
+print(outcome(lambda: B.hom_value(C4, C4.element([1]), C4.element([1]), 2)))
+print(outcome(lambda: B.cyclic_span_detect(C4, [C4.element([2])], C4.element([1]), 2)))
+print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element([1]), 2)))
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
@@ -537,6 +542,9 @@ print(outcome(lambda: G.FiniteGroup([[0, 1], [1, 1]], check=False)))
         "ValueError: not a cocycle",
         "ValueError: multiplication table must be square, not of shape (1, 2)",
         "ValueError: element 1 has no unique inverse",
+        "ValueError: exponent of G must divide n",
+        "ValueError: exponent of G must divide n",
+        "ValueError: exponent of G must divide n",
     ]
 
 

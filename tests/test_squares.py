@@ -108,3 +108,48 @@ def test_mutated_cup_breaks_leibniz_with_witness():
                 bad = np.argwhere((lhs.table - rhs.table) % 3 != 0)[0]
                 witnesses.append((ca.coords.coords, cb.coords.coords, tuple(int(v) for v in bad)))
     assert witnesses, "the Leibniz check must flag the twistless cup product"
+
+
+def _s3_a3_trivial_d():
+    S3 = named_group("S3")
+    from cohomkit.groups import alternating_subgroup_s3
+
+    A3 = alternating_subgroup_s3(S3)
+    return S3, A3, LocalizationContext(S3, A3, Subgroup.make(S3, [0]))
+
+
+def test_left_path_off_the_cocycles_fails_with_witness(monkeypatch):
+    """A tensor-side Shapiro map that leaves the cocycles is a witnessed fail."""
+    from cohomkit import squares
+
+    sh_prime = squares.sh_prime
+
+    def shifted(x, omega, H_module, embed):
+        comps = sh_prime(x, omega, H_module, embed)
+        table = comps[0].table.copy()
+        table.flat[0] += 1
+        comps[0] = Cochain(H_module, x.degree, table)
+        return comps
+
+    monkeypatch.setattr(squares, "sh_prime", shifted)
+    S3, A3, ctx = _s3_a3_trivial_d()
+    res = {r.name: r for r in verify_shapiro_squares(S3, A3, FinAbGroup((3,)), ctx=ctx)}
+    witness_keys = {"cup": {"a", "b", "coset"}, "j": {"r", "x", "coset"}, "j-local": {"r", "x", "hst"}}
+    for name, keys in witness_keys.items():
+        assert (res[name].status, res[name].checked) == ("fail", 1), res[name]
+        assert set(res[name].witness) == keys
+    assert res["loc-H1"].status == "pass"
+
+
+@pytest.mark.parametrize("ctx_kind", ["none", "full"])
+def test_tiny_work_bound_skips_every_square(ctx_kind):
+    S3, A3, _ = _s3_a3_trivial_d()
+    ctx = None if ctx_kind == "none" else LocalizationContext(S3, A3, Subgroup.make(S3, list(S3.elements())))
+    res = ShapiroSquares(S3, A3, FinAbGroup((3,)), ctx=ctx, work_bound=1).run()
+    assert [r.name for r in res] == list(SQUARE_NAMES)
+    for r in res:
+        assert (r.status, r.checked) == ("skipped", 0), r
+        if ctx is None and r.name not in ("cup", "j"):
+            assert r.detail == "no localization context"
+        else:
+            assert "exceeds bound 1" in r.detail
