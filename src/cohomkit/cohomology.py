@@ -9,6 +9,13 @@ sampled and the resulting kernel basis is certified by re-checking *every*
 generator-slot condition on the reconstructed tables, so the result is exact
 regardless of the sample.
 
+When the certificate finds violated conditions, the next round solves only
+those, on the kernel K already found: the certificate hands back each
+violated condition evaluated on the rows of K, and its kernel C over the
+coefficients of K gives the new kernel C @ K.  This is exact because K
+generates every solution of the earlier conditions, so
+{x : A1 x = 0, A2 x = 0} = {c K : (A2 K^T) c = 0}.
+
 Class arithmetic (equality, membership of coboundaries, enumeration) happens
 on slice coordinates, where the coboundary subgroup is a Howell span.
 """
@@ -30,7 +37,7 @@ from .abelian import (
 )
 from .cochain import Cochain, differential, zero_cochain
 from .groups import GModule, minimal_generating_set
-from .intmat import kernel_uniform as _kernel_uniform
+from .intmat import kernel_uniform as _kernel_uniform, matmul_mod
 
 
 class BoundExceeded(RuntimeError):
@@ -192,50 +199,58 @@ class CohomologyGroup:
             take = min(len(pairs), max(2, target_rows // max(per_pair, 1)))
             idx = self._rng.permutation(len(pairs))[:take]
             chosen = [pairs[i] for i in idx]
-        used = set(chosen)
+        rows = (
+            np.concatenate([self._pair_rows(xi, g) for xi, g in chosen], axis=0)
+            if chosen
+            else np.zeros((0, self.s), dtype=np.int64)
+        )
+        # The first round solves the sampled conditions on the slices, a later
+        # one the violated conditions on the rows of the previous kernel
+        # (module docstring): that kernel is then the basis of the solutions.
+        basis = None
         for _ in range(12):
-            rows = (
-                np.concatenate([self._pair_rows(xi, g) for xi, g in chosen], axis=0)
-                if chosen
-                else np.zeros((0, self.s), dtype=np.int64)
-            )
             kern = _kernel_uniform(rows, self.L)
-            bad = self._violating_pairs(kern)
+            if basis is not None:
+                kern = matmul_mod(kern, basis, self.L)
+                kern = kern[kern.any(axis=1)]
+            bad, rows = self._certificate(kern)
             if not bad:
                 self._z_rows = kern
                 return
-            added = 0
-            for p in bad:
-                if p not in used:
-                    used.add(p)
-                    chosen.append(p)
-                    added += 1
-                    if added >= 64:
-                        break
+            basis = kern
         raise BoundExceeded(
-            f"cocycle sampling did not converge in 12 rounds ({len(chosen)} of {len(pairs)} pairs)"
+            f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {len(pairs)} pairs still violated)"
         )
 
-    def _violating_pairs(self, kern: np.ndarray) -> list[tuple[int, int]]:
+    def _certificate(self, kern: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Exact certificate: re-check every generator-slot condition on every row.
 
         For each generator x, the defect u(x g, w) - (the law's right-hand
         side) is formed for all g, w and rows at once on the batch-last
-        tables and reduced mod the orders once.  The pairs (x, g) with a
-        nonzero defect are returned.
+        tables and reduced mod the orders once.  Returns the pairs (x, g)
+        with a nonzero defect and, W * k rows per pair in the same order,
+        their defects on the rows of ``kern``, scaled to Z/L as
+        ``_pair_rows`` scales its conditions: the rows of pair (x, g) are
+        ``_pair_rows(x, g) @ kern.T`` mod L.
         """
+        b = kern.shape[0]
         if kern.size == 0:
-            return []
+            return [], np.zeros((0, b), dtype=np.int64)
         T = self._tables_from_slices(kern)  # (n, W, k, b)
         mul = self.module.group.mul
         orders = self._orders[:, None]
-        bad = []
+        bad, rows = [], []
         for xi, x in enumerate(self.X):
             diff = self._law_rhs(T, x, slice(None))
-            diff -= T[mul[x]]
+            np.subtract(T[mul[x]], diff, out=diff)
             diff %= orders
-            bad.extend((xi, int(g)) for g in np.flatnonzero(diff.any(axis=(1, 2, 3))))
-        return bad
+            gs = np.flatnonzero(diff.any(axis=(1, 2, 3)))
+            if gs.size:
+                bad.extend((xi, int(g)) for g in gs)
+                rows.append(diff[gs].reshape(-1, b))
+        if not bad:
+            return bad, np.zeros((0, b), dtype=np.int64)
+        return bad, scaled_rows(np.concatenate(rows), np.tile(self._orders, len(bad) * self.W), self.L)
 
     def _tables_from_slices(self, slices: np.ndarray) -> np.ndarray:
         """Full cochain tables of slice vectors, batch-last: shape (n, W, k, b).
@@ -316,7 +331,7 @@ class CohomologyGroup:
         vec = self.slice_coords(c)
         if (self.cochain(vec).table != c.table).any():
             return False
-        return not self._violating_pairs(vec.reshape(1, -1))
+        return not self._certificate(vec.reshape(1, -1))[0]
 
     def class_of(self, c: Cochain) -> CohomologyClass:
         if not self.is_cocycle(c):

@@ -370,21 +370,30 @@ def test_restriction_kernel_matches_enumeration(make, degree, kernel_size):
 def test_sha_broken_restriction_reads_unverified(monkeypatch):
     """A restriction that leaves the cocycles gives verified false, not a traceback.
 
-    The shift sits at the identity of each nontrivial subgroup, off the
-    generator slices, so the class coordinates read as before and only the
-    re-verification can see it.
+    The first shift sits at the identity of each nontrivial subgroup, off
+    the generator slices, so the class coordinates would read as before.
+    The second moves the last entry of every restricted table, a
+    generator-slice value, so no class coordinates can be read; the kernel
+    is then reported as all of H^1.
     """
     restricted_table = Cochain.restricted_table
 
-    def shifted(self, embed):
+    def at_identity(self, embed):
         table = restricted_table(self, embed).copy()
         if len(embed) > 1:
             table[0] += 1
         return table
 
-    monkeypatch.setattr(Cochain, "restricted_table", shifted)
-    rep = sha_cyclic(_klein_on_z8(), 1)
-    assert not rep.verified
+    def at_last_entry(self, embed):
+        table = restricted_table(self, embed).copy()
+        table.reshape(-1)[-1] += 1
+        return table
+
+    for shifted in (at_identity, at_last_entry):
+        monkeypatch.setattr(Cochain, "restricted_table", shifted)
+        rep = sha_cyclic(_klein_on_z8(), 1)
+        assert not rep.verified
+        assert rep.kernel.cardinality == rep.total.cardinality
 
 
 # -- cyclic span detection ----------------------------------------------------

@@ -25,11 +25,13 @@ from cohomkit.groups import (
     Subgroup,
     alternating_subgroup_s3,
     cyclic_group,
+    direct_product,
     induced_module,
     named_group,
     subgroup_group,
     trivial_module,
 )
+from cohomkit.intmat import howell_form, kernel_uniform, matmul_mod
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (4, 6), (6, 4), (2, 3)])
@@ -69,9 +71,45 @@ def test_mixed_order_coefficients(degree, size):
 
 
 def test_sampling_that_does_not_converge_exceeds_the_bound(monkeypatch):
-    monkeypatch.setattr(CohomologyGroup, "_violating_pairs", lambda self, kern: [(0, 0)])
+    # a certificate that always flags a pair, with a condition every row meets
+    def flag_one_pair(self, kern):
+        return [(0, 0)], np.zeros((1, kern.shape[0]), dtype=np.int64)
+
+    monkeypatch.setattr(CohomologyGroup, "_certificate", flag_one_pair)
     with pytest.raises(BoundExceeded, match="did not converge"):
         cohomology(trivial_module(cyclic_group(4), FinAbGroup((2,))), 2)
+
+
+# H^2 builds whose sampled conditions miss some: each takes a second round
+TWO_ROUND_BUILDS = {
+    "D8xD8 on Z2": (("D8", "D8"), (2,)),
+    "C2xC2xC4xC4 on Z2": (("C2xC2", "C4", "C4"), (2,)),
+    "C2xC2xC4xC4 on Z4": (("C2xC2", "C4", "C4"), (4,)),
+    "Q8xC4 on C2xC2": (("Q8", "C4"), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_ROUND_BUILDS))
+def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
+    factors, coeffs = TWO_ROUND_BUILDS[name]
+    G = named_group(factors[0])
+    for factor in factors[1:]:
+        G = direct_product(G, named_group(factor))
+    calls = []
+
+    def counted(A, L):
+        calls.append(np.shape(A))
+        return kernel_uniform(A, L)
+
+    monkeypatch.setattr("cohomkit.cohomology._kernel_uniform", counted)
+    H = cohomology(trivial_module(G, FinAbGroup(coeffs)), 2)
+    assert len(calls) == 2
+    # the second round solves over the rows of the first kernel, not the slices
+    assert calls[1][1] < H.s
+    # the cocycles are the solutions of every pair's conditions
+    every = np.concatenate([H._pair_rows(xi, g) for xi, g in H._all_pairs()])
+    want = howell_form(kernel_uniform(every, H.L), H.L, n=H.s)
+    assert np.array_equal(howell_form(H.z_rows, H.L, n=H.s), want)
 
 
 def _brute_hr(M, r):
@@ -321,10 +359,16 @@ def test_violating_pairs_match_the_differential(name, degree):
             for xi, x in enumerate(H.X):
                 hit = d[x].reshape(H.n, -1).any(axis=1)
                 expected |= {(xi, int(g)) for g in np.flatnonzero(hit)}
-        got = H._violating_pairs(V)
+        got, rows = H._certificate(V)
         assert len(got) == len(set(got))
         assert set(got) == expected
-    assert H._violating_pairs(H.z_rows) == []
+        # each flagged pair's rows are its conditions evaluated on V
+        per_pair = H.W * H.k
+        assert rows.shape == (len(got) * per_pair, V.shape[0])
+        for p, (xi, g) in enumerate(got):
+            want = matmul_mod(H._pair_rows(xi, g), V.T % H.L, H.L)
+            assert (rows[p * per_pair : (p + 1) * per_pair] == want).all()
+    assert H._certificate(H.z_rows)[0] == []
 
 
 @st.composite

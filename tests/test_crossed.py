@@ -28,7 +28,7 @@ from cohomkit.crossed import (
     twisted_cocycle_condition_formula,
 )
 from cohomkit.fixtures import BK_FAMILY
-from cohomkit.groups import cyclic_group, named_group
+from cohomkit.groups import cyclic_group, direct_product, named_group, trivial_module
 from cohomkit.scenario import parse_scenarios
 
 D22 = build_bk(FinAbGroup((2,)), cyclic_group(2))
@@ -436,7 +436,8 @@ def test_verify_bk_witness_is_first_non_associative_triple(monkeypatch):
 def test_identity_checks_survive_optimized_mode():
     """The class-2, lift, power and conjugator checks, the normality checks,
     the section, factorization and decomposition invariants, the exactness of a short exact
-    sequence and the witness rule of a failing record raise under python -O."""
+    sequence and the witness rule of a failing record raise under python -O, and an
+    H^2 build that takes a second certification round gives the same group."""
     script = """
 import sys
 import numpy as np
@@ -512,6 +513,9 @@ C4 = FinAbGroup((4,))
 print(outcome(lambda: B.hom_value(C4, C4.element([1]), C4.element([1]), 2)))
 print(outcome(lambda: B.cyclic_span_detect(C4, [C4.element([2])], C4.element([1]), 2)))
 print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element([1]), 2)))
+# H^2(D8 x D8, Z/2) takes a second certification round
+D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
+print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
@@ -522,6 +526,7 @@ print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    D8xD8 = direct_product(named_group("D8"), named_group("D8"))
     assert proc.stdout.splitlines() == [
         "ValueError: group must be nilpotent of class <= 2",
         "AssertionError: lambda depends on the lifts",
@@ -545,6 +550,7 @@ print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element
         "ValueError: exponent of G must divide n",
         "ValueError: exponent of G must divide n",
         "ValueError: exponent of G must divide n",
+        str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 
 
