@@ -345,6 +345,26 @@ def solve_preimage(h: AbHom, t: AbElement):
     return h.source.element(c)
 
 
+def cached_preimage(h: AbHom):
+    """A pointwise section of h on its image: target coordinates -> the
+    coordinates of one preimage, each solved once and then cached.
+
+    Raises ValueError for a target outside the image of h.
+    """
+    cache: dict[tuple, np.ndarray] = {}
+
+    def lift(coords) -> np.ndarray:
+        key = tuple(int(x) for x in coords)
+        if key not in cache:
+            pre = solve_preimage(h, h.target.element(key))
+            if pre is None:
+                raise ValueError(f"{key} is not in the image")
+            cache[key] = np.array(pre.coords, dtype=np.int64)
+        return cache[key]
+
+    return lift
+
+
 # ---------------------------------------------------------------------------
 # Tensor, exterior square, duals, direct sums
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ sampled and the resulting kernel basis is certified by re-checking *every*
 generator-slot condition on the reconstructed tables, so the result is exact
 regardless of the sample.
 
-When the certificate finds violated conditions, the next round solves only
-those, on the kernel K already found: the certificate hands back each
-violated condition evaluated on the rows of K, and its kernel C over the
-coefficients of K gives the new kernel C @ K.  This is exact because K
-generates every solution of the earlier conditions, so
-{x : A1 x = 0, A2 x = 0} = {c K : (A2 K^T) c = 0}.
+One pass, the certificate, forms every condition.  Round 1 is the
+certificate on the unit slice vectors over a sample of the pairs (x, g) the
+tree leaves free, drawn with a fixed seed: the defect of the law at (x, g)
+on the j-th unit vector is column j of that pair's conditions on the slices.
+When the certificate of a kernel K finds violated conditions, the next round
+solves only those, on K: the certificate hands back each violated condition
+evaluated on the rows of K, and its kernel C over the coefficients of K gives
+the new kernel C @ K.  This is exact because K generates every solution of
+the earlier conditions, so {x : A1 x = 0, A2 x = 0} = {c K : (A2 K^T) c = 0}.
+Round 1 is the same step with K the identity.
 
 Class arithmetic (equality, membership of coboundaries, enumeration) happens
 on slice coordinates, where the coboundary subgroup is a Howell span.
@@ -30,6 +34,7 @@ from .abelian import (
     AbElement,
     AbHom,
     Presentation,
+    cached_preimage,
     scaled_rows,
     span_elements,
     subgroup_order,
@@ -64,7 +69,7 @@ class CohomologyClass:
 class CohomologyGroup:
     """H^r(G, M) with explicit cocycle representatives and class decisions."""
 
-    def __init__(self, module: GModule, degree: int, work_bound: int = 1 << 26, rng_seed: int = 0):
+    def __init__(self, module: GModule, degree: int, work_bound: int = 1 << 26):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         if degree > 2:
@@ -76,7 +81,6 @@ class CohomologyGroup:
         self.k = module.ab.rank
         self.L = module.ab.exponent
         self._orders = np.array(module.ab.orders, dtype=np.int64)
-        self._rng = np.random.default_rng(rng_seed)
         if degree == 0:
             self._init_degree0()
             return
@@ -91,7 +95,6 @@ class CohomologyGroup:
                 f"slice tableau of {self.n * self.W * self.k * self.s} entries exceeds bound {work_bound}"
             )
         self._build_tree()
-        self._build_expansion()
         self._compute_cocycles()
         self._compute_coboundaries()
         ambient = tuple(self.module.ab.orders) * (len(self.X) * self.W) if self.k else ()
@@ -127,7 +130,7 @@ class CohomologyGroup:
         self.presentation = Presentation(self.module.ab.orders, self._z_rows, self._b_rows)
         self.group = self.presentation.group
 
-    # -- tree / expansion ----------------------------------------------------
+    # -- tree -----------------------------------------------------------------
 
     def _build_tree(self):
         G = self.module.group
@@ -155,9 +158,9 @@ class CohomologyGroup:
         """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
 
         Degree 1: x.u(g) + u(x).  Degree 2: x.u(g, w) + u(x, g w) - u(x, g).
-        T holds batch-last tables (n, W, k, b); g is one element, or
-        ``slice(None)`` for all of them at once (then the result gains a
-        leading axis over g).
+        T holds batch-last tables (n, W, k, b); g is one element, or an
+        index array or ``slice(None)`` for several at once (then the result
+        gains a leading axis over g).
         """
         acted = T[g] if self._acts_trivially[x] else np.matmul(self.module.act[x], T[g]) % self.L
         if self.degree == 1:
@@ -167,90 +170,80 @@ class CohomologyGroup:
         out -= T[x, g][..., None, :, :]  # broadcast over w
         return out
 
-    def _build_expansion(self):
-        # E[f, w, i] expresses u(f, w)_i in the slice variables
-        self._E = self._tables_from_slices(np.eye(self.s, dtype=np.int64))
-
-    def _pair_rows(self, xi: int, g: int) -> np.ndarray:
-        x = self.X[xi]
-        f = self.module.group.op(x, g)
-        rows = (self._E[f] - self._law_rhs(self._E, x, g)).reshape(self.W * self.k, self.s)
-        return scaled_rows(rows, np.tile(self._orders, self.W), self.L)
-
     # -- cocycles ------------------------------------------------------------
 
-    def _all_pairs(self):
-        G = self.module.group
-        tree = {(xi, g) for f, (xi, g) in self.parent.items()}
-        return [
-            (xi, g)
-            for xi in range(len(self.X))
-            for g in G.elements()
-            if (xi, g) not in tree
-        ]
-
     def _compute_cocycles(self):
-        pairs = self._all_pairs()
+        # the pairs (x, g) whose condition the tree does not already impose
+        off_tree = np.ones((len(self.X), self.n), dtype=bool)
+        for xi, g in self.parent.values():
+            off_tree[xi, g] = False
+        pairs = np.argwhere(off_tree)
         per_pair = self.W * self.k
         target_rows = max(3 * self.s, 64)
-        if len(pairs) * per_pair <= max(target_rows * 2, 4096):
-            chosen = list(pairs)
-        else:
+        if len(pairs) * per_pair > max(target_rows * 2, 4096):
             take = min(len(pairs), max(2, target_rows // max(per_pair, 1)))
-            idx = self._rng.permutation(len(pairs))[:take]
-            chosen = [pairs[i] for i in idx]
-        rows = (
-            np.concatenate([self._pair_rows(xi, g) for xi, g in chosen], axis=0)
-            if chosen
-            else np.zeros((0, self.s), dtype=np.int64)
-        )
-        # The first round solves the sampled conditions on the slices, a later
-        # one the violated conditions on the rows of the previous kernel
-        # (module docstring): that kernel is then the basis of the solutions.
-        basis = None
+            pairs = pairs[np.random.default_rng(0).permutation(len(pairs))[:take]]
+        # Round 1 solves the sampled conditions, read off the unit slice
+        # vectors; a later round the violated conditions on the rows of the
+        # previous kernel, which generate its solutions (module docstring).
+        rows = self._certificate(np.eye(self.s, dtype=np.int64), pairs)[1]
+        kern = _kernel_uniform(rows, self.L)
         for _ in range(12):
-            kern = _kernel_uniform(rows, self.L)
-            if basis is not None:
-                kern = matmul_mod(kern, basis, self.L)
-                kern = kern[kern.any(axis=1)]
             bad, rows = self._certificate(kern)
             if not bad:
                 self._z_rows = kern
                 return
-            basis = kern
+            kern = matmul_mod(_kernel_uniform(rows, self.L), kern, self.L)
+            kern = kern[kern.any(axis=1)]
         raise BoundExceeded(
-            f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {len(pairs)} pairs still violated)"
+            f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {off_tree.sum()} pairs still violated)"
         )
 
-    def _certificate(self, kern: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Exact certificate: re-check every generator-slot condition on every row.
+    def _certificate(
+        self, kern: np.ndarray, pairs: np.ndarray | None = None
+    ) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Exact certificate: re-check generator-slot conditions on every row.
 
-        For each generator x, the defect u(x g, w) - (the law's right-hand
-        side) is formed for all g, w and rows at once on the batch-last
-        tables and reduced mod the orders once.  Returns the pairs (x, g)
-        with a nonzero defect and, W * k rows per pair in the same order,
-        their defects on the rows of ``kern``, scaled to Z/L as
-        ``_pair_rows`` scales its conditions: the rows of pair (x, g) are
-        ``_pair_rows(x, g) @ kern.T`` mod L.
+        ``pairs`` lists the pairs (x index, g) to check, by default every
+        one, generator-major.  For each generator x, the defect
+        u(x g, w) - (the law's right-hand side) is formed for its pairs,
+        every w and every row at once on the batch-last tables and reduced
+        mod the orders once.  Returns the checked pairs with a nonzero
+        defect, in the order of ``pairs``, and, W * k rows per pair in the
+        same order, their defects on the rows of ``kern``, each row scaled
+        from Z/o_i to Z/L.  On the unit slice vectors (``kern`` the
+        identity) these rows are the pairs' conditions on the slices, and
+        on any ``kern`` they are those conditions times ``kern.T`` mod L.
         """
         b = kern.shape[0]
         if kern.size == 0:
             return [], np.zeros((0, b), dtype=np.int64)
+        every = pairs is None
+        if every:
+            pairs = np.argwhere(np.ones((len(self.X), self.n), dtype=bool))
         T = self._tables_from_slices(kern)  # (n, W, k, b)
         mul = self.module.group.mul
         orders = self._orders[:, None]
-        bad, rows = [], []
+        at, defects = [], []
         for xi, x in enumerate(self.X):
-            diff = self._law_rhs(T, x, slice(None))
-            np.subtract(T[mul[x]], diff, out=diff)
+            pos = np.flatnonzero(pairs[:, 0] == xi)
+            gs = slice(None) if every else pairs[pos, 1]  # a slice gathers no copy of T
+            diff = self._law_rhs(T, x, gs)
+            np.subtract(T[mul[x, gs]], diff, out=diff)
             diff %= orders
-            gs = np.flatnonzero(diff.any(axis=(1, 2, 3)))
-            if gs.size:
-                bad.extend((xi, int(g)) for g in gs)
-                rows.append(diff[gs].reshape(-1, b))
-        if not bad:
-            return bad, np.zeros((0, b), dtype=np.int64)
-        return bad, scaled_rows(np.concatenate(rows), np.tile(self._orders, len(bad) * self.W), self.L)
+            hit = diff.any(axis=(1, 2, 3))
+            if hit.any():
+                at.append(pos[hit])
+                defects.append(scaled_rows(diff[hit].reshape(-1, b), np.tile(self._orders, hit.sum() * self.W), self.L))
+        if not at:
+            return [], np.zeros((0, b), dtype=np.int64)
+        at = np.concatenate(at)
+        rows = np.concatenate(defects).reshape(len(at), self.W * self.k, b)
+        if not every:  # the blocks come generator by generator: restore the order of ``pairs``
+            del defects  # free the blocks before the reorder copies the rows
+            order = np.argsort(at)
+            at, rows = at[order], rows[order]
+        return [(int(xi), int(g)) for xi, g in pairs[at]], rows.reshape(-1, b)
 
     def _tables_from_slices(self, slices: np.ndarray) -> np.ndarray:
         """Full cochain tables of slice vectors, batch-last: shape (n, W, k, b).
@@ -386,8 +379,8 @@ class CohomologyGroup:
         sol = sol[: self._b_rows.shape[0]]  # coefficients of the basis coboundaries
         shape = (self.n,) * (self.degree - 1) + (self.k,)
         witness = Cochain(self.module, self.degree - 1, np.asarray(sol, dtype=np.int64).reshape(shape))
-        d = differential(witness)
-        assert (d.table == c.table).all(), "coboundary witness mismatch"
+        if (differential(witness).table != c.table).any():
+            raise AssertionError("coboundary witness mismatch")
         return witness
 
 
@@ -431,44 +424,12 @@ class ShortExactSequence:
         if K2.cardinality != self.sub.ab.cardinality:
             raise ValueError("sequence not exact in the middle")
 
-    def section_of_proj(self):
-        """Cached set-theoretic section of proj (pointwise preimages)."""
-        from .abelian import solve_preimage
-
-        cache: dict[tuple, np.ndarray] = {}
-
-        def lift(coords) -> np.ndarray:
-            key = tuple(int(x) for x in coords)
-            if key not in cache:
-                pre = solve_preimage(self.proj, self.quot.ab.element(key))
-                assert pre is not None
-                cache[key] = np.array(pre.coords, dtype=np.int64)
-            return cache[key]
-
-        return lift
-
-    def pull_back(self):
-        """Exact pointwise preimage under the (injective) inclusion."""
-        from .abelian import solve_preimage
-
-        cache: dict[tuple, np.ndarray] = {}
-
-        def pull(coords) -> np.ndarray:
-            key = tuple(int(x) for x in coords)
-            if key not in cache:
-                pre = solve_preimage(self.incl, self.mid.ab.element(key))
-                assert pre is not None, "element does not come from the subobject"
-                cache[key] = np.array(pre.coords, dtype=np.int64)
-            return cache[key]
-
-        return pull
-
 
 def connecting_cochain(ses: ShortExactSequence, c: Cochain) -> Cochain:
     """delta at the cochain level: lift, differentiate, pull back."""
     assert c.module is ses.quot or c.module.ab == ses.quot.ab
-    lift = ses.section_of_proj()
-    pull = ses.pull_back()
+    lift = cached_preimage(ses.proj)
+    pull = cached_preimage(ses.incl)
     n = ses.mid.group.size
     r = c.degree
     flatq = c.table.reshape(-1, ses.quot.ab.rank)

@@ -375,10 +375,11 @@ class TwistedForm:
         self.cp = datum.cp
         if twist is None:
             twist = zero_cochain(datum.Msum, 1)
-        assert twist.degree == 1 and twist.module.ab == datum.Msum.ab
+        if twist.degree != 1 or twist.module.ab != datum.Msum.ab:
+            raise ValueError("twisting datum must be a 1-cochain valued in M + M")
+        if not cohomology(datum.Msum, 1).is_cocycle(twist):
+            raise ValueError("twisting datum must be a cocycle")
         self.twist = twist
-        H1 = cohomology(datum.Msum, 1)
-        assert H1.is_cocycle(twist), "twisting datum must be a cocycle"
 
     def act(self, q: int, z, a):
         """sigma ._a (z, alpha) in closed form."""
@@ -547,21 +548,6 @@ def lambda_prime_extraction(tf: TwistedForm, z: Cochain, a: Cochain, eps: Cochai
         + differential(pointwise_tensor(x, ty, t, d.MMmod))
     )
     return w
-
-
-def phi_section(datum: BKDatum):
-    """A cached pointwise section of phi."""
-    cache: dict[tuple, np.ndarray] = {}
-
-    def lift(coords) -> np.ndarray:
-        key = tuple(int(v) for v in coords)
-        if key not in cache:
-            pre = solve_preimage(datum.phi, datum.Z.element(key))
-            assert pre is not None, "phi must be surjective"
-            cache[key] = np.array(pre.coords, dtype=np.int64)
-        return cache[key]
-
-    return lift
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .abelian import FinAbGroup, all_coords
+from .abelian import FinAbGroup
 from .groups import (
     FiniteGroup,
     Subgroup,
     alternating_subgroup_s3,
+    class_two_group,
     cyclic_group,
     generated_subgroup,
     named_abelian,
@@ -53,35 +52,6 @@ def shapiro_fixtures(coefficients=("C2", "C3", "C2xC2")) -> list[ShapiroFixture]
         for pname, G, H, Ds in pairs:
             out.append(ShapiroFixture(f"{pname}:A={cname}", G, H, A, Ds))
     return out
-
-
-def class_two_group(v_orders, w_orders, beta, name: str = "G") -> FiniteGroup:
-    """The group V x W with (v, z)(v', z') = (v + v', z + z' + beta(v, v')).
-
-    beta(v, v') = sum_{i<j} v_i v'_j beta[i, j] is the upper-triangular
-    bilinear map V x V -> W given by the W-vectors beta[i, j], i < j.  It is
-    a 2-cocycle, so the product is a group, central in W and of class <= 2.
-    Element (v, z) has index v-index * |W| + z-index, coordinates in
-    lexicographic order, so the identity is 0.
-    """
-    V, W = FinAbGroup(tuple(v_orders)), FinAbGroup(tuple(w_orders))
-    if not V.rank:
-        raise ValueError("V needs at least one cyclic factor")
-    vmods = np.array(V.orders, dtype=np.int64)
-    wmods = np.array(W.orders, dtype=np.int64)
-    beta = np.asarray(beta, dtype=np.int64).reshape(V.rank, V.rank, W.rank) % wmods
-    if beta[~np.triu(np.ones((V.rank, V.rank), dtype=bool), 1)].any():
-        raise ValueError("beta must vanish on and below the diagonal")
-    if (beta * vmods[:, None, None] % wmods).any() or (beta * vmods[None, :, None] % wmods).any():
-        raise ValueError("beta is not well defined on the orders of V")
-    v, z = all_coords(V), all_coords(W)
-    vsum = (v[:, None] + v[None, :]) % vmods  # (a, b) -> v_a + v_b
-    shift = np.einsum("ai,bj,ijk->abk", v, v, beta)  # (a, b) -> beta(v_a, v_b)
-    zsum = (z[None, :, None, None] + z[None, None, None, :] + shift[:, None, :, None]) % wmods
-    vidx = np.ravel_multi_index(tuple(np.moveaxis(vsum, -1, 0)), V.orders)
-    zidx = np.ravel_multi_index(tuple(np.moveaxis(zsum, -1, 0)), W.orders)
-    mul = vidx[:, None, :, None] * len(z) + zidx
-    return FiniteGroup(mul.reshape(len(v) * len(z), -1), name=name)
 
 
 BK_FAMILY = (

@@ -25,6 +25,7 @@ from .abelian import (
     FinAbGroup,
     Presentation,
     TensorProduct,
+    all_coords,
     subgroup_span,
 )
 from .intmat import ModSpan
@@ -345,24 +346,42 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup(mul, labels=names, name="Q8")
 
 
+def class_two_group(v_orders, w_orders, beta, name: str = "G") -> FiniteGroup:
+    """The group V x W with (v, z)(v', z') = (v + v', z + z' + beta(v, v')).
+
+    beta(v, v') = sum_{i<j} v_i v'_j beta[i, j] is the upper-triangular
+    bilinear map V x V -> W given by the W-vectors beta[i, j], i < j.  It is
+    a 2-cocycle, so the product is a group, central in W and of class <= 2.
+    Element (v, z) has index v-index * |W| + z-index, coordinates in
+    lexicographic order, so the identity is 0.
+    """
+    V, W = FinAbGroup(tuple(v_orders)), FinAbGroup(tuple(w_orders))
+    if not V.rank:
+        raise ValueError("V needs at least one cyclic factor")
+    vmods = np.array(V.orders, dtype=np.int64)
+    wmods = np.array(W.orders, dtype=np.int64)
+    beta = np.asarray(beta, dtype=np.int64).reshape(V.rank, V.rank, W.rank) % wmods
+    if beta[~np.triu(np.ones((V.rank, V.rank), dtype=bool), 1)].any():
+        raise ValueError("beta must vanish on and below the diagonal")
+    if (beta * vmods[:, None, None] % wmods).any() or (beta * vmods[None, :, None] % wmods).any():
+        raise ValueError("beta is not well defined on the orders of V")
+    v, z = all_coords(V), all_coords(W)
+    vsum = (v[:, None] + v[None, :]) % vmods  # (a, b) -> v_a + v_b
+    shift = np.einsum("ai,bj,ijk->abk", v, v, beta)  # (a, b) -> beta(v_a, v_b)
+    zsum = (z[None, :, None, None] + z[None, None, None, :] + shift[:, None, :, None]) % wmods
+    vidx = np.ravel_multi_index(tuple(np.moveaxis(vsum, -1, 0)), V.orders)
+    zidx = np.ravel_multi_index(tuple(np.moveaxis(zsum, -1, 0)), W.orders)
+    mul = vidx[:, None, :, None] * len(z) + zidx
+    return FiniteGroup(mul.reshape(len(v) * len(z), -1), name=name)
+
+
 def heisenberg_group(p: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over Z/p; order p^3, class 2 for all p."""
-    size = p**3
+    """Unitriangular 3x3 matrices over Z/p; order p^3, class 2 for all p.
 
-    def enc(a, b, c):
-        return (a * p + b) * p + c
-
-    mul = np.zeros((size, size), dtype=np.int64)
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for x in range(p):
-                    for y in range(p):
-                        for z in range(p):
-                            mul[enc(a, b, c), enc(x, y, z)] = enc(
-                                (a + x) % p, (b + y) % p, (c + z + a * y) % p
-                            )
-    return FiniteGroup(mul, name=f"Heis{p**3}")
+    (a, b, c)(x, y, z) = (a + x, b + y, c + z + a y): the class-two group
+    on V = (Z/p)^2 and W = Z/p with beta(v, v') = v_0 v'_1.
+    """
+    return class_two_group((p, p), (p,), [[[0], [1]], [[0], [0]]], name=f"Heis{p**3}")
 
 
 GROUP_CATALOG = {

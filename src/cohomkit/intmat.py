@@ -12,9 +12,9 @@ under the annihilator rows, which makes membership and kernels exact over
 Z/L for any L.
 
 ``ModSpan`` (spans, membership, coordinates, solving, left kernels),
-``howell_form``, ``left_kernel``, ``kernel_mod``, ``solve_mod`` and
-``kernel_uniform`` all run on the sweep; ``diagonalize_mod`` applies its
-column step to rows and columns to present quotients of (Z/L)^p.
+``howell_form``, ``solve_mod`` and ``kernel_uniform`` all run on the sweep;
+``diagonalize_mod`` applies its column step to rows and columns to present
+quotients of (Z/L)^p.
 
 The sweep works column by column, and a dense pivot row fills in every row
 it clears.  ``kernel_uniform`` therefore hands its conditions to the sweep
@@ -406,17 +406,6 @@ class ModSpan:
 def howell_form(rows, L: int, n: int | None = None) -> np.ndarray:
     """Canonical Howell basis of the span of ``rows`` in (Z/L)^n."""
     return ModSpan(rows, L, n=n).basis
-
-
-def left_kernel(rows, L: int) -> np.ndarray:
-    """Generators of {x : x @ rows == 0 mod L}."""
-    return ModSpan(rows, L, track=True).kernel()
-
-
-def kernel_mod(A, L: int) -> np.ndarray:
-    """Generators (as rows) of {x : A @ x == 0 mod L}."""
-    A = np.asarray(A, dtype=np.int64)
-    return left_kernel(A.T, L)
 
 
 def solve_mod(A, b, L: int):

@@ -150,7 +150,8 @@ def neutrality_via_delta(datum: BKDatum, beta: Cochain, work_bound: int = 1 << 2
     """
     H1 = cohomology(datum.Msum, 1, work_bound=work_bound)
     H2z = cohomology(datum.Zmod, 2, work_bound=work_bound)
-    assert H2z.is_cocycle(beta), "beta must be a 2-cocycle valued in Z"
+    if not H2z.is_cocycle(beta):
+        raise ValueError("beta must be a 2-cocycle valued in Z")
     tf = TwistedForm(datum)  # zero twist: Delta([x,y]) = phi_*[x u y]
     for cls in H1.classes():
         img = delta_twisted_formula(tf, cls.rep)

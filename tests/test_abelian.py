@@ -22,6 +22,7 @@ from cohomkit.abelian import (
     invariant_factors,
     is_cyclic,
     kernel,
+    cached_preimage,
     same_invariants,
     scaled_rows,
     solve_preimage,
@@ -137,6 +138,16 @@ def test_solve_preimage():
     assert s is not None and h(s).coords == (2,)
     assert solve_preimage(h, Z4.element([1])) is None
     assert solve_preimage(AbHom.identity(Z4), Z4.element([3])).coords == (3,)
+
+
+def test_cached_preimage():
+    h = AbHom(Z4, Z4, [[2]])
+    lift = cached_preimage(h)
+    pre = lift([2])
+    assert h(Z4.element(pre)).coords == (2,)
+    assert lift((2,)) is pre  # solved once, then cached
+    with pytest.raises(ValueError, match="not in the image"):
+        lift([1])
 
 
 def test_kernel_image_product_exhaustive():

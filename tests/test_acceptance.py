@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from cohomkit.abelian import AbHom, FinAbGroup, same_invariants, solve_preimage
+from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, same_invariants, solve_preimage
 from cohomkit.brauer import (
     b0_closed_form,
     b0_closed_form_cp,
@@ -41,7 +41,6 @@ from cohomkit.crossed import (
     is_nondegenerate,
     kernel_module,
     lambda_prime_extraction,
-    phi_section,
     pullback_module,
     q_power_and_relevable,
 )
@@ -252,7 +251,7 @@ def test_criterion_07_cohomologous_witness_lemma(orders, gname):
     Kmod, incl = kernel_module(d.MMmod, d.phi)
     ses = ShortExactSequence(Kmod, d.MMmod, d.Zmod, incl, d.phi)
     H2k = cohomology(Kmod, 2)
-    lift = phi_section(d)
+    lift = cached_preimage(d.phi)
     rng = np.random.default_rng(11)
     twists = _all_z1(d.Msum)
     checked = 0

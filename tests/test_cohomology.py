@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import AbHom, FinAbGroup
+from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, scaled_rows
 from cohomkit.cochain import Cochain, differential, random_cochain
 from cohomkit.cohomology import (
     BoundExceeded,
@@ -72,12 +72,24 @@ def test_mixed_order_coefficients(degree, size):
 
 def test_sampling_that_does_not_converge_exceeds_the_bound(monkeypatch):
     # a certificate that always flags a pair, with a condition every row meets
-    def flag_one_pair(self, kern):
+    def flag_one_pair(self, kern, pairs=None):
         return [(0, 0)], np.zeros((1, kern.shape[0]), dtype=np.int64)
 
     monkeypatch.setattr(CohomologyGroup, "_certificate", flag_one_pair)
     with pytest.raises(BoundExceeded, match="did not converge"):
         cohomology(trivial_module(cyclic_group(4), FinAbGroup((2,))), 2)
+
+
+def _slice_conditions(H):
+    """Every generator-slot condition on the slices, from the differential.
+
+    Entry [xi, g] holds the W * k conditions of the pair (x, g), x = X[xi]:
+    column j is the cocycle law's defect at (x, g) on u = H.cochain(e_j),
+    u(x g, .) - x.u(g, .) - ... = -d(u)(x, g, .), scaled from Z/o_i to Z/L.
+    """
+    d = np.stack([-differential(H.cochain(e)).table[H.X] for e in np.eye(H.s, dtype=np.int64)], axis=-1)
+    orders = np.tile(H.module.ab.orders, len(H.X) * H.n * H.W)
+    return scaled_rows(d.reshape(-1, H.s), orders, H.L).reshape(len(H.X), H.n, H.W * H.k, H.s)
 
 
 # H^2 builds whose sampled conditions miss some: each takes a second round
@@ -107,7 +119,7 @@ def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
     # the second round solves over the rows of the first kernel, not the slices
     assert calls[1][1] < H.s
     # the cocycles are the solutions of every pair's conditions
-    every = np.concatenate([H._pair_rows(xi, g) for xi, g in H._all_pairs()])
+    every = _slice_conditions(H).reshape(-1, H.s)
     want = howell_form(kernel_uniform(every, H.L), H.L, n=H.s)
     assert np.array_equal(howell_form(H.z_rows, H.L, n=H.s), want)
 
@@ -270,8 +282,8 @@ def test_connecting_independent_of_lift_and_lands_in_cocycles():
         assert Hs.classes_equal(out, out2)
         # an alternate pointwise lift (shifted by a subobject-valued cochain)
         # moves the connecting cochain by an exact coboundary
-        lift = ses.section_of_proj()
-        pull = ses.pull_back()
+        lift = cached_preimage(ses.proj)
+        pull = cached_preimage(ses.incl)
         shift = random_cochain(ses.sub, 1, rng)
         lifted = np.array([lift(v) for v in cls.rep.table], dtype=np.int64)
         alt = Cochain(ses.mid, 1, lifted) + shift.mapped(ses.incl, ses.mid)
@@ -351,6 +363,7 @@ def test_violating_pairs_match_the_differential(name, degree):
     vectors += [H.z_rows[:1] + rng.integers(0, orders, size=(1, H.s))]
     mods = np.array(M.ab.orders, dtype=np.int64)
     shape = (H.n,) * degree + (H.k,)
+    conditions = _slice_conditions(H)
     for V in vectors:
         T = H._tables_from_slices(V)
         expected = set()
@@ -362,12 +375,18 @@ def test_violating_pairs_match_the_differential(name, degree):
         got, rows = H._certificate(V)
         assert len(got) == len(set(got))
         assert set(got) == expected
+        # a shuffled list of pairs is checked in its own order
+        listed = [(int(xi), int(g)) for xi in range(len(H.X)) for g in range(H.n)]
+        listed = [listed[i] for i in rng.permutation(len(listed))[: H.n]]
+        got_listed, rows_listed = H._certificate(V, np.array(listed))
+        assert got_listed == [p for p in listed if p in expected]
         # each flagged pair's rows are its conditions evaluated on V
         per_pair = H.W * H.k
-        assert rows.shape == (len(got) * per_pair, V.shape[0])
-        for p, (xi, g) in enumerate(got):
-            want = matmul_mod(H._pair_rows(xi, g), V.T % H.L, H.L)
-            assert (rows[p * per_pair : (p + 1) * per_pair] == want).all()
+        for flagged, flagged_rows in ((got, rows), (got_listed, rows_listed)):
+            assert flagged_rows.shape == (len(flagged) * per_pair, V.shape[0])
+            for p, (xi, g) in enumerate(flagged):
+                want = matmul_mod(conditions[xi, g], V.T % H.L, H.L)
+                assert (flagged_rows[p * per_pair : (p + 1) * per_pair] == want).all()
     assert H._certificate(H.z_rows)[0] == []
 
 

@@ -311,10 +311,10 @@ def test_witness_delta_identity_point3():
     ses = ShortExactSequence(Kmod, d.MMmod, d.Zmod, incl, d.phi)
     H2z = cohomology(d.Zmod, 2)
     H2k = cohomology(Kmod, 2)
-    from cohomkit.crossed import lambda_prime_extraction, phi_section
-    from cohomkit.abelian import solve_preimage
+    from cohomkit.crossed import lambda_prime_extraction
+    from cohomkit.abelian import cached_preimage, solve_preimage
 
-    lift = phi_section(d)
+    lift = cached_preimage(d.phi)
     rng = np.random.default_rng(7)
     checked = 0
     for tw in _all_z1(d)[:2]:
@@ -436,18 +436,22 @@ def test_verify_bk_witness_is_first_non_associative_triple(monkeypatch):
 def test_identity_checks_survive_optimized_mode():
     """The class-2, lift, power and conjugator checks, the normality checks,
     the section, factorization and decomposition invariants, the exactness of a short exact
-    sequence and the witness rule of a failing record raise under python -O, and an
-    H^2 build that takes a second certification round gives the same group."""
+    sequence, the witness rule of a failing record, the cocycle checks on a twist and on
+    a neutrality class, the coboundary witness self-check and a preimage outside the
+    image raise under python -O, and an H^2 build that takes a second certification
+    round gives the same group."""
     script = """
 import sys
 import numpy as np
 import cohomkit.brauer as B
 import cohomkit.crossed as C
+import cohomkit.cohomology as CH
 import cohomkit.groups as G
-from cohomkit.abelian import AbHom, FinAbGroup
+from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage
 from cohomkit.cochain import Cochain, conjugation_action
 from cohomkit.cohomology import ShortExactSequence, cohomology
 from cohomkit.groups import cyclic_group, named_group
+from cohomkit.nonab import neutrality_via_delta
 from cohomkit.report import CheckRecord
 
 assert sys.flags.optimize
@@ -513,6 +517,21 @@ C4 = FinAbGroup((4,))
 print(outcome(lambda: B.hom_value(C4, C4.element([1]), C4.element([1]), 2)))
 print(outcome(lambda: B.cyclic_span_detect(C4, [C4.element([2])], C4.element([1]), 2)))
 print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element([1]), 2)))
+# u(e) != 0 is no twist, and beta(e, e) = 1 alone is no 2-cocycle: d beta(e, e, g) = -1
+d = C.build_bk(FinAbGroup((2,)), cyclic_group(2))
+u = np.zeros((2, d.Msum.ab.rank), dtype=np.int64)
+u[0, 0] = 1
+print(outcome(lambda: C.TwistedForm(d, Cochain(d.Msum, 1, u))))
+beta = np.zeros((2, 2, d.Zmod.ab.rank), dtype=np.int64)
+beta[0, 0, 0] = 1
+print(outcome(lambda: neutrality_via_delta(d, Cochain(d.Zmod, 2, beta))))
+# a witness whose differential misses the coboundary
+H2 = cohomology(G.trivial_module(C2, FinAbGroup((4,))), 2)
+db = CH.differential(Cochain(H2.module, 1, np.array([[0], [1]])))
+differential, CH.differential = CH.differential, lambda w: db + db
+print(outcome(lambda: H2.coboundary_witness(db)))
+CH.differential = differential
+print(outcome(lambda: cached_preimage(AbHom(C4, C4, [[2]]))([1])))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -550,6 +569,10 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "ValueError: exponent of G must divide n",
         "ValueError: exponent of G must divide n",
         "ValueError: exponent of G must divide n",
+        "ValueError: twisting datum must be a cocycle",
+        "ValueError: beta must be a 2-cocycle valued in Z",
+        "AssertionError: coboundary witness mismatch",
+        "ValueError: (1,) is not in the image",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

@@ -1,5 +1,7 @@
 """Table groups, induced modules, sections, and the decomposition isos."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from cohomkit.groups import (
     direct_product,
     dual_module,
     generated_subgroup,
+    heisenberg_group,
     induced_module,
     is_simple_module,
     minimal_generating_set,
@@ -50,6 +53,16 @@ def test_catalog_groups_validate(name):
     assert G.op(0, 0) == 0
     for g in G.elements():
         assert G.op(g, int(G.inv[g])) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_heisenberg_table_matches_unitriangular_product(p):
+    # (a, b, c)(x, y, z) = (a + x, b + y, c + z + a y), element (a, b, c) at (a p + b) p + c
+    G = heisenberg_group(p)
+    assert G.size == p**3 and G.name == f"Heis{p**3}"
+    for a, b, c, x, y, z in itertools.product(range(p), repeat=6):
+        want = (((a + x) % p) * p + (b + y) % p) * p + (c + z + a * y) % p
+        assert G.op((a * p + b) * p + c, (x * p + y) * p + z) == want
 
 
 def test_bad_table_rejected_with_triple():
