@@ -251,16 +251,16 @@ class Presentation:
         self.L = lcm(*self.ambient_orders)
         self.s_span = subgroup_span(self.ambient_orders, s_gens)
         self.t_span = subgroup_span(self.ambient_orders, t_gens)
-        for row in self.t_span.basis:
-            if not self.s_span.contains(row):
-                raise ValueError("denominator subgroup is not contained in numerator")
         B = self.s_span.basis
         p = B.shape[0]
+        # [B; T] spans S + T, which is S exactly when T <= S
+        stacked = ModSpan(np.concatenate([B, self.t_span.basis]), self.L, n=n, track=True)
+        if stacked.size() != self.s_span.size():
+            raise ValueError("denominator subgroup is not contained in numerator")
         # relations: coordinates c over B with c @ B in T, the first p
         # columns of the left kernel of [B; T]; L*I is among them, so
         # diagonalizing over Z/L is exact
-        stacked = np.concatenate([B, self.t_span.basis])
-        rel = ModSpan(stacked, self.L, n=n, track=True).kernel()[:, :p]
+        rel = stacked.kernel()[:, :p]
         diag, self._U = diagonalize_mod(rel.T, self.L)  # relations as columns
         self._diag = diag + [self.L] * (p - len(diag))
         self._keep = [i for i, d in enumerate(self._diag) if d > 1]

@@ -257,10 +257,12 @@ def _character_carries(G: FiniteGroup, N: int) -> list[np.ndarray]:
     coords = ab.coords[proj]  # (n, rank)
     out = []
     for i, d in enumerate(ab.group.orders):
-        assert N % d == 0
+        if N % d:
+            raise AssertionError(f"a character of order {d} has no values in Z/{N}")
         vals = (coords[:, i] * (N // d)) % N
         total = vals[:, None] + vals[None, :] - vals[G.mul]
-        assert (total % N == 0).all()
+        if (total % N).any():
+            raise AssertionError("character carry is not integral")
         out.append((total // N) % N)
     return out
 
@@ -272,7 +274,8 @@ def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
     carry_rows = []
     for tab in _character_carries(G, N):
         c = Cochain(triv, 2, tab.reshape(G.size, G.size, 1))
-        assert H2.is_cocycle(c)
+        if not H2.is_cocycle(c):
+            raise AssertionError("character carry is not a 2-cocycle")
         carry_rows.append(H2.slice_coords(c))
     t_rows = np.concatenate(
         [H2.b_rows] + ([np.array(carry_rows, dtype=np.int64)] if carry_rows else []), axis=0

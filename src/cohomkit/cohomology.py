@@ -21,18 +21,23 @@ the earlier conditions, so {x : A1 x = 0, A2 x = 0} = {c K : (A2 K^T) c = 0}.
 Round 1 is the same step with K the identity.
 
 Class arithmetic (equality, membership of coboundaries, enumeration) happens
-on slice coordinates, where the coboundary subgroup is a Howell span.
+on slice coordinates, where the coboundary subgroup is a Howell span.  The
+presentation of Z/B is formed the first time it is read, so a build whose
+group is never asked for, such as one that only tests cocycles, forms none.
+The trivial group takes the same path with X = {e}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .abelian import (
     AbElement,
     AbHom,
+    FinAbGroup,
     Presentation,
     cached_preimage,
     scaled_rows,
@@ -67,7 +72,12 @@ class CohomologyClass:
 
 
 class CohomologyGroup:
-    """H^r(G, M) with explicit cocycle representatives and class decisions."""
+    """H^r(G, M) with explicit cocycle representatives and class decisions.
+
+    Every group, the trivial one included with X = {e}, builds Z and B from
+    the generator slices; degree 0 reads the fixed points directly.  The
+    presentation of Z/B, and with it ``group``, is formed on first read.
+    """
 
     def __init__(self, module: GModule, degree: int, work_bound: int = 1 << 26):
         if degree < 0:
@@ -84,10 +94,9 @@ class CohomologyGroup:
         if degree == 0:
             self._init_degree0()
             return
-        if self.n == 1:
-            self._init_trivial_group()
-            return
-        self.X = minimal_generating_set(G)
+        # over the trivial group X = {e}: the law at (e, e) forces u(e) = 0
+        # in degree 1 and imposes nothing in degree 2, where B^2 = M
+        self.X = minimal_generating_set(G) or [0]
         self.W = self.n ** (degree - 1)
         self.s = len(self.X) * self.W * self.k
         if self.n * self.W * max(self.k, 1) * max(self.s, 1) > work_bound:
@@ -97,9 +106,6 @@ class CohomologyGroup:
         self._build_tree()
         self._compute_cocycles()
         self._compute_coboundaries()
-        ambient = tuple(self.module.ab.orders) * (len(self.X) * self.W) if self.k else ()
-        self.presentation = Presentation(ambient, self._z_rows, self._b_rows)
-        self.group = self.presentation.group
 
     # -- degree 0 ------------------------------------------------------------
 
@@ -109,26 +115,9 @@ class CohomologyGroup:
         A = (M.act - np.eye(self.k, dtype=np.int64)).reshape(self.n * self.k, self.k)
         self._z_rows = _kernel_uniform(scaled_rows(A, M.ab.orders * self.n, self.L), self.L)
         self._b_rows = np.zeros((0, self.k), dtype=np.int64)
-        self.presentation = Presentation(self.module.ab.orders, self._z_rows, self._b_rows)
-        self.group = self.presentation.group
         self.X = []
         self.W = 1
         self.s = self.k
-
-    def _init_trivial_group(self):
-        # over the trivial group the full bar complex alternates: d is zero
-        # from even degrees and the identity from odd degrees
-        self.X = []
-        self.W = 1
-        self.s = self.k
-        eye = np.eye(self.k, dtype=np.int64)
-        empty = np.zeros((0, self.k), dtype=np.int64)
-        if self.degree % 2 == 0:
-            self._z_rows, self._b_rows = eye, eye
-        else:
-            self._z_rows, self._b_rows = empty, empty
-        self.presentation = Presentation(self.module.ab.orders, self._z_rows, self._b_rows)
-        self.group = self.presentation.group
 
     # -- tree -----------------------------------------------------------------
 
@@ -284,6 +273,15 @@ class CohomologyGroup:
 
     # -- public API ------------------------------------------------------------
 
+    @cached_property
+    def presentation(self) -> Presentation:
+        """Z/B in slice coordinates, formed the first time it is read."""
+        return Presentation(self.ambient_orders, self._z_rows, self._b_rows)
+
+    @property
+    def group(self) -> FinAbGroup:
+        return self.presentation.group
+
     @property
     def size(self) -> int:
         return self.group.cardinality
@@ -304,7 +302,7 @@ class CohomologyGroup:
 
     def slice_coords(self, c: Cochain) -> np.ndarray:
         """Slice coordinate vector of a cochain table."""
-        if self.degree == 0 or self.n == 1:
+        if self.degree == 0:
             return np.asarray(c.table, dtype=np.int64).reshape(self.s)
         t = c.table.reshape(self.n, self.W, self.k)
         out = np.zeros(self.s, dtype=np.int64)
@@ -319,8 +317,6 @@ class CohomologyGroup:
                 (self.module.apply(g, c.table) == c.table).all()
                 for g in self.module.group.elements()
             )
-        if self.n == 1:
-            return self.degree % 2 == 0 or not c.table.any()
         vec = self.slice_coords(c)
         if (self.cochain(vec).table != c.table).any():
             return False
@@ -334,7 +330,7 @@ class CohomologyGroup:
 
     def cochain(self, vec: np.ndarray) -> Cochain:
         """The cochain with slice coordinates `vec`, expanded by the cocycle law."""
-        if self.degree == 0 or self.n == 1:
+        if self.degree == 0:
             return Cochain(self.module, self.degree, vec)
         return Cochain(self.module, self.degree, self._tables_from_slices(np.reshape(vec, (1, -1))))
 
@@ -427,7 +423,8 @@ class ShortExactSequence:
 
 def connecting_cochain(ses: ShortExactSequence, c: Cochain) -> Cochain:
     """delta at the cochain level: lift, differentiate, pull back."""
-    assert c.module is ses.quot or c.module.ab == ses.quot.ab
+    if not (c.module is ses.quot or c.module.ab == ses.quot.ab):
+        raise ValueError("the cochain must take values in the quotient module")
     lift = cached_preimage(ses.proj)
     pull = cached_preimage(ses.incl)
     n = ses.mid.group.size
@@ -467,7 +464,8 @@ def cyclic_cohomology_size(M: GModule, degree: int) -> int:
         if G.order_of(g) == G.size:
             gen = g
             break
-    assert gen is not None, "group is not cyclic"
+    if gen is None:
+        raise ValueError("group is not cyclic")
     k = M.ab.rank
     eye = np.eye(k, dtype=np.int64)
     norm = np.zeros((k, k), dtype=np.int64)

@@ -47,16 +47,11 @@ from .groups import (
     constant_inclusion,
     derived_subgroup,
     induced_module,
+    pullback_module,
     quotient_module,
     tensor_module,
 )
 from .intmat import kernel_uniform
-
-
-def pullback_module(M: GModule, Q: FiniteGroup, hom: np.ndarray) -> GModule:
-    """Module over Q obtained from a surjection Q -> M.group given elementwise."""
-    act = M.act[np.asarray(hom, dtype=np.int64)]
-    return GModule(Q, M.ab, act)
 
 
 def transport_datum(datum: "BKDatum", Q: FiniteGroup, hom: np.ndarray) -> "BKDatum":
@@ -68,11 +63,8 @@ def transport_datum(datum: "BKDatum", Q: FiniteGroup, hom: np.ndarray) -> "BKDat
     import dataclasses
 
     hom = np.asarray(hom, dtype=np.int64)
-    for a in Q.elements():
-        for b in Q.elements():
-            assert hom[Q.op(a, b)] == datum.ggroup.op(int(hom[a]), int(hom[b])), (
-                "transport requires a homomorphism"
-            )
+    if not (hom[Q.mul] == datum.ggroup.mul[np.ix_(hom, hom)]).all():
+        raise ValueError("transport requires a homomorphism")
     Zq = pullback_module(datum.Zmod, Q, hom)
     Mq = pullback_module(datum.Msum, Q, hom)
     Mmodq = pullback_module(datum.Mmod, Q, hom)
@@ -81,12 +73,6 @@ def transport_datum(datum: "BKDatum", Q: FiniteGroup, hom: np.ndarray) -> "BKDat
     return dataclasses.replace(
         datum, ggroup=Q, Zmod=Zq, Msum=Mq, Mmod=Mmodq, MMmod=MMq, cp=cp
     )
-
-
-@dataclass
-class CPElement:
-    z: AbElement
-    a: AbElement
 
 
 class CrossedProduct:
@@ -156,9 +142,6 @@ class CrossedProduct:
 
     def act(self, q: int, z, a):
         return self.Zmod.apply(q, np.asarray(z)), self.Msum.apply(q, np.asarray(a))
-
-    def element(self, z, a) -> CPElement:
-        return CPElement(self.Zmod.ab.element(z), self.Msum.ab.element(a))
 
     # -- structured subgroup computations -------------------------------------
 
@@ -477,10 +460,12 @@ def cohomologous_witness(tf: TwistedForm, f, fp, alpha: AbElement):
     d = tf.datum
     z, a = f
     zp, ap = fp
-    assert alpha.parent == d.Msum.ab
+    if alpha.parent != d.Msum.ab:
+        raise ValueError("alpha must be an element of M + M")
     # d alpha must match a' - a
     dalpha = differential(Cochain(d.Msum, 0, np.array(alpha.coords)))
-    assert (ap - a) == dalpha, "alpha does not connect the two cocycles"
+    if (ap - a) != dalpha:
+        raise ValueError("alpha does not connect the two cocycles")
     xi = d.x_proj(alpha)
     eta = d.y_proj(alpha)
     x = a.mapped(d.x_proj, d.Mmod)

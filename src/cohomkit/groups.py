@@ -528,11 +528,16 @@ def induced_module(G: FiniteGroup, H: Subgroup, A: FinAbGroup) -> InducedModule:
     return InducedModule(G, H, A)
 
 
+def pullback_module(M: GModule, Q: FiniteGroup, hom: np.ndarray) -> GModule:
+    """Module over Q obtained from a homomorphism Q -> M.group given elementwise."""
+    act = M.act[np.asarray(hom, dtype=np.int64)]
+    return GModule(Q, M.ab, act)
+
+
 def restrict_module(M: GModule, D: Subgroup) -> tuple[GModule, np.ndarray]:
-    """Restriction of M to a subgroup, as a module over the subgroup's group."""
+    """Restriction of M to a subgroup: the pullback along its embedding."""
     Dgrp, embed = subgroup_group(D)
-    act = M.act[embed]
-    return GModule(Dgrp, M.ab, act), embed
+    return pullback_module(M, Dgrp, embed), embed
 
 
 def constant_inclusion(M: InducedModule, tensor: TensorProduct) -> AbHom:
@@ -553,25 +558,29 @@ def tensor_module(M: GModule, N: GModule) -> tuple[GModule, TensorProduct]:
     assert M.group is N.group
     T = TensorProduct(M.ab, N.ab)
     k = T.group.rank
-    acts = np.zeros((M.group.size, k, k), dtype=np.int64)
-    for g in M.group.elements():
-        acts[g] = np.kron(M.act[g], N.act[g])
-    return GModule(M.group, T.group, acts), T
+    # the Kronecker product of the two actions, for every g at once; its
+    # entries are products of two reduced entries: Python integers past int64
+    wide = max(M.ab.orders, default=1) * max(N.ab.orders, default=1) >= 1 << 63
+    dtype = object if wide else np.int64
+    acts = np.einsum("gij,gkl->gikjl", M.act.astype(dtype), N.act.astype(dtype)).reshape(M.group.size, k, k)
+    acts %= np.array(T.group.orders, dtype=dtype).reshape(-1, 1)
+    return GModule(M.group, T.group, acts.astype(np.int64)), T
 
 
 def dual_module(M: GModule) -> GModule:
-    """Characters of M with the contragredient action."""
-    A = M.ab
-    k = A.rank
-    acts = np.zeros((M.group.size, k, k), dtype=np.int64)
-    for g in M.group.elements():
-        inv = M.act[int(M.group.inv[g])]
-        for i in range(k):
-            for j in range(k):
-                v = int(inv[j, i]) * A.orders[i]
-                assert v % A.orders[j] == 0, "dual action not integral"
-                acts[g, i, j] = (v // A.orders[j]) % A.orders[i]
-    return GModule(M.group, FinAbGroup(A.orders), acts)
+    """Characters of M with the contragredient action.
+
+    A character of Z/o_i sends the generator to a multiple of 1/o_i, so g
+    acts on it by the transpose of g^-1 scaled by o_i / o_j.
+    """
+    # v[g, i, j] = g^-1[j, i] o_i, below o_j o_i: Python integers past int64
+    wide = max(M.ab.orders, default=1) ** 2 >= 1 << 63
+    orders = np.array(M.ab.orders, dtype=object if wide else np.int64)
+    v = M.act[M.group.inv].transpose(0, 2, 1) * orders[:, None]
+    if (v % orders).any():
+        raise ValueError("dual action not integral")
+    acts = (v // orders) % orders[:, None]
+    return GModule(M.group, FinAbGroup(M.ab.orders), acts.astype(np.int64))
 
 
 def quotient_module(M: GModule, span_rows) -> tuple[GModule, AbHom, Presentation]:

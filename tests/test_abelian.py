@@ -252,6 +252,20 @@ def test_presentation_quotient_sizes():
     assert pres.is_zero_class([2, 0]) and not pres.is_zero_class([0, 2])
 
 
+@pytest.mark.parametrize(
+    "orders, s_gens, t_gens",
+    [
+        ((4,), [[2]], [[1]]),
+        ((2, 4), [[1, 1]], [[1, 0]]),
+        ((2, 4), [[1, 1]], [[0, 2], [0, 1]]),  # the first row lies in S, the second does not
+        ((6, 4), [[3, 0], [0, 2]], [[2, 0]]),
+    ],
+)
+def test_presentation_rejects_a_denominator_outside_the_numerator(orders, s_gens, t_gens):
+    with pytest.raises(ValueError, match="denominator subgroup is not contained in numerator"):
+        Presentation(orders, s_gens, t_gens)
+
+
 # -- the mixed-order rule -------------------------------------------------------
 
 _MIXED_ORDERS = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=3)

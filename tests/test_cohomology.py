@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, scaled_rows
+from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, same_invariants, scaled_rows
 from cohomkit.cochain import Cochain, differential, random_cochain
 from cohomkit.cohomology import (
     BoundExceeded,
@@ -240,6 +240,65 @@ def test_trivial_group_full_bar_complex():
     assert H2.is_cocycle(c)  # unnormalized 2-cochains over 1 are all cocycles
     w = H2.coboundary_witness(c)
     assert w is not None and differential(w) == c
+
+
+@pytest.mark.parametrize("orders", [(2,), (2, 4), (6, 2)])
+def test_trivial_group_runs_the_generator_slot_path(orders):
+    """Over the trivial group X = {e}: H^0 = M, H^1 = H^2 = 0, every 2-cochain
+    is a cocycle and the 1-cocycles are zero."""
+    M = trivial_module(cyclic_group(1), FinAbGroup(orders))
+    k = len(orders)
+    H0, H1, H2 = (cohomology(M, r) for r in range(3))
+    for r, H in enumerate((H0, H1, H2)):
+        assert H.size == cyclic_cohomology_size(M, r)
+        assert H.X == ([] if r == 0 else [0])
+    zero, one = np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)
+    assert same_invariants(H0.group, FinAbGroup(orders))
+    m = Cochain(M, 0, one)
+    assert H0.is_cocycle(m) and not H0.is_coboundary(m) and H0.coboundary_witness(m) is None
+    u0, u1 = Cochain(M, 1, zero.reshape(1, k)), Cochain(M, 1, one.reshape(1, k))
+    assert H1.is_cocycle(u0) and H1.is_coboundary(u0)
+    assert H1.coboundary_witness(u0) == Cochain(M, 0, zero)
+    assert not H1.is_cocycle(u1)  # du(e, e) = u(e)
+    with pytest.raises(ValueError, match="not a cocycle"):
+        H1.is_coboundary(u1)
+    for vals in (zero, one, np.array(orders) - 1):
+        c = Cochain(M, 2, vals.reshape(1, 1, k))
+        assert H2.is_cocycle(c) and H2.is_coboundary(c)
+        w = H2.coboundary_witness(c)
+        assert w == Cochain(M, 1, vals.reshape(1, k)) and differential(w) == c
+
+
+def _count_presentations(monkeypatch) -> list:
+    import cohomkit.abelian as abelian
+
+    built, init = [], abelian.Presentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(abelian.Presentation, "__init__", counted)
+    return built
+
+
+def test_b0_oracle_presents_only_the_groups_it_reads(monkeypatch):
+    """The oracle reads Z/(B + carries) of each H^2, never Z/B."""
+    from cohomkit.brauer import b0_oracle
+
+    built = _count_presentations(monkeypatch)
+    assert b0_oracle(direct_product(named_group("D8"), cyclic_group(2))).is_trivial
+    assert len(built) == 7
+
+
+def test_twisted_form_builds_no_presentation(monkeypatch):
+    """The twist check reads only the cocycle certificate of H^1."""
+    from cohomkit.crossed import TwistedForm, build_bk
+
+    d = build_bk(FinAbGroup((2,)), cyclic_group(2))
+    built = _count_presentations(monkeypatch)
+    TwistedForm(d)
+    assert built == []
 
 
 def test_work_bound_raises():

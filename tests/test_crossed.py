@@ -437,9 +437,11 @@ def test_identity_checks_survive_optimized_mode():
     """The class-2, lift, power and conjugator checks, the normality checks,
     the section, factorization and decomposition invariants, the exactness of a short exact
     sequence, the witness rule of a failing record, the cocycle checks on a twist and on
-    a neutrality class, the coboundary witness self-check and a preimage outside the
-    image raise under python -O, and an H^2 build that takes a second certification
-    round gives the same group."""
+    a neutrality class, the coboundary witness self-check, a preimage outside the
+    image, the conjugacy witness inputs, a transport along a non-homomorphism, the
+    cyclic oracle on a non-cyclic group, a connecting cochain in the wrong module and
+    the character-carry self-checks raise under python -O, and an H^2 build that takes
+    a second certification round gives the same group."""
     script = """
 import sys
 import numpy as np
@@ -532,6 +534,20 @@ differential, CH.differential = CH.differential, lambda w: db + db
 print(outcome(lambda: H2.coboundary_witness(db)))
 CH.differential = differential
 print(outcome(lambda: cached_preimage(AbHom(C4, C4, [[2]]))([1])))
+# alpha outside M + M, and an alpha whose coboundary is not a' - a
+tf = C.TwistedForm(d)
+f = (Cochain(d.Zmod, 1, np.zeros((2, d.Zmod.ab.rank))), Cochain(d.Msum, 1, np.zeros((2, d.Msum.ab.rank))))
+print(outcome(lambda: C.cohomologous_witness(tf, f, f, C4.element([1]))))
+alpha = d.Msum.ab.element([1] + [0] * (d.Msum.ab.rank - 1))
+print(outcome(lambda: C.cohomologous_witness(tf, f, f, alpha)))
+print(outcome(lambda: C.transport_datum(d, C2, np.array([1, 0]))))
+print(outcome(lambda: CH.cyclic_cohomology_size(G.trivial_module(named_group("C2xC2"), FinAbGroup((2,))), 1)))
+ses = ShortExactSequence(sub, mid, G.trivial_module(C2, FinAbGroup((2,))), incl, AbHom(mid.ab, FinAbGroup((2,)), [[1]]))
+print(outcome(lambda: CH.connecting_cochain(ses, Cochain(G.trivial_module(C2, FinAbGroup((3,))), 1, np.zeros((2, 1))))))
+# a character of C4 has no values in Z/2, and a carry that is no 2-cocycle
+print(outcome(lambda: B._character_carries(cyclic_group(4), 2)))
+B._character_carries = lambda G, N: [np.eye(1, G.size * G.size, dtype=np.int64).reshape(G.size, G.size)]
+print(outcome(lambda: B._qz_presentation(C2, 2)))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -573,6 +589,13 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "ValueError: beta must be a 2-cocycle valued in Z",
         "AssertionError: coboundary witness mismatch",
         "ValueError: (1,) is not in the image",
+        "ValueError: alpha must be an element of M + M",
+        "ValueError: alpha does not connect the two cocycles",
+        "ValueError: transport requires a homomorphism",
+        "ValueError: group is not cyclic",
+        "ValueError: the cochain must take values in the quotient module",
+        "AssertionError: a character of order 4 has no values in Z/2",
+        "AssertionError: character carry is not a 2-cocycle",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

@@ -556,3 +556,65 @@ def test_generating_set_matches_the_greedy_loop():
     f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
     for G in [*_COSET_GROUPS.values(), f128]:
         assert minimal_generating_set(G) == _greedy_generators_loop(G)
+
+
+def _restrict_loop(M, D):
+    Dgrp, embed = subgroup_group(D)
+    return np.array([M.act[int(g)] for g in embed], dtype=np.int64)
+
+
+def _tensor_loop(M, N, orders):
+    # Python integers, so that products past int64 stay exact
+    mods = np.array(orders, dtype=object).reshape(-1, 1)
+    return np.array(
+        [np.kron(M.act[g].astype(object), N.act[g].astype(object)) % mods for g in M.group.elements()],
+        dtype=np.int64,
+    )
+
+
+def _dual_loop(M):
+    orders = M.ab.orders
+    k = len(orders)
+    acts = np.zeros((M.group.size, k, k), dtype=np.int64)
+    for g in M.group.elements():
+        inv = M.act[int(M.group.inv[g])]
+        for i in range(k):
+            for j in range(k):
+                v = int(inv[j, i]) * orders[i]
+                assert v % orders[j] == 0
+                acts[g, i, j] = (v // orders[j]) % orders[i]
+    return acts
+
+
+def _modules():
+    S3, C4 = named_group("S3"), cyclic_group(4)
+    return [
+        trivial_module(S3, FinAbGroup((2, 4, 6))),
+        induced_module(S3, alternating_subgroup_s3(S3), FinAbGroup((2, 4))),
+        induced_module(C4, Subgroup.make(C4, [0, 2]), FinAbGroup((3,))),
+        GModule(C4, FinAbGroup((5,)), [[[1]], [[2]], [[4]], [[3]]]),
+        GModule(cyclic_group(2), FinAbGroup((4,)), [np.eye(1, dtype=int), [[3]]]),
+        trivial_module(S3, FinAbGroup(())),
+        # -1 on Z/(2^40 + 15): the tensor's and the dual's products pass 2^63
+        GModule(cyclic_group(2), FinAbGroup(((1 << 40) + 15,)), [[[1]], [[(1 << 40) + 14]]]),
+    ]
+
+
+@pytest.mark.parametrize("M", _modules(), ids=lambda M: repr(M))
+def test_module_constructors_match_the_loops(M):
+    G = M.group
+    for D in all_subgroups(G):
+        R, embed = restrict_module(M, D)
+        assert (R.act == _restrict_loop(M, D)).all() and R.ab == M.ab
+    for N in (M, trivial_module(G, FinAbGroup((2, 3)))):
+        T, _ = tensor_module(M, N)
+        assert (T.act == _tensor_loop(M, N, T.ab.orders)).all()
+    assert (dual_module(M).act == _dual_loop(M)).all()
+
+
+def test_dual_module_rejects_a_non_integral_action():
+    # e0 -> e0 + e1 sends an element of order 2 to one of order 4: no
+    # automorphism, and only check=False lets it through
+    bad = GModule(cyclic_group(2), FinAbGroup((2, 4)), [np.eye(2, dtype=int), [[1, 0], [1, 1]]], check=False)
+    with pytest.raises(ValueError, match="dual action not integral"):
+        dual_module(bad)
