@@ -286,9 +286,10 @@ def check_neutrality(sc: Scenario, spec: CheckSpec) -> CheckRecord:
         perms = bk_action_perms(d, idx)
         base = cocycle_from_action(d.ggroup, F, perms)
         table = (F, idx, base)
-    for cls in H2z.classes(cap=256):
-        alpha = neutrality_via_delta(d, cls.rep, work_bound=sc.bound)
-        delta_neutral = alpha is not None
+    classes = H2z.classes(cap=256)
+    image = neutrality_via_delta(d, H2z, work_bound=sc.bound)
+    for cls in classes:
+        delta_neutral = cls.coords in image
         if table is not None:
             coc = central_shift(table[2], table[1], cls.rep)
             verdict, _ = is_neutral_bruteforce(coc, budget=budget)

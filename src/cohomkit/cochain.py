@@ -40,12 +40,16 @@ class Cochain:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.module is other.module and self.degree == other.degree
+        self._check_same_kind(other)
         return Cochain(self.module, self.degree, self.table + other.table)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        assert self.module is other.module and self.degree == other.degree
+        self._check_same_kind(other)
         return Cochain(self.module, self.degree, self.table - other.table)
+
+    def _check_same_kind(self, other: "Cochain"):
+        if self.module is not other.module or self.degree != other.degree:
+            raise ValueError("cochains must share their module and degree")
 
     def __neg__(self) -> "Cochain":
         return Cochain(self.module, self.degree, -self.table)
@@ -68,7 +72,8 @@ class Cochain:
         )
 
     def value(self, *args) -> AbElement:
-        assert len(args) == self.degree
+        if len(args) != self.degree:
+            raise ValueError(f"cochain of degree {self.degree} evaluated at {len(args)} arguments")
         return self.module.ab.element(self.table[tuple(int(a) for a in args)])
 
     def restricted_table(self, embed) -> np.ndarray:
@@ -118,8 +123,8 @@ def differential(c: Cochain) -> Cochain:
     flat = c.table.reshape(_lead(c.table), k)
     acted = np.einsum("gij,tj->gti", M.act, flat)
     out += acted.reshape((n,) + (n,) * r + (k,))
-    # middle terms
-    grids = np.indices((n,) * (r + 1))
+    # middle terms, on sparse grids that broadcast to the full index
+    grids = np.indices((n,) * (r + 1), sparse=True)
     for i in range(1, r + 1):
         fused = G.mul[grids[i - 1], grids[i]]
         idx = tuple(grids[j] for j in range(i - 1)) + (fused,) + tuple(grids[j] for j in range(i + 1, r + 1))
@@ -137,7 +142,8 @@ def is_cocycle(c: Cochain) -> bool:
 
 def cup(x: Cochain, y: Cochain, pairing, target_module: GModule) -> Cochain:
     """Cup product along a bilinear pairing on coefficients."""
-    assert x.module.group is y.module.group
+    if x.module.group is not y.module.group:
+        raise ValueError("cup product needs cochains over the same group")
     G = x.module.group
     n = G.size
     r, s = x.degree, y.degree
@@ -161,7 +167,8 @@ def cup(x: Cochain, y: Cochain, pairing, target_module: GModule) -> Cochain:
 
 def pointwise_tensor(x: Cochain, y: Cochain, pairing, target_module: GModule) -> Cochain:
     """Same-degree pointwise pairing, (x (x) y)_s = pair(x_s, y_s)."""
-    assert x.degree == y.degree
+    if x.degree != y.degree:
+        raise ValueError("pointwise tensor needs cochains of the same degree")
     xflat = x.table.reshape(_lead(x.table), x.module.ab.rank)
     yflat = y.table.reshape(_lead(y.table), y.module.ab.rank)
     out = pairing.pair_coords(xflat, yflat)
@@ -204,14 +211,16 @@ def shapiro_forward(x: Cochain, H_module: GModule, embed: np.ndarray) -> Cochain
 
 def shapiro_inverse_1(a: Cochain, section: CosetSection, M: InducedModule) -> Cochain:
     """x_s(c) = a_{gamma(c, s)}; satisfies sh(x) = a on the nose."""
-    assert a.degree == 1
+    if a.degree != 1:
+        raise ValueError("shapiro_inverse_1 takes a 1-cochain")
     # (s, c, i) flattens to the induced coordinate c * ka + i
     return Cochain(M, 1, a.table[section.gamma.T])
 
 
 def shapiro_inverse_2(a: Cochain, section: CosetSection, M: InducedModule) -> Cochain:
     """x_{s,t}(c) = a_{gamma(c,s), gamma(c sbar, t)}; sh(x) = a exactly."""
-    assert a.degree == 2
+    if a.degree != 2:
+        raise ValueError("shapiro_inverse_2 takes a 2-cochain")
     gamma = section.gamma
     # indices (s, t, c): gamma(c, s) and gamma(c sbar, t)
     return Cochain(M, 2, a.table[gamma.T[:, None, :], gamma[section._cs.T].transpose(0, 2, 1)])
@@ -220,7 +229,8 @@ def shapiro_inverse_2(a: Cochain, section: CosetSection, M: InducedModule) -> Co
 def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np.ndarray) -> list[Cochain]:
     """Components of the tensor-side Shapiro map: (s_vec) -> x_{s_vec}(g, 1)."""
     MM = omega.MM
-    assert x.module is MM or x.module.ab == MM.ab
+    if x.module is not MM and x.module.ab != MM.ab:
+        raise ValueError("sh_prime takes a cochain valued in M (x) M")
     ka = omega.A.rank
     kaa = omega.AA.group.rank
     m = omega.n_cosets

@@ -36,7 +36,7 @@ from .abelian import (
     subgroup_order,
     subgroup_span,
 )
-from .cochain import Cochain, cup, differential, pointwise_tensor, zero_cochain
+from .cochain import Cochain, cup, differential, is_cocycle, pointwise_tensor, zero_cochain
 from .cohomology import cohomology
 from .groups import (
     FiniteGroup,
@@ -79,7 +79,8 @@ class CrossedProduct:
     """The group F for modules over an acting group Q, with coordinate ops."""
 
     def __init__(self, Zmod: GModule, Msum: GModule, phi_tensor: np.ndarray):
-        assert Zmod.group is Msum.group
+        if Zmod.group is not Msum.group:
+            raise ValueError("crossed product needs Z and M + M over the same group")
         self.Q = Zmod.group
         self.Zmod = Zmod
         self.Msum = Msum
@@ -188,17 +189,14 @@ class CrossedProduct:
         if self.order > cap:
             raise ValueError(f"|F| = {self.order} exceeds table cap {cap}")
         idx = CPIndex(self)
-        n = self.order
-        Z = idx.z_coords  # (nz, kz)
-        A = idx.a_coords  # (na, ka)
-        na = A.shape[0]
-        mul = np.zeros((n, n), dtype=np.int64)
-        zi, ai = np.divmod(np.arange(n), na)
-        for e1 in range(n):
-            z1, a1 = Z[zi[e1]], A[ai[e1]]
-            z_all = (z1[None, :] + Z[zi] + self.pair(a1[None, :], A[ai])) % self.zmods
-            a_all = (a1[None, :] + A[ai]) % self.amods
-            mul[e1] = idx.z_index(z_all) * na + idx.a_index(a_all)
+        na = idx.a_coords.shape[0]
+        zi, ai = np.divmod(np.arange(self.order), na)
+        z, a = idx.z_coords[zi], idx.a_coords[ai]
+        # every product e1 e2 at once, e1 along the rows: the law of ``mul``
+        # spelled out, so the table does not depend on that method
+        zz = (z[:, None] + z[None] + self.pair(a[:, None], a[None])) % self.zmods
+        aa = (a[:, None] + a[None]) % self.amods
+        mul = idx.z_index(zz) * na + idx.a_index(aa)
         G = FiniteGroup(mul, name=f"F{self.order}")
         return G, idx
 
@@ -360,7 +358,7 @@ class TwistedForm:
             twist = zero_cochain(datum.Msum, 1)
         if twist.degree != 1 or twist.module.ab != datum.Msum.ab:
             raise ValueError("twisting datum must be a 1-cochain valued in M + M")
-        if not cohomology(datum.Msum, 1).is_cocycle(twist):
+        if not is_cocycle(Cochain(datum.Msum, 1, twist.table)):
             raise ValueError("twisting datum must be a cocycle")
         self.twist = twist
 
@@ -385,8 +383,7 @@ class TwistedForm:
 def twisted_cocycle_condition_formula(tf: TwistedForm, z: Cochain, a: Cochain) -> bool:
     """d z + phi_*(tx u y + x u ty + x u y + d(x (x) ty)) == 0 and a a cocycle."""
     d = tf.datum
-    H1sum = cohomology(d.Msum, 1)
-    if not H1sum.is_cocycle(a):
+    if not is_cocycle(Cochain(d.Msum, 1, a.table)):
         return False
     x = a.mapped(d.x_proj, d.Mmod)
     y = a.mapped(d.y_proj, d.Mmod)

@@ -555,7 +555,8 @@ def constant_inclusion(M: InducedModule, tensor: TensorProduct) -> AbHom:
 
 
 def tensor_module(M: GModule, N: GModule) -> tuple[GModule, TensorProduct]:
-    assert M.group is N.group
+    if M.group is not N.group:
+        raise ValueError("tensor product needs modules over the same group")
     T = TensorProduct(M.ab, N.ab)
     k = T.group.rank
     # the Kronecker product of the two actions, for every g at once; its

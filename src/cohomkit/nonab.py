@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .cochain import Cochain
-from .cohomology import cohomology
+from .cohomology import CohomologyGroup, cohomology
 from .crossed import BKDatum, CPIndex, TwistedForm, delta_twisted_formula
 from .groups import FiniteGroup
 
@@ -106,13 +106,11 @@ def bk_action_perms(datum: BKDatum, idx: CPIndex) -> np.ndarray:
 
 def central_shift(coc: NonabTwoCocycle, idx: CPIndex, beta: Cochain) -> NonabTwoCocycle:
     """Multiply u pointwise by a central 2-cochain valued in Z."""
-    Q, F = coc.Q, coc.F
-    u2 = coc.u.copy()
-    for s in Q.elements():
-        for t in Q.elements():
-            zidx = idx.index_of(beta.table[s, t], np.zeros(idx.cp.ka, dtype=np.int64))
-            u2[s, t] = F.op(zidx, int(coc.u[s, t]))
-    return NonabTwoCocycle(Q, F, coc.rho, u2)
+    n = coc.Q.size
+    na = idx.a_coords.shape[0]
+    # (z, 0) has index z-index * |M + M|
+    zidx = idx.z_index(beta.table.reshape(n * n, idx.cp.kz)).reshape(n, n) * na
+    return NonabTwoCocycle(coc.Q, coc.F, coc.rho, coc.F.mul[zidx, coc.u])
 
 
 def is_neutral_bruteforce(coc: NonabTwoCocycle, budget: int = 1 << 16):
@@ -142,19 +140,20 @@ def is_neutral_bruteforce(coc: NonabTwoCocycle, budget: int = 1 << 16):
     return Neutrality.NOT_NEUTRAL, None
 
 
-def neutrality_via_delta(datum: BKDatum, beta: Cochain, work_bound: int = 1 << 26):
-    """Search H^1(Q, M + M) for alpha with Delta(alpha) = [beta].
+def neutrality_via_delta(datum: BKDatum, H2z: CohomologyGroup, work_bound: int = 1 << 26) -> dict:
+    """The image of Delta: H^1(Q, M + M) -> H^2(Q, Z), in one pass over H^1.
 
-    Returns a representative cocycle alpha or None; None is an exhaustive
-    verdict over all classes, not a search failure.
+    Returns ``{class coords of Delta(alpha): alpha}``, where each alpha is the
+    first class representative in ``H1.classes()`` order with that image.  A
+    class of `H2z` is neutral exactly when its coords are a key; the dict is
+    exhaustive over all classes of H^1, not a search that may give up.
     """
+    Z, M = datum.Zmod, H2z.module
+    if H2z.degree != 2 or M.group is not Z.group or M.ab != Z.ab or not np.array_equal(M.act, Z.act):
+        raise ValueError("H2z must be H^2(Q, Z) of the datum")
     H1 = cohomology(datum.Msum, 1, work_bound=work_bound)
-    H2z = cohomology(datum.Zmod, 2, work_bound=work_bound)
-    if not H2z.is_cocycle(beta):
-        raise ValueError("beta must be a 2-cocycle valued in Z")
     tf = TwistedForm(datum)  # zero twist: Delta([x,y]) = phi_*[x u y]
+    image: dict = {}
     for cls in H1.classes():
-        img = delta_twisted_formula(tf, cls.rep)
-        if H2z.classes_equal(img, beta):
-            return cls.rep
-    return None
+        image.setdefault(H2z.class_of(delta_twisted_formula(tf, cls.rep)).coords, cls.rep)
+    return image

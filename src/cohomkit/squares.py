@@ -19,6 +19,7 @@ indices); exceeding a work bound yields 'skipped', never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .cohomology import BoundExceeded, CohomologyGroup, cohomology
 from .groups import (
     CosetSection,
     FiniteGroup,
+    GModule,
     LocalizationContext,
     OmegaDecomposition,
     Subgroup,
@@ -101,7 +103,7 @@ class ShapiroSquares:
         self.trivH_A = trivial_module(self.Hgrp, A)
         self.trivH_AA = trivial_module(self.Hgrp, self.AA.group)
         self.trivG_AA = trivial_module(G, self.AA.group)
-        self._cache: dict = {}
+        self._groups: dict = {}
         self.j_hom = constant_inclusion(self.M, self.tensorMM)
         if ctx is not None:
             self.vs = VarsigmaDecomposition(ctx, self.M)
@@ -122,10 +124,17 @@ class ShapiroSquares:
 
     # -- caches ---------------------------------------------------------------
 
-    def coh(self, key, module, r) -> CohomologyGroup:
-        if key not in self._cache:
-            self._cache[key] = cohomology(module, r, work_bound=self.work_bound)
-        return self._cache[key]
+    def coh(self, module: GModule, r: int) -> CohomologyGroup:
+        """H^r(group, module), built once per group table, orders, action and r.
+
+        So H^r(G, .) serves as H^r(D, .) when D = G, and H^r(H, .) as
+        H^r(H_D, .) when H_D = H.  A shared group's classes keep the module
+        it was built with; the squares read only their tables.
+        """
+        key = (module.group.mul.tobytes(), tuple(module.ab.orders), module.act.tobytes(), r)
+        if key not in self._groups:
+            self._groups[key] = cohomology(module, r, work_bound=self.work_bound)
+        return self._groups[key]
 
     # -- helpers ----------------------------------------------------------------
 
@@ -159,11 +168,9 @@ class ShapiroSquares:
                     out[(h, si, ti)] = part
         return out
 
-    @property
+    @cached_property
     def local_tensor(self):
-        if "local_tensor" not in self._cache:
-            self._cache["local_tensor"] = tensor_module(self.M_local, self.M_local)
-        return self._cache["local_tensor"]
+        return tensor_module(self.M_local, self.M_local)
 
     def local_section_index(self, h_gv: int) -> int:
         """Lift of a decomposition-quotient element through the local section."""
@@ -173,8 +180,8 @@ class ShapiroSquares:
     # -- the six squares -------------------------------------------------------
 
     def square_cup(self):
-        H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
-        H2AA = self.coh(("H", "AA", 2), self.trivH_AA, 2)
+        H1 = self.coh(self.trivH_A, 1)
+        H2AA = self.coh(self.trivH_AA, 2)
         classes, detail = _class_sample(H1)
         for ca in classes:
             x = shapiro_inverse_1(ca.rep, self.section, self.M)
@@ -188,8 +195,8 @@ class ShapiroSquares:
 
     def square_j(self):
         for r in (1, 2):
-            HG = self.coh(("G", "AA", r), self.trivG_AA, r)
-            HH = self.coh(("H", "AA", r), self.trivH_AA, r)
+            HG = self.coh(self.trivG_AA, r)
+            HH = self.coh(self.trivH_AA, r)
             classes, detail = _class_sample(HG)
             for cx in classes:
                 comps = sh_prime(cx.rep.mapped(self.j_hom, self.MM), self.omega, self.trivH_AA, self.embed)
@@ -198,8 +205,8 @@ class ShapiroSquares:
                     yield detail, {"r": r, "x": cx.coords.coords, "coset": g}, HH, left, res
 
     def square_cup_local(self):
-        H1D = self.coh(("D", "M", 1), self.M_res, 1)
-        H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
+        H1D = self.coh(self.M_res, 1)
+        H2HD = self.coh(self.trivHD_AA, 2)
         classes, detail = _class_sample(H1D)
         for cx in classes:
             a_comps = self.sh_v_components(cx.rep)
@@ -214,8 +221,8 @@ class ShapiroSquares:
 
     def square_j_local(self):
         for r in (1, 2):
-            HD = self.coh(("D", "AA", r), self.trivD_AA, r)
-            HHD = self.coh(("HD", "AA", r), self.trivHD_AA, r)
+            HD = self.coh(self.trivD_AA, r)
+            HHD = self.coh(self.trivHD_AA, r)
             classes, detail = _class_sample(HD)
             for cx in classes:
                 lhs = self.sh_v_prime_components(cx.rep.mapped(self.j_hom, self.MM_res))
@@ -224,8 +231,8 @@ class ShapiroSquares:
                     yield detail, {"r": r, "x": cx.coords.coords, "hst": key}, HHD, left, res
 
     def square_loc_h1(self):
-        H1 = self.coh(("H", "A", 1), self.trivH_A, 1)
-        H1HD = self.coh(("HD", "A", 1), self.trivHD_A, 1)
+        H1 = self.coh(self.trivH_A, 1)
+        H1HD = self.coh(self.trivHD_A, 1)
         classes, detail = _class_sample(H1)
         for ca in classes:
             x = shapiro_inverse_1(ca.rep, self.section, self.M)
@@ -237,8 +244,8 @@ class ShapiroSquares:
                 yield detail, {"a": ca.coords.coords, "s": int(s)}, H1HD, lhs[si], rhs
 
     def square_loc_h2(self):
-        H2H = self.coh(("H", "AA", 2), self.trivH_AA, 2)
-        H2HD = self.coh(("HD", "AA", 2), self.trivHD_AA, 2)
+        H2H = self.coh(self.trivH_AA, 2)
+        H2HD = self.coh(self.trivHD_AA, 2)
         # both paths are additive in the family (alpha_g): presentation
         # generators placed at a single position g0 span everything
         gens = [H2H.rep(coords) for coords in H2H.group.generators()]

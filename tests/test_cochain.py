@@ -279,3 +279,30 @@ def test_restricted_table_matches_per_element_indexing(degree):
     assert got.shape == (len(embed),) * degree + (2,)
     for args in itertools.product(range(len(embed)), repeat=degree):
         assert (got[args] == c.table[tuple(embed[i] for i in args)]).all()
+
+
+def _differential_per_element(c):
+    """The bar differential, one argument tuple (s0, ..., sr) at a time."""
+    M, r = c.module, c.degree
+    G = M.group
+    orders = np.array(M.ab.orders, dtype=np.int64)
+    out = np.zeros((G.size,) * (r + 1) + (M.ab.rank,), dtype=np.int64)
+    for s in itertools.product(range(G.size), repeat=r + 1):
+        val = M.act[s[0]] @ c.table[s[1:]]
+        for i in range(1, r + 1):
+            fused = s[: i - 1] + (int(G.mul[s[i - 1], s[i]]),) + s[i + 1 :]
+            val = val + (-1) ** i * c.table[fused]
+        val = val + (-1) ** (r + 1) * c.table[s[:r]]
+        out[s] = val % orders
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_differential_matches_per_element_reference(degree):
+    """S3 permutes the two A3-cosets of Ind(Z/3 x Z/4): a nonabelian group, a nontrivial action."""
+    S3 = named_group("S3")
+    M = induced_module(S3, alternating_subgroup_s3(S3), FinAbGroup((3, 4)))
+    assert (M.act != np.eye(M.ab.rank, dtype=np.int64)).any()
+    for seed in range(3):
+        c = random_cochain(M, degree, np.random.default_rng(seed))
+        assert (differential(c).table == _differential_per_element(c)).all()

@@ -14,6 +14,7 @@ from cohomkit.checks import _random_triples, check_verify_bk
 from cohomkit.cochain import Cochain, cup, differential, pointwise_tensor, random_cochain, zero_cochain
 from cohomkit.cohomology import ShortExactSequence, cohomology, connecting_cochain
 from cohomkit.crossed import (
+    CPIndex,
     TwistedForm,
     build_bk,
     center_equals_embedded_Z,
@@ -163,6 +164,28 @@ def test_brute_center_and_derived_match_per_pair_reference(orders, gname):
     assert derived == want_derived
 
 
+def _table_per_row(cp):
+    """The multiplication table of F, one row of products e1 * (all of F) at a time."""
+    idx = CPIndex(cp)
+    Z, A = idx.z_coords, idx.a_coords
+    na = A.shape[0]
+    zi, ai = np.divmod(np.arange(cp.order), na)
+    mul = np.zeros((cp.order, cp.order), dtype=np.int64)
+    for e1 in range(cp.order):
+        z1, a1 = Z[zi[e1]], A[ai[e1]]
+        z_all = (z1[None, :] + Z[zi] + cp.pair(a1[None, :], A[ai])) % cp.zmods
+        a_all = (a1[None, :] + A[ai]) % cp.amods
+        mul[e1] = idx.z_index(z_all) * na + idx.a_index(a_all)
+    return mul
+
+
+@pytest.mark.parametrize("orders,gname", [((2,), "C2"), ((2,), "1"), ((3,), "1"), ((2, 2), "1")])
+def test_table_group_matches_per_row_reference(orders, gname):
+    cp = build_bk(FinAbGroup(orders), named_group(gname)).cp
+    G, _ = cp.as_table_group(cap=512)
+    assert (G.mul == _table_per_row(cp)).all()
+
+
 def test_nondegenerate_examples():
     assert is_nondegenerate(D22)
     # zero pairing on a nontrivial module is degenerate: model by the g=1 datum
@@ -247,6 +270,22 @@ def test_twisted_cocycle_condition_paths_agree():
     bad = Cochain(D22.Msum, 1, np.array([[0, 0, 0, 0], [1, 0, 0, 0]]))
     assert not differential(bad).is_zero
     assert not twisted_cocycle_condition_formula(tf, zero_cochain(D22.Zmod, 1), bad)
+
+
+def test_twisted_forms_build_no_cohomology_group(cohomology_builds):
+    tf = TwistedForm(D22, _all_z1(D22)[3])
+    TwistedForm(D22)
+    assert twisted_cocycle_condition_formula(tf, zero_cochain(D22.Zmod, 1), zero_cochain(D22.Msum, 1))
+    assert cohomology_builds == []
+
+
+def test_verify_bk_builds_two_groups(cohomology_builds):
+    """H^1(Q, M + M) and H^2(Q, Z), with and without a twist."""
+    for twist in ("", "twist 0,0,0,0|1,1,0,0\n"):
+        cohomology_builds.clear()
+        (sc,) = parse_scenarios(f"scenario s\nseed 4\nbase C2\ngalois C2\n{twist}check verify-bk\n")
+        assert check_verify_bk(sc, sc.checks[0]).status == "pass"
+        assert len(cohomology_builds) == 2
 
 
 def test_twisted_cocycle_trivial_cases():
@@ -436,11 +475,13 @@ def test_verify_bk_witness_is_first_non_associative_triple(monkeypatch):
 def test_identity_checks_survive_optimized_mode():
     """The class-2, lift, power and conjugator checks, the normality checks,
     the section, factorization and decomposition invariants, the exactness of a short exact
-    sequence, the witness rule of a failing record, the cocycle checks on a twist and on
-    a neutrality class, the coboundary witness self-check, a preimage outside the
+    sequence, the witness rule of a failing record, the cocycle check on a twist, the
+    group handed to the Delta image, the coboundary witness self-check, a preimage outside the
     image, the conjugacy witness inputs, a transport along a non-homomorphism, the
-    cyclic oracle on a non-cyclic group, a connecting cochain in the wrong module and
-    the character-carry self-checks raise under python -O, and an H^2 build that takes
+    cyclic oracle on a non-cyclic group, a connecting cochain in the wrong module,
+    the character-carry self-checks, and the module, degree, arity and group checks of
+    cochain arithmetic, cup and pointwise products, the Shapiro maps, tensor modules and
+    crossed products raise under python -O, and an H^2 build that takes
     a second certification round gives the same group."""
     script = """
 import sys
@@ -450,6 +491,7 @@ import cohomkit.crossed as C
 import cohomkit.cohomology as CH
 import cohomkit.groups as G
 from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage
+import cohomkit.cochain as CC
 from cohomkit.cochain import Cochain, conjugation_action
 from cohomkit.cohomology import ShortExactSequence, cohomology
 from cohomkit.groups import cyclic_group, named_group
@@ -519,14 +561,12 @@ C4 = FinAbGroup((4,))
 print(outcome(lambda: B.hom_value(C4, C4.element([1]), C4.element([1]), 2)))
 print(outcome(lambda: B.cyclic_span_detect(C4, [C4.element([2])], C4.element([1]), 2)))
 print(outcome(lambda: B.global_span_membership(C4, [C4.element([2])], C4.element([1]), 2)))
-# u(e) != 0 is no twist, and beta(e, e) = 1 alone is no 2-cocycle: d beta(e, e, g) = -1
+# u(e) != 0 is no twist, and H^1(Q, Z) is not the H^2(Q, Z) the Delta image lands in
 d = C.build_bk(FinAbGroup((2,)), cyclic_group(2))
 u = np.zeros((2, d.Msum.ab.rank), dtype=np.int64)
 u[0, 0] = 1
 print(outcome(lambda: C.TwistedForm(d, Cochain(d.Msum, 1, u))))
-beta = np.zeros((2, 2, d.Zmod.ab.rank), dtype=np.int64)
-beta[0, 0, 0] = 1
-print(outcome(lambda: neutrality_via_delta(d, Cochain(d.Zmod, 2, beta))))
+print(outcome(lambda: neutrality_via_delta(d, cohomology(d.Zmod, 1))))
 # a witness whose differential misses the coboundary
 H2 = cohomology(G.trivial_module(C2, FinAbGroup((4,))), 2)
 db = CH.differential(Cochain(H2.module, 1, np.array([[0], [1]])))
@@ -548,6 +588,26 @@ print(outcome(lambda: CH.connecting_cochain(ses, Cochain(G.trivial_module(C2, Fi
 print(outcome(lambda: B._character_carries(cyclic_group(4), 2)))
 B._character_carries = lambda G, N: [np.eye(1, G.size * G.size, dtype=np.int64).reshape(G.size, G.size)]
 print(outcome(lambda: B._qz_presentation(C2, 2)))
+# cochains of other modules, degrees, arities and groups
+Z4, Z2 = G.trivial_module(C2, FinAbGroup((4,))), G.trivial_module(C2, FinAbGroup((2,)))
+c4, c2 = Cochain(Z4, 1, np.array([[1], [0]])), Cochain(Z2, 1, np.array([[1], [0]]))
+print(outcome(lambda: c4 - c2))
+print(outcome(lambda: c4 + CC.zero_cochain(Z4, 2)))
+print(outcome(lambda: c4.value(0, 1)))
+Z4b = G.trivial_module(cyclic_group(2), FinAbGroup((4,)))
+t44 = G.tensor_module(Z4, Z4)
+print(outcome(lambda: CC.cup(c4, Cochain(Z4b, 1, np.zeros((2, 1))), t44[1], t44[0])))
+print(outcome(lambda: CC.pointwise_tensor(c4, CC.zero_cochain(Z4, 2), t44[1], t44[0])))
+sec = G.CosetSection(S3, A3)
+Ind = G.induced_module(S3, A3, FinAbGroup((3,)))
+A3grp, A3embed = G.subgroup_group(A3)
+triv3 = G.trivial_module(A3grp, FinAbGroup((3,)))
+print(outcome(lambda: CC.shapiro_inverse_1(CC.zero_cochain(triv3, 2), sec, Ind)))
+print(outcome(lambda: CC.shapiro_inverse_2(CC.zero_cochain(triv3, 1), sec, Ind)))
+om = G.OmegaDecomposition(Ind)
+print(outcome(lambda: CC.sh_prime(CC.zero_cochain(Ind, 1), om, triv3, A3embed)))
+print(outcome(lambda: G.tensor_module(Z4, Z4b)))
+print(outcome(lambda: C.CrossedProduct(Z4, Z4b, np.zeros((1, 1, 1), dtype=np.int64))))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -586,7 +646,7 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "ValueError: exponent of G must divide n",
         "ValueError: exponent of G must divide n",
         "ValueError: twisting datum must be a cocycle",
-        "ValueError: beta must be a 2-cocycle valued in Z",
+        "ValueError: H2z must be H^2(Q, Z) of the datum",
         "AssertionError: coboundary witness mismatch",
         "ValueError: (1,) is not in the image",
         "ValueError: alpha must be an element of M + M",
@@ -596,6 +656,16 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "ValueError: the cochain must take values in the quotient module",
         "AssertionError: a character of order 4 has no values in Z/2",
         "AssertionError: character carry is not a 2-cocycle",
+        "ValueError: cochains must share their module and degree",
+        "ValueError: cochains must share their module and degree",
+        "ValueError: cochain of degree 1 evaluated at 2 arguments",
+        "ValueError: cup product needs cochains over the same group",
+        "ValueError: pointwise tensor needs cochains of the same degree",
+        "ValueError: shapiro_inverse_1 takes a 1-cochain",
+        "ValueError: shapiro_inverse_2 takes a 2-cochain",
+        "ValueError: sh_prime takes a cochain valued in M (x) M",
+        "ValueError: tensor product needs modules over the same group",
+        "ValueError: crossed product needs Z and M + M over the same group",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohomkit.abelian import FinAbGroup
+from cohomkit.checks import check_neutrality
 from cohomkit.cochain import Cochain, differential
 from cohomkit.cohomology import cohomology
 from cohomkit.crossed import TwistedForm, build_bk, delta_twisted_formula
@@ -16,6 +17,7 @@ from cohomkit.nonab import (
     is_neutral_bruteforce,
     neutrality_via_delta,
 )
+from cohomkit.scenario import parse_scenarios
 
 D = build_bk(FinAbGroup((2,)), cyclic_group(2))
 F, IDX = D.cp.as_table_group(cap=512)
@@ -42,22 +44,66 @@ def test_coboundary_shift_stays_neutral():
 def test_neutrality_matches_delta_image_on_all_classes():
     """The central action is free, so neutrality == being in the image of Delta."""
     H2z = cohomology(D.Zmod, 2)
+    image = neutrality_via_delta(D, H2z)
+    tf = TwistedForm(D)
+    for key, alpha in image.items():
+        assert H2z.class_of(delta_twisted_formula(tf, alpha)).coords == key
     for cls in H2z.classes():
         coc = central_shift(BASE, IDX, cls.rep)
         assert coc.validate()
         verdict, _ = is_neutral_bruteforce(coc)
-        alpha = neutrality_via_delta(D, cls.rep)
-        expect = Neutrality.NEUTRAL if alpha is not None else Neutrality.NOT_NEUTRAL
+        expect = Neutrality.NEUTRAL if cls.coords in image else Neutrality.NOT_NEUTRAL
         assert verdict == expect
 
 
 def test_forward_backward_delta_search():
     H1 = cohomology(D.Msum, 1)
+    H2z = cohomology(D.Zmod, 2)
     tf = TwistedForm(D)
+    image = neutrality_via_delta(D, H2z)
+    first = {}
     for cls in H1.classes():
         beta = delta_twisted_formula(tf, cls.rep)
-        back = neutrality_via_delta(D, beta)
-        assert back is not None
+        key = H2z.class_of(beta).coords
+        assert key in image
+        assert H2z.classes_equal(delta_twisted_formula(tf, image[key]), beta)
+        first.setdefault(key, cls.rep)
+    assert image.keys() == first.keys()
+    assert all((image[key].table == rep.table).all() for key, rep in first.items())
+
+
+def test_delta_image_refuses_another_group():
+    with pytest.raises(ValueError, match="H2z must be"):
+        neutrality_via_delta(D, cohomology(D.Zmod, 1))
+    with pytest.raises(ValueError, match="H2z must be"):
+        neutrality_via_delta(D, cohomology(D.Msum, 2))
+
+
+def _central_shift_per_pair(coc, idx, beta):
+    """The shift of u by beta, one pair (s, t) at a time."""
+    u2 = coc.u.copy()
+    for s in coc.Q.elements():
+        for t in coc.Q.elements():
+            zidx = idx.index_of(beta.table[s, t], np.zeros(idx.cp.ka, dtype=np.int64))
+            u2[s, t] = coc.F.op(zidx, int(coc.u[s, t]))
+    return u2
+
+
+def test_central_shift_matches_per_pair_reference():
+    for cls in cohomology(D.Zmod, 2).classes():
+        coc = central_shift(BASE, IDX, cls.rep)
+        assert (coc.u == _central_shift_per_pair(BASE, IDX, cls.rep)).all()
+        assert coc.rho is BASE.rho
+
+
+@pytest.mark.parametrize("base, galois", [("C2", "C2"), ("C3", "C2"), ("C2xC2", "C2"), ("C2", "1")])
+def test_neutrality_check_builds_two_groups(base, galois, cohomology_builds):
+    """H^2(Q, Z) and H^1(Q, M + M), however many classes H^2 has (2, 1, 16 and 1 here)."""
+    (sc,) = parse_scenarios(f"scenario s\nseed 1\nbase {base}\ngalois {galois}\ncheck neutrality\n")
+    rec = check_neutrality(sc, sc.checks[0])
+    assert rec.status in ("pass", "undecided")
+    assert rec.data["checked"] == rec.data["classes"]
+    assert len(cohomology_builds) == 2
 
 
 def test_transform_preserves_validity_and_class():

@@ -7,7 +7,7 @@ from cohomkit.abelian import FinAbGroup
 from cohomkit.cochain import Cochain, cup
 from cohomkit.fixtures import shapiro_fixtures
 from cohomkit.groups import LocalizationContext, Subgroup, named_group
-from cohomkit.squares import SQUARE_NAMES, ShapiroSquares, verify_shapiro_squares
+from cohomkit.squares import LOCAL_SQUARES, SQUARE_NAMES, ShapiroSquares, verify_shapiro_squares
 
 FIXTURES = shapiro_fixtures()
 
@@ -59,6 +59,17 @@ def test_squares_build_each_induced_module_of_a_once(monkeypatch):
     ShapiroSquares(S3, A3, A, ctx=LocalizationContext(S3, A3, Subgroup.make(S3, [0])))
     assert built.count((6, A)) == 1  # Ind_H^G(A)
     assert built.count((1, A)) == 1  # Ind_{H_D}^D(A), D trivial
+
+
+@pytest.mark.parametrize("decomposition", [None, "all"])
+def test_squares_with_h_equal_g_build_each_group_once(decomposition, cohomology_builds):
+    """With H = G (and D = G), H^r(G, .), H^r(H, .), H^r(D, .) and H^r(H_D, .) coincide."""
+    S3 = named_group("S3")
+    H = Subgroup.make(S3, list(S3.elements()))
+    ctx = None if decomposition is None else LocalizationContext(S3, H, H)
+    results = verify_shapiro_squares(S3, H, FinAbGroup((2,)), ctx=ctx)
+    assert all(r.status == ("skipped" if ctx is None and r.name in LOCAL_SQUARES else "pass") for r in results)
+    assert len(cohomology_builds) == len(set(cohomology_builds)) > 0
 
 
 def _twistless_cup(x, y, pairing, target_module):
