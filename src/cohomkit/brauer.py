@@ -80,7 +80,8 @@ class AbelianStructure:
 
 
 def abelian_structure(G: FiniteGroup) -> AbelianStructure:
-    assert G.is_abelian(), "cyclic decomposition requires an abelian group"
+    if not G.is_abelian():
+        raise ValueError("cyclic decomposition requires an abelian group")
     gens = minimal_generating_set(G)
     if not gens:
         pres = Presentation((), np.zeros((0, 0)), np.zeros((0, 0)))
@@ -99,7 +100,8 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
             elem_of[g] = vec
         if g == 0 and any(vec):
             relations.append(vec)
-    assert len(elem_of) == G.size
+    if len(elem_of) != G.size:
+        raise AssertionError("generating set does not reach every element")
     pres = Presentation(tuple(box), np.eye(len(box), dtype=np.int64), relations)
     coords = np.zeros((G.size, pres.group.rank), dtype=np.int64)
     for g, vec in elem_of.items():

@@ -91,19 +91,22 @@ def _random_triples(cp, rng) -> np.ndarray:
 def check_verify_bk(sc: Scenario, spec: CheckSpec) -> CheckRecord:
     d = _datum(sc)
     rng = np.random.default_rng(sc.seed)
-    data = {}
-    rep = center_equals_embedded_Z(d)
-    data["center-is-Z"] = rep["center_is_Z"]
-    data["derived-is-Z"] = rep["derived_is_Z"]
-    data["nondegenerate"] = is_nondegenerate(d)
-    # group axioms on random triples; the witness is the first failing one
+    # group axioms on random triples, before anything builds the table of F;
+    # the witness is the first failing one
     cp = d.cp
     trials = _random_triples(cp, rng)
     z, a = trials[..., : cp.kz].swapaxes(0, 1), trials[..., cp.kz :].swapaxes(0, 1)
     l = cp.mul(*cp.mul(z[0], a[0], z[1], a[1]), z[2], a[2])
     r = cp.mul(z[0], a[0], *cp.mul(z[1], a[1], z[2], a[2]))
     failed = np.flatnonzero((l[0] != r[0]).any(axis=1) | (l[1] != r[1]).any(axis=1))
-    bad = {"triple": trials[failed[0]].tolist()} if failed.size else None
+    if failed.size:
+        witness = {"triple": trials[failed[0]].tolist()}
+        return CheckRecord(spec.name, "fail", {"associativity-trials": len(trials)}, witness)
+    data = {}
+    rep = center_equals_embedded_Z(d)
+    data["center-is-Z"] = rep["center_is_Z"]
+    data["derived-is-Z"] = rep["derived_is_Z"]
+    data["nondegenerate"] = is_nondegenerate(d)
     data["associativity-trials"] = len(trials)
     # the twisted connecting map: formula path vs definitional path
     H1 = cohomology(d.Msum, 1, work_bound=sc.bound)
@@ -128,17 +131,9 @@ def check_verify_bk(sc: Scenario, spec: CheckSpec) -> CheckRecord:
         checked += 1
     data["delta-classes-checked"] = checked
     data["lambda-middle-identity"] = lambda_middle_identity(d)
-    ok = (
-        rep["ok"]
-        and data["nondegenerate"]
-        and bad is None
-        and mismatch is None
-        and data["lambda-middle-identity"]
-    )
-    witness = bad or mismatch
-    if not ok and witness is None:
-        witness = {"structure": str(rep)}
-    return CheckRecord(spec.name, "pass" if ok else "fail", data, witness if not ok else None)
+    if rep["ok"] and data["nondegenerate"] and mismatch is None and data["lambda-middle-identity"]:
+        return CheckRecord(spec.name, "pass", data)
+    return CheckRecord(spec.name, "fail", data, mismatch or {"structure": str(rep)})
 
 
 @_timed

@@ -2,16 +2,21 @@
 
 The multiplication is (z,a)(z',a') = (z + z' + Phi(a,a'), a + a') with
 Phi((x,y),(x',y')) = phi(x (x) y') for an equivariant phi: M (x) M -> Z.
-The group law acts on coordinate arrays, vectorized over leading axes, so a
-check passes all its samples (random triples, odd powers) through one call.
-Up to |F| = 2^9 the multiplication table can be materialized
-(``as_table_group``); the brute-force center and derived subgroup, for
-|F| <= 2^8, are read off that table.
+The group law (``CrossedProduct.mul``) acts on coordinate arrays, vectorized
+over leading axes, so a check passes all its samples (random triples, odd
+powers) through one call.  Up to |F| = 2^9 the multiplication table can be
+materialized (``as_table_group``, one broadcast call of ``mul`` over all
+pairs); the brute-force center and derived subgroup, for |F| <= 2^8, are
+read off that table.
 
 The twisted-form calculus (twisted cocycle condition, the connecting map in
 closed form, conjugacy witnesses, odd-power conjugators) lives here too; each
 closed form ships next to a definitional evaluation so tests can compare the
-two paths on every input.  The relevability check enumerates its eligible subgroup with
+two paths on every input.  The definitional side reads the twisted cocycle
+law f_s (s ._a f_t) f_{st}^{-1} from one place, ``TwistedForm.defect``,
+built from ``mul``, ``inv`` and the twisted action; the closed forms share
+``TwistedForm.split`` and one sum tx u y + x u ty + x u y + d(x (x) ty).
+The relevability check enumerates its eligible subgroup with
 ``abelian.span_elements``, the enumerator that ``CohomologyGroup.cocycles``
 uses too.
 """
@@ -192,10 +197,8 @@ class CrossedProduct:
         na = idx.a_coords.shape[0]
         zi, ai = np.divmod(np.arange(self.order), na)
         z, a = idx.z_coords[zi], idx.a_coords[ai]
-        # every product e1 e2 at once, e1 along the rows: the law of ``mul``
-        # spelled out, so the table does not depend on that method
-        zz = (z[:, None] + z[None] + self.pair(a[:, None], a[None])) % self.zmods
-        aa = (a[:, None] + a[None]) % self.amods
+        # every product e1 e2 at once, e1 along the rows
+        zz, aa = self.mul(z[:, None], a[:, None], z[None], a[None])
         mul = idx.z_index(zz) * na + idx.a_index(aa)
         G = FiniteGroup(mul, name=f"F{self.order}")
         return G, idx
@@ -258,8 +261,6 @@ class BKDatum:
     cp: CrossedProduct
     x_proj: AbHom
     y_proj: AbHom
-    x_inj: AbHom
-    y_inj: AbHom
 
 
 def build_bk(A: FinAbGroup, ggroup: FiniteGroup) -> BKDatum:
@@ -274,27 +275,20 @@ def build_bk(A: FinAbGroup, ggroup: FiniteGroup) -> BKDatum:
     km = M.ab.rank
     Msum_group = FinAbGroup(tuple(M.ab.orders) * 2)
     acts = np.zeros((ggroup.size, 2 * km, 2 * km), dtype=np.int64)
-    for g in ggroup.elements():
-        acts[g, :km, :km] = M.act[g]
-        acts[g, km:, km:] = M.act[g]
+    acts[:, :km, :km] = M.act
+    acts[:, km:, km:] = M.act
     Msum = GModule(ggroup, Msum_group, acts)
-    # Phi((x,y),(x',y')) = phi(x (x) y')
-    kz = Z.rank
-    phi_tensor = np.zeros((kz, 2 * km, 2 * km), dtype=np.int64)
-    for i in range(km):
-        for jj in range(km):
-            phi_tensor[:, i, km + jj] = phi.matrix[:, tensorMM.index(i, jj)]
+    # Phi((x,y),(x',y')) = phi(x (x) y'); x (x) y' has index i * km + j
+    phi_tensor = np.zeros((Z.rank, 2 * km, 2 * km), dtype=np.int64)
+    phi_tensor[:, :km, km:] = phi.matrix.reshape(Z.rank, km, km)
     cp = CrossedProduct(Zmod, Msum, phi_tensor)
     eye = np.eye(km, dtype=np.int64)
     zero = np.zeros((km, km), dtype=np.int64)
     x_proj = AbHom(Msum_group, M.ab, np.concatenate([eye, zero], axis=1))
     y_proj = AbHom(Msum_group, M.ab, np.concatenate([zero, eye], axis=1))
-    x_inj = AbHom(M.ab, Msum_group, np.concatenate([eye, zero], axis=0))
-    y_inj = AbHom(M.ab, Msum_group, np.concatenate([zero, eye], axis=0))
     return BKDatum(
         A=A, ggroup=ggroup, Mmod=M, MMmod=MM, tensorMM=tensorMM, AA=AA, j=j_hom,
-        Z=Z, phi=phi, Zmod=Zmod, Msum=Msum, cp=cp,
-        x_proj=x_proj, y_proj=y_proj, x_inj=x_inj, y_inj=y_inj,
+        Z=Z, phi=phi, Zmod=Zmod, Msum=Msum, cp=cp, x_proj=x_proj, y_proj=y_proj,
     )
 
 
@@ -303,12 +297,10 @@ def pairing_is_nondegenerate(phi: AbHom, tensor: TensorProduct) -> bool:
     M = tensor.left
     km = M.rank
     kz = phi.target.rank
-    left = np.zeros((kz * km, km), dtype=np.int64)
-    right = np.zeros((kz * km, km), dtype=np.int64)
-    for j in range(km):
-        for i in range(km):
-            left[j * kz : (j + 1) * kz, i] = phi.matrix[:, tensor.index(i, j)]
-            right[j * kz : (j + 1) * kz, i] = phi.matrix[:, tensor.index(j, i)]
+    # pairing[k, i, j] = phi(e_i (x) e_j)_k; one block of rows per probe j
+    pairing = phi.matrix.reshape(kz, km, km)
+    left = pairing.transpose(2, 0, 1).reshape(km * kz, km)
+    right = pairing.transpose(1, 0, 2).reshape(km * kz, km)
     torders = tuple(phi.target.orders) * km
     lk, _ = kernel(AbHom(M, FinAbGroup(torders), left))
     rk, _ = kernel(AbHom(M, FinAbGroup(torders), right))
@@ -361,6 +353,12 @@ class TwistedForm:
         if not is_cocycle(Cochain(datum.Msum, 1, twist.table)):
             raise ValueError("twisting datum must be a cocycle")
         self.twist = twist
+        self.tx, self.ty = self.split(twist)
+
+    def split(self, a: Cochain) -> tuple[Cochain, Cochain]:
+        """The x and y parts of a cochain valued in M + M, valued in M."""
+        d = self.datum
+        return a.mapped(d.x_proj, d.Mmod), a.mapped(d.y_proj, d.Mmod)
 
     def act(self, q: int, z, a):
         """sigma ._a (z, alpha) in closed form."""
@@ -379,72 +377,66 @@ class TwistedForm:
         ti = cp.inv(np.zeros_like(zs), t)
         return cp.mul(z1, a1, *ti)
 
+    def defect(self, z: Cochain, a: Cochain) -> tuple[np.ndarray, np.ndarray]:
+        """The tables (Z part, M + M part) of f_s (s ._a f_t) f_{st}^{-1}, f = (z, a).
+
+        Both have shape (|Q|, |Q|, rank); f is a twisted cocycle exactly when
+        both vanish.  Each s is one call of the group law over every t.
+        """
+        cp, Q = self.cp, self.cp.Q
+        zt, at = z.table, a.table
+        zr = np.zeros((Q.size, Q.size, cp.kz), dtype=np.int64)
+        ar = np.zeros((Q.size, Q.size, cp.ka), dtype=np.int64)
+        for s in Q.elements():
+            st = Q.mul[s]
+            f_s_moved = cp.mul(zt[s], at[s], *self.act(s, zt, at))
+            zr[s], ar[s] = cp.mul(*f_s_moved, *cp.inv(zt[st], at[st]))
+        return zr, ar
+
+
+def _twisted_law_sum(tf: TwistedForm, a: Cochain) -> Cochain:
+    """tx u y + x u ty + x u y + d(x (x) ty), valued in M (x) M."""
+    d = tf.datum
+    x, y = tf.split(a)
+    t = d.tensorMM
+    return (
+        cup(tf.tx, y, t, d.MMmod)
+        + cup(x, tf.ty, t, d.MMmod)
+        + cup(x, y, t, d.MMmod)
+        + differential(pointwise_tensor(x, tf.ty, t, d.MMmod))
+    )
+
 
 def twisted_cocycle_condition_formula(tf: TwistedForm, z: Cochain, a: Cochain) -> bool:
     """d z + phi_*(tx u y + x u ty + x u y + d(x (x) ty)) == 0 and a a cocycle."""
     d = tf.datum
     if not is_cocycle(Cochain(d.Msum, 1, a.table)):
         return False
-    x = a.mapped(d.x_proj, d.Mmod)
-    y = a.mapped(d.y_proj, d.Mmod)
-    tx = tf.twist.mapped(d.x_proj, d.Mmod)
-    ty = tf.twist.mapped(d.y_proj, d.Mmod)
-    t = d.tensorMM
-    w = (
-        cup(tx, y, t, d.MMmod)
-        + cup(x, ty, t, d.MMmod)
-        + cup(x, y, t, d.MMmod)
-        + differential(pointwise_tensor(x, ty, t, d.MMmod))
-    )
-    lhs = differential(z) + w.mapped(d.phi, d.Zmod)
+    lhs = differential(z) + _twisted_law_sum(tf, a).mapped(d.phi, d.Zmod)
     return lhs.is_zero
 
 
 def twisted_cocycle_condition_definitional(tf: TwistedForm, z: Cochain, a: Cochain) -> bool:
     """f_s (s ._a f_t) f_{st}^{-1} == 1 for all s, t."""
-    cp = tf.cp
-    Q = cp.Q
-    for s in Q.elements():
-        for t in Q.elements():
-            zt, at = tf.act(s, z.table[t], a.table[t])
-            z1, a1 = cp.mul(z.table[s], a.table[s], zt, at)
-            st = Q.op(s, t)
-            zi, ai = cp.inv(z.table[st], a.table[st])
-            zr, ar = cp.mul(z1, a1, zi, ai)
-            if zr.any() or ar.any():
-                return False
-    return True
+    zr, ar = tf.defect(z, a)
+    return not (zr.any() or ar.any())
 
 
 def delta_twisted_formula(tf: TwistedForm, a: Cochain) -> Cochain:
     """phi_*((x + tx) u (y + ty) - tx u ty) as a 2-cochain valued in Z."""
     d = tf.datum
-    x = a.mapped(d.x_proj, d.Mmod)
-    y = a.mapped(d.y_proj, d.Mmod)
-    tx = tf.twist.mapped(d.x_proj, d.Mmod)
-    ty = tf.twist.mapped(d.y_proj, d.Mmod)
+    x, y = tf.split(a)
     t = d.tensorMM
-    w = cup(x + tx, y + ty, t, d.MMmod) - cup(tx, ty, t, d.MMmod)
+    w = cup(x + tf.tx, y + tf.ty, t, d.MMmod) - cup(tf.tx, tf.ty, t, d.MMmod)
     return w.mapped(d.phi, d.Zmod)
 
 
 def delta_twisted_definitional(tf: TwistedForm, a: Cochain) -> Cochain:
     """Connecting value from the lift (0, a): f_s (s ._a f_t) f_{st}^{-1}."""
-    cp = tf.cp
-    Q = cp.Q
-    n = Q.size
-    out = np.zeros((n, n, cp.kz), dtype=np.int64)
-    zero = np.zeros(cp.kz, dtype=np.int64)
-    for s in Q.elements():
-        for t in Q.elements():
-            zt, at = tf.act(s, zero, a.table[t])
-            z1, a1 = cp.mul(zero, a.table[s], zt, at)
-            st = Q.op(s, t)
-            zi, ai = cp.inv(zero, a.table[st])
-            zr, ar = cp.mul(z1, a1, zi, ai)
-            assert not ar.any(), "connecting value must be central"
-            out[s, t] = zr
-    return Cochain(tf.datum.Zmod, 2, out)
+    zr, ar = tf.defect(zero_cochain(tf.datum.Zmod, 1), a)
+    if ar.any():
+        raise AssertionError("connecting value must be central")
+    return Cochain(tf.datum.Zmod, 2, zr)
 
 
 def cohomologous_witness(tf: TwistedForm, f, fp, alpha: AbElement):
@@ -460,42 +452,34 @@ def cohomologous_witness(tf: TwistedForm, f, fp, alpha: AbElement):
     if alpha.parent != d.Msum.ab:
         raise ValueError("alpha must be an element of M + M")
     # d alpha must match a' - a
-    dalpha = differential(Cochain(d.Msum, 0, np.array(alpha.coords)))
-    if (ap - a) != dalpha:
+    alpha_c = Cochain(d.Msum, 0, np.array(alpha.coords))
+    if (ap - a) != differential(alpha_c):
         raise ValueError("alpha does not connect the two cocycles")
-    xi = d.x_proj(alpha)
-    eta = d.y_proj(alpha)
-    x = a.mapped(d.x_proj, d.Mmod)
-    tx = tf.twist.mapped(d.x_proj, d.Mmod)
-    ty = tf.twist.mapped(d.y_proj, d.Mmod)
-    yp = ap.mapped(d.y_proj, d.Mmod)
+    xi_c, eta_c = tf.split(alpha_c)
+    x, _ = tf.split(a)
+    _, yp = tf.split(ap)
     t = d.tensorMM
-    eta_c = Cochain(d.Mmod, 0, np.array(eta.coords))
-    xi_c = Cochain(d.Mmod, 0, np.array(xi.coords))
     w = (
-        -cup(x + tx, eta_c, t, d.MMmod)
-        + cup(xi_c, yp + ty, t, d.MMmod)
-        + pointwise_tensor(differential(xi_c), ty, t, d.MMmod)
+        -cup(x + tf.tx, eta_c, t, d.MMmod)
+        + cup(xi_c, yp + tf.ty, t, d.MMmod)
+        + pointwise_tensor(differential(xi_c), tf.ty, t, d.MMmod)
     )
     c = (zp - z) + w.mapped(d.phi, d.Zmod)
     H1z = cohomology(d.Zmod, 1)
-    assert H1z.is_cocycle(c), "comparison cochain failed to be a cocycle"
+    if not H1z.is_cocycle(c):
+        raise AssertionError("comparison cochain failed to be a cocycle")
     zeta_c = H1z.coboundary_witness(c)
     if zeta_c is None:
         return c, False, None
     zeta = d.Zmod.ab.element(zeta_c.table)
-    # pointwise identity f'_s = (zeta,alpha)^{-1} f_s (s ._a (zeta,alpha))
+    # pointwise identity f'_s = (zeta,alpha)^{-1} f_s (s ._a (zeta,alpha)), all s at once
     cp = tf.cp
-    zcoords = np.array(zeta.coords, dtype=np.int64)
-    acoords = np.array(alpha.coords, dtype=np.int64)
-    for s in tf.cp.Q.elements():
-        zi, ai = cp.inv(zcoords, acoords)
-        z1, a1 = cp.mul(zi, ai, z.table[s], a.table[s])
-        zs, as_ = tf.act(s, zcoords, acoords)
-        z2, a2 = cp.mul(z1, a1, zs, as_)
-        assert (z2 == zp.table[s]).all() and (a2 == ap.table[s]).all(), (
-            "conjugation witness failed the pointwise identity"
-        )
+    zc = np.array(zeta.coords, dtype=np.int64)
+    ac = np.array(alpha.coords, dtype=np.int64)
+    zs, as_ = map(np.array, zip(*(tf.act(s, zc, ac) for s in cp.Q.elements())))
+    z2, a2 = cp.mul(*cp.mul(*cp.inv(zc, ac), z.table, a.table), zs, as_)
+    if (z2 != zp.table).any() or (a2 != ap.table).any():
+        raise AssertionError("conjugation witness failed the pointwise identity")
     return c, True, (zeta, alpha)
 
 
@@ -508,7 +492,8 @@ def kernel_module(Mmod: GModule, h: AbHom) -> tuple[GModule, AbHom]:
         for gen in K.generators():
             moved = Mmod.ab.element(Mmod.apply(g, np.array(incl(gen).coords)))
             pre = solve_preimage(incl, moved)
-            assert pre is not None, "kernel is not stable under the action"
+            if pre is None:
+                raise AssertionError("kernel is not stable under the action")
             cols.append(pre.coords)
         acts[g] = np.array(cols, dtype=np.int64).T
     return GModule(Mmod.group, K, acts), incl
@@ -516,20 +501,7 @@ def kernel_module(Mmod: GModule, h: AbHom) -> tuple[GModule, AbHom]:
 
 def lambda_prime_extraction(tf: TwistedForm, z: Cochain, a: Cochain, eps: Cochain):
     """lambda with j_* lambda = d eps + tx u y + x u ty + x u y + d(x (x) ty)."""
-    d = tf.datum
-    x = a.mapped(d.x_proj, d.Mmod)
-    y = a.mapped(d.y_proj, d.Mmod)
-    tx = tf.twist.mapped(d.x_proj, d.Mmod)
-    ty = tf.twist.mapped(d.y_proj, d.Mmod)
-    t = d.tensorMM
-    w = (
-        differential(eps)
-        + cup(tx, y, t, d.MMmod)
-        + cup(x, ty, t, d.MMmod)
-        + cup(x, y, t, d.MMmod)
-        + differential(pointwise_tensor(x, ty, t, d.MMmod))
-    )
-    return w
+    return differential(eps) + _twisted_law_sum(tf, a)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,80 @@ def test_cohomologous_witness_recovers_constructed_conjugates():
     assert total >= 100
 
 
+BATTERY = [build_bk(FinAbGroup(orders), named_group(g)) for _, orders, g in BK_FAMILY] + [
+    build_bk(FinAbGroup((2, 2)), named_group("1")),
+    build_bk(FinAbGroup((4,)), named_group("C2")),
+    build_bk(FinAbGroup((2,)), named_group("S3")),  # st != ts
+]
+
+
+def _defect_per_pair(tf, z, a):
+    """Reference: f_s (s ._a f_t) f_{st}^{-1}, one pair (s, t) at a time."""
+    cp, Q = tf.cp, tf.cp.Q
+    zr = np.zeros((Q.size, Q.size, cp.kz), dtype=np.int64)
+    ar = np.zeros((Q.size, Q.size, cp.ka), dtype=np.int64)
+    for s in Q.elements():
+        for t in Q.elements():
+            zt, at = tf.act(s, z.table[t], a.table[t])
+            z1, a1 = cp.mul(z.table[s], a.table[s], zt, at)
+            st = Q.op(s, t)
+            zr[s, t], ar[s, t] = cp.mul(z1, a1, *cp.inv(z.table[st], a.table[st]))
+    return zr, ar
+
+
+def _conjugate_per_element(tf, z, a, zeta, alpha):
+    """Reference: s -> (zeta, alpha)^{-1} f_s (s ._a (zeta, alpha)), one s at a time."""
+    cp = tf.cp
+    zp, ap = np.zeros_like(z.table), np.zeros_like(a.table)
+    for s in cp.Q.elements():
+        z1, a1 = cp.mul(*cp.inv(zeta, alpha), z.table[s], a.table[s])
+        zp[s], ap[s] = cp.mul(z1, a1, *tf.act(s, zeta, alpha))
+    return Cochain(tf.datum.Zmod, 1, zp), Cochain(tf.datum.Msum, 1, ap)
+
+
+def _battery_twisted_forms(d, rng):
+    """Up to 4 twists (zero, H^1 representatives, coboundaries) with the H^1 classes."""
+    H1 = cohomology(d.Msum, 1)
+    reps = [cls.rep for cls in H1.classes()]
+    bounds = [differential(random_cochain(d.Msum, 0, rng)) for _ in range(2)]
+    twists = (reps + bounds)[:4]
+    return [TwistedForm(d, tw) for tw in twists], reps + [reps[-1] + b for b in bounds]
+
+
+@pytest.mark.parametrize("d", BATTERY, ids=[str(i) for i in range(len(BATTERY))])
+def test_definitional_paths_match_per_pair_loops(d):
+    rng = np.random.default_rng(11)
+    H2z = cohomology(d.Zmod, 2)
+    zero_z = zero_cochain(d.Zmod, 1)
+    twisted_forms, alphas = _battery_twisted_forms(d, rng)
+    verdicts = set()
+    for tf in twisted_forms:
+        for a in alphas:
+            want = _defect_per_pair(tf, zero_z, a)
+            assert not want[1].any()
+            assert (delta_twisted_definitional(tf, a).table == want[0]).all()
+            z_true = H2z.coboundary_witness((-1) * delta_twisted_definitional(tf, a))
+            for z in [zero_z, random_cochain(d.Zmod, 1, rng)] + [z_true] * (z_true is not None):
+                zr, ar = _defect_per_pair(tf, z, a)
+                got = tf.defect(z, a)
+                assert (got[0] == zr).all() and (got[1] == ar).all()
+                verdict = twisted_cocycle_condition_definitional(tf, z, a)
+                assert verdict == (not (zr.any() or ar.any()))
+                verdicts.add(verdict)
+                if z is not z_true:
+                    continue
+                # the witness identity against the per-element loop
+                zeta0 = rng.integers(0, np.maximum(tf.cp.zmods, 1))
+                alpha0 = d.Msum.ab.element(rng.integers(0, tf.cp.amods))
+                fp = _conjugate_per_element(tf, z, a, zeta0, np.array(alpha0.coords))
+                c, ok, conj = cohomologous_witness(tf, (z, a), fp, alpha0)
+                assert ok and conj[1] == alpha0
+                zeta = np.array(conj[0].coords, dtype=np.int64)
+                back = _conjugate_per_element(tf, z, a, zeta, np.array(alpha0.coords))
+                assert back[0] == fp[0] and back[1] == fp[1]
+    assert True in verdicts and (False in verdicts or d.Zmod.ab.cardinality == 1)
+
+
 def test_witness_trivial_pair():
     tf = TwistedForm(D22)
     H2z = cohomology(D22.Zmod, 2)
@@ -481,7 +555,9 @@ def test_identity_checks_survive_optimized_mode():
     cyclic oracle on a non-cyclic group, a connecting cochain in the wrong module,
     the character-carry self-checks, and the module, degree, arity and group checks of
     cochain arithmetic, cup and pointwise products, the Shapiro maps, tensor modules and
-    crossed products raise under python -O, and an H^2 build that takes
+    crossed products, the stability of a kernel module, the input and enumeration checks of
+    abelian_structure, and the centrality, cocycle and pointwise checks of the twisted-form
+    paths raise under python -O, and an H^2 build that takes
     a second certification round gives the same group."""
     script = """
 import sys
@@ -608,6 +684,25 @@ om = G.OmegaDecomposition(Ind)
 print(outcome(lambda: CC.sh_prime(CC.zero_cochain(Ind, 1), om, triv3, A3embed)))
 print(outcome(lambda: G.tensor_module(Z4, Z4b)))
 print(outcome(lambda: C.CrossedProduct(Z4, Z4b, np.zeros((1, 1, 1), dtype=np.int64))))
+# a hom whose kernel the action moves, a non-abelian table, a set that generates nothing
+swap = G.GModule(C2, FinAbGroup((2, 2)), np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]))
+print(outcome(lambda: C.kernel_module(swap, AbHom(swap.ab, FinAbGroup((2,)), [[1, 0]]))))
+print(outcome(lambda: B.abelian_structure(S3)))
+gens, B.minimal_generating_set = B.minimal_generating_set, lambda G: [0]
+print(outcome(lambda: B.abelian_structure(C2)))
+B.minimal_generating_set = gens
+# a defect with an M + M part, a comparison cochain that is no cocycle, a wrong action
+tf = C.TwistedForm(d)
+zero_a = CC.zero_cochain(d.Msum, 1)
+defect = tf.defect
+tf.defect = lambda z, a: (defect(z, a)[0], defect(z, a)[1] + 1)
+print(outcome(lambda: C.delta_twisted_definitional(tf, zero_a)))
+tf = C.TwistedForm(d)
+bad_z = Cochain(d.Zmod, 1, np.eye(2, d.Zmod.ab.rank, dtype=np.int64))
+zero_f = (CC.zero_cochain(d.Zmod, 1), zero_a)
+print(outcome(lambda: C.cohomologous_witness(tf, (bad_z, zero_a), zero_f, d.Msum.ab.zero())))
+tf.act = lambda q, z, a: (z, (np.asarray(a) + 1) % 2)
+print(outcome(lambda: C.cohomologous_witness(tf, zero_f, zero_f, d.Msum.ab.zero())))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -666,6 +761,12 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "ValueError: sh_prime takes a cochain valued in M (x) M",
         "ValueError: tensor product needs modules over the same group",
         "ValueError: crossed product needs Z and M + M over the same group",
+        "AssertionError: kernel is not stable under the action",
+        "ValueError: cyclic decomposition requires an abelian group",
+        "AssertionError: generating set does not reach every element",
+        "AssertionError: connecting value must be central",
+        "AssertionError: comparison cochain failed to be a cocycle",
+        "AssertionError: conjugation witness failed the pointwise identity",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

@@ -142,3 +142,87 @@ def test_tiny_instance_full_story():
     assert coc.validate()
     verdict, _ = is_neutral_bruteforce(coc)
     assert verdict == Neutrality.NEUTRAL
+
+
+def _neutral_search_loop(coc, budget=1 << 16):
+    """Reference: one candidate c: Q -> F and one pair (s, t) at a time."""
+    from itertools import product as iproduct
+
+    Q, F = coc.Q, coc.F
+    if F.size ** Q.size > budget:
+        return Neutrality.UNDECIDED, None
+    for cand in iproduct(range(F.size), repeat=Q.size):
+        c = np.array(cand, dtype=np.int64)
+        ok = True
+        for s in Q.elements():
+            for t in Q.elements():
+                val = F.op(int(c[Q.op(s, t)]), int(coc.u[s, t]))
+                val = F.op(val, int(F.inv[int(coc.rho[s][c[t]])]))
+                val = F.op(val, int(F.inv[int(c[s])]))
+                if val != 0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return Neutrality.NEUTRAL, c
+    return Neutrality.NOT_NEUTRAL, None
+
+
+def _transformed_per_pair(coc, c):
+    """Reference: the cocycle moved along c, one element and one pair at a time."""
+    Q, F = coc.Q, coc.F
+    rho2 = np.zeros_like(coc.rho)
+    u2 = np.zeros_like(coc.u)
+    for s in Q.elements():
+        cs = int(c[s])
+        rho2[s] = [F.op(F.op(cs, int(coc.rho[s][x])), int(F.inv[cs])) for x in range(F.size)]
+        for t in Q.elements():
+            val = F.op(int(c[Q.op(s, t)]), int(coc.u[s, t]))
+            val = F.op(val, int(F.inv[int(coc.rho[s][c[t]])]))
+            u2[s, t] = F.op(val, int(F.inv[cs]))
+    return rho2, u2
+
+
+def _same_search(coc):
+    got, want = is_neutral_bruteforce(coc), _neutral_search_loop(coc)
+    assert got[0] == want[0]
+    assert (got[1] is None and want[1] is None) or got[1].tolist() == want[1].tolist()
+    return got
+
+
+@pytest.mark.parametrize("galois", ["C2", "1"])
+def test_neutral_search_matches_loop_reference(galois):
+    d = build_bk(FinAbGroup((2,)), cyclic_group(2 if galois == "C2" else 1))
+    Fd, idx = d.cp.as_table_group(cap=512)
+    base = cocycle_from_action(d.ggroup, Fd, bk_action_perms(d, idx))
+    rng = np.random.default_rng(2)
+    verdicts = set()
+    for cls in cohomology(d.Zmod, 2).classes():
+        coc = central_shift(base, idx, cls.rep)
+        verdict, _ = _same_search(coc)
+        verdicts.add(verdict)
+        for _ in range(3):
+            c = rng.integers(0, Fd.size, size=d.ggroup.size)
+            moved = coc.transformed(c)
+            rho2, u2 = _transformed_per_pair(coc, c)
+            assert (moved.rho == rho2).all() and (moved.u == u2).all()
+            assert _same_search(moved)[0] == verdict
+    if galois == "C2":
+        assert verdicts == {Neutrality.NEUTRAL, Neutrality.NOT_NEUTRAL}
+
+
+def test_neutral_search_first_hit_across_chunks(monkeypatch):
+    """With 100 candidates per chunk, the first trivializing c lies in a later chunk."""
+    import cohomkit.nonab as nonab_mod
+
+    monkeypatch.setattr(nonab_mod, "_CHUNK_ENTRIES", 100 * 4)
+    rng = np.random.default_rng(9)
+    positions = []
+    for cls in cohomology(D.Zmod, 2).classes():
+        coc = central_shift(BASE, IDX, cls.rep)
+        for _ in range(4):
+            verdict, c = _same_search(coc.transformed(rng.integers(1, F.size, size=2)))
+            if verdict == Neutrality.NEUTRAL:
+                positions.append(int(c[0]) * F.size + int(c[1]))
+    assert positions and min(positions) >= 100

@@ -1,0 +1,46 @@
+"""The helper scripts under scripts/ run and print their known results."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+BK_SURVEY = [
+    "A=(2,) g=1: |M|=2 Z=0 |F|=4 nondeg=False Z(F)=Z:False [F,F]=Z:True BrNr=0 B0=0 B0-oracle=0 B0-table=0",
+    "A=(2,) g=C2: |F| = 128 skipped",
+    "A=(2,) g=C3: |F| = 16384 skipped",
+    "A=(3,) g=C2: |F| = 2187 skipped",
+    "A=(2, 2) g=C2: |F| = 1048576 skipped",
+]
+
+FIND_SHA = [
+    "Z/8 units (3,5) degree 1: kernel C2 of C2",
+    "Z/8 units (3,7) degree 1: kernel C2 of C2",
+    "Z/8 units (5,7) degree 1: kernel C2 of C2",
+    "(4,): 0 modules with nonzero kernel",
+    "(2, 2): 0 modules with nonzero kernel",
+    "total faithful hits: 3",
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [(["bk_survey.py", "--max-order", "4"], BK_SURVEY), (["find_sha_example.py"], FIND_SHA)],
+    ids=["bk_survey", "find_sha_example"],
+)
+def test_script_output(args, expected):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [re.sub(r" \(\d+\.\ds\)$", "", line) for line in proc.stdout.splitlines()]
+    assert lines == expected
