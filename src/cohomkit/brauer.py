@@ -6,13 +6,19 @@ Two independent routes to B0(F) for a class-2 group F with Z(F) = [F,F]:
   lambda: wedge^2 F^ab -> Z(F), with S = Ker lambda and S_lambda generated by
   the pure wedges inside S;
 * the definitional kernel of H^2(F, Q/Z) -> prod_A H^2(A, Q/Z) over abelian
-  subgroups A generated by commuting pairs.  Q/Z is modeled as Z/N, N = |F|;
-  the passage to Q/Z coefficients quotients H^2(F, Z/N) by the image of the
-  connecting map on characters (an explicit integer 'carry' 2-cocycle per
-  character), which is exact because every class is |F|-torsion.  The sweep
-  over commuting pairs skips a pair once both elements lie in a subgroup
-  already found (its span is that subgroup or not maximal), and H^2(A, Q/Z)
-  is solved once per distinct multiplication table among the subgroups A.
+  subgroups A, read through Bogomolov's criterion: B0(F) is the set of
+  classes alpha with alpha(a, b) = alpha(b, a) for every commuting pair
+  (a, b).  On an abelian A the commutator form
+  omega(a, b) = alpha(a, b) - alpha(b, a) of a 2-cocycle is alternating and
+  bilinear, and alpha -> omega is the isomorphism
+  H^2(A, Q/Z) = Hom(wedge^2 A, Q/Z); so alpha restricts to zero on A exactly
+  when omega vanishes on A x A, and the maximal abelian subgroups generated
+  by commuting pairs cover every commuting pair.  Q/Z is modeled as Z/N,
+  N = |F|, which embeds in Q/Z, so omega = 0 can be read in Z/N; the passage
+  to Q/Z coefficients quotients H^2(F, Z/N) by the image of the connecting
+  map on characters (an explicit integer 'carry' 2-cocycle per character),
+  which is exact because every class is |F|-torsion.  Coboundaries and
+  carries are symmetric on commuting pairs, so omega is defined on classes.
 
 The two never share code; their agreement on the fixture battery is asserted
 in the tests.
@@ -46,7 +52,6 @@ from .groups import (
     Subgroup,
     center_subgroup,
     cyclic_subgroups,
-    all_subgroups,
     derived_subgroup,
     generated_subgroup,
     is_simple_module,
@@ -71,12 +76,6 @@ class AbelianStructure:
     group: FinAbGroup
     coords: np.ndarray  # (n, rank): coordinates of each element
     reps: list[int]     # a table element realizing each coordinate generator
-
-    def element_of(self, coords) -> int:
-        g = 0
-        for rep, c in zip(self.reps, coords):
-            g = self.table.op(g, self.table.power(rep, int(c)))
-        return g
 
 
 def abelian_structure(G: FiniteGroup) -> AbelianStructure:
@@ -270,47 +269,42 @@ def _character_carries(G: FiniteGroup, N: int) -> list[np.ndarray]:
 
 
 def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
-    """(H2, pres) with pres presenting H^2(G, Q/Z) = Z^2 / (B^2 + carries)."""
+    """(H2, pres, carries): pres presents H^2(G, Q/Z) = Z^2 / (B^2 + carries).
+
+    ``carries`` holds the slice coordinates of the character carries.
+    """
     triv = trivial_module(G, FinAbGroup((N,)))
     H2 = cohomology(triv, 2, work_bound=work_bound)
-    carry_rows = []
+    carries = []
     for tab in _character_carries(G, N):
         c = Cochain(triv, 2, tab.reshape(G.size, G.size, 1))
         if not H2.is_cocycle(c):
             raise AssertionError("character carry is not a 2-cocycle")
-        carry_rows.append(H2.slice_coords(c))
-    t_rows = np.concatenate(
-        [H2.b_rows] + ([np.array(carry_rows, dtype=np.int64)] if carry_rows else []), axis=0
-    )
-    pres = Presentation(H2.ambient_orders, H2.z_rows, t_rows)
-    return H2, pres
+        carries.append(H2.slice_coords(c))
+    carries = np.array(carries, dtype=np.int64).reshape(-1, H2.s)
+    pres = Presentation(H2.ambient_orders, H2.z_rows, np.concatenate([H2.b_rows, carries]))
+    return H2, pres, carries
 
 
-def commuting_pair_subgroups(G: FiniteGroup, full_abelian_sweep: bool = False) -> list[Subgroup]:
+def commuting_pair_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Inclusion-maximal abelian subgroups generated by commuting pairs.
 
     The sweep skips a commuting pair (a, b) once both lie in a subgroup S
     already found: then <a, b> is contained in S, so it is either S itself or
     not maximal, and the maximal list is exactly that of the all-pairs sweep.
-
-    With full_abelian_sweep (meta-check for |G| <= 64) every abelian subgroup
-    is returned instead.
     """
-    if full_abelian_sweep:
-        subs = [s for s in all_subgroups(G) if _is_abelian_subset(G, s.members)]
-    else:
-        commute = G.mul == G.mul.T
-        covered = np.zeros_like(commute)
-        seen = {}
-        for a in G.elements():
-            for b in np.flatnonzero(commute[a] & ~covered[a]):
-                if covered[a, b]:
-                    continue
-                sub = generated_subgroup(G, [a, b])
-                mem = np.array(sub.members)
-                covered[np.ix_(mem, mem)] = True
-                seen.setdefault(sub.members, sub)
-        subs = list(seen.values())
+    commute = G.mul == G.mul.T
+    covered = np.zeros_like(commute)
+    seen = {}
+    for a in G.elements():
+        for b in np.flatnonzero(commute[a] & ~covered[a]):
+            if covered[a, b]:
+                continue
+            sub = generated_subgroup(G, [a, b])
+            mem = np.array(sub.members)
+            covered[np.ix_(mem, mem)] = True
+            seen.setdefault(sub.members, sub)
+    subs = list(seen.values())
     # incidence rows: S_i < S_j iff |S_i & S_j| = |S_i| < |S_j| (distinct sets)
     inc = np.zeros((len(subs), G.size), dtype=np.int64)
     for i, s in enumerate(subs):
@@ -321,42 +315,39 @@ def commuting_pair_subgroups(G: FiniteGroup, full_abelian_sweep: bool = False) -
     return sorted(maximal, key=lambda s: s.members)
 
 
-def _is_abelian_subset(G: FiniteGroup, members) -> bool:
-    return all(G.op(a, b) == G.op(b, a) for a in members for b in members)
+def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26, max_order: int = 256) -> FinAbGroup:
+    """B0(F) by Bogomolov's criterion, with Z/|F| coefficients.
 
+    B0(F) is the kernel of H^2(F, Q/Z) -> prod_A H^2(A, Q/Z) over the abelian
+    subgroups A.  On an abelian A, omega(a, b) = alpha(a, b) - alpha(b, a) is
+    alternating and bilinear and determines the class of alpha, so the
+    restriction to A is zero exactly when omega vanishes on A x A.  The
+    maximal subgroups S generated by commuting pairs cover every commuting
+    pair, so B0(F) is the kernel of alpha -> omega on the pairs of every
+    S x S: one H^2 of F, and no cohomology of any subgroup.
 
-def b0_oracle(
-    F: FiniteGroup,
-    work_bound: int = 1 << 26,
-    full_abelian_sweep: bool = False,
-    max_order: int = 256,
-) -> FinAbGroup:
-    """Common restriction kernel over abelian subgroups, with Z/|F| coefficients.
-
-    The subgroups are the maximal ones generated by commuting pairs (or all
-    abelian subgroups with full_abelian_sweep).  H^2(A, Q/Z) depends only on
-    the multiplication table of A and on N, so it is solved once per distinct
-    table and shared by every subgroup with that table; each subgroup still
-    restricts through its own embedding into F.
+    The carries that pass from Z/N to Q/Z coefficients must have omega = 0
+    on those pairs; this is re-checked on every call.
     """
     if F.size > max_order:
         raise ValueError(f"|F| = {F.size} exceeds the oracle bound {max_order}")
     N = F.size
-    H2, pres = _qz_presentation(F, N, work_bound=work_bound)
+    H2, pres, carries = _qz_presentation(F, N, work_bound=work_bound)
     P = pres.group
+    commuting = np.zeros((N, N), dtype=bool)
+    for sub in commuting_pair_subgroups(F):
+        mem = list(sub.members)
+        commuting[np.ix_(mem, mem)] = True
+    gens = np.array([pres.rep(g) for g in P.generators()], dtype=np.int64).reshape(-1, H2.s)
+    T = H2._tables_from_slices(np.concatenate([gens, carries]))[:, :, 0]  # (N, N, b)
+    # omega is alternating, so the pairs a < b carry every condition
+    omega = (T - T.transpose(1, 0, 2))[np.triu(commuting, 1)] % N
+    if omega[:, len(gens):].any():
+        raise AssertionError("a character carry is not symmetric on commuting pairs")
     if P.is_trivial:
         return P
-    reps = [H2.cochain(pres.rep(coords)) for coords in P.generators()]
-    local = []
-    solved = {}  # multiplication table of A -> (H2A, presA)
-    for sub in commuting_pair_subgroups(F, full_abelian_sweep=full_abelian_sweep):
-        Agrp, embed = subgroup_group(sub)
-        key = Agrp.mul.tobytes()
-        if key not in solved:
-            solved[key] = _qz_presentation(Agrp, N)
-        local.append((embed, *solved[key]))
-    K, _ = _restriction_kernel(P, reps, local)
-    return K
+    # every class is N-torsion, so the kernel mod N holds P's coordinates
+    return Presentation(P.orders, kernel_uniform(omega[:, : len(gens)], N)).group
 
 
 def _restriction_kernel(P: FinAbGroup, reps: list[Cochain], local):

@@ -499,7 +499,7 @@ def kernel_module(Mmod: GModule, h: AbHom) -> tuple[GModule, AbHom]:
     return GModule(Mmod.group, K, acts), incl
 
 
-def lambda_prime_extraction(tf: TwistedForm, z: Cochain, a: Cochain, eps: Cochain):
+def lambda_prime_extraction(tf: TwistedForm, a: Cochain, eps: Cochain):
     """lambda with j_* lambda = d eps + tx u y + x u ty + x u y + d(x (x) ty)."""
     return differential(eps) + _twisted_law_sum(tf, a)
 

@@ -273,8 +273,8 @@ def test_criterion_07_cohomologous_witness_lemma(orders, gname):
         # point 3: delta([c]) = [lambda' - lambda]
         eps = Cochain(d.MMmod, 1, np.array([lift(v) for v in z.table]))
         epsp = Cochain(d.MMmod, 1, np.array([lift(v) for v in zp.table]))
-        lam_t = lambda_prime_extraction(tf, z, a, eps)
-        lamp_t = lambda_prime_extraction(tf, zp, ap, epsp)
+        lam_t = lambda_prime_extraction(tf, a, eps)
+        lamp_t = lambda_prime_extraction(tf, ap, epsp)
         lam = Cochain(
             Kmod,
             2,

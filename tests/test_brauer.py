@@ -1,6 +1,9 @@
 """Bogomolov multipliers both ways, the pure-tensor quotient, cyclic kernels."""
 
 import itertools
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +21,7 @@ from cohomkit.abelian import (
     vanishing_products,
 )
 from cohomkit.brauer import (
+    _qz_presentation,
     _restriction_kernel,
     abelian_structure,
     b0_closed_form,
@@ -42,6 +46,7 @@ from cohomkit.cochain import Cochain
 from cohomkit.groups import (
     GModule,
     Subgroup,
+    all_subgroups,
     cyclic_group,
     cyclic_subgroups,
     direct_product,
@@ -51,6 +56,7 @@ from cohomkit.groups import (
     named_group,
     quotient_module,
     restrict_module,
+    subgroup_group,
     trivial_module,
 )
 
@@ -68,7 +74,10 @@ def test_abelian_structure_is_isomorphism():
                 assert (ab.coords[s] == (ab.coords[g] + ab.coords[h]) % mods).all()
         for i in range(ab.group.rank):
             unit = [int(i == j) for j in range(ab.group.rank)]
-            assert (ab.coords[ab.element_of(unit)] == np.array(unit)).all()
+            g = 0
+            for rep, c in zip(ab.reps, unit):
+                g = G.op(g, G.power(rep, c))
+            assert (ab.coords[g] == np.array(unit)).all()
 
 
 @pytest.mark.parametrize("name", B0_GROUPS)
@@ -102,10 +111,40 @@ def test_oracle_matches_closed_form_small(name):
         assert same_invariants(oracle, b0_closed_form(G))
 
 
+def _restriction_reference(F, subgroups):
+    """B0(F) as the common kernel of H^2(F, Q/Z) -> H^2(A, Q/Z) over the given A.
+
+    The definitional route, the reference for b0_oracle: it builds
+    H^2(A, Q/Z) once per distinct multiplication table among the subgroups
+    and restricts each generator of H^2(F, Q/Z) through every embedding.
+    """
+    N = F.size
+    H2, pres, _ = _qz_presentation(F, N)
+    P = pres.group
+    if P.is_trivial:
+        return P
+    reps = [H2.cochain(pres.rep(g)) for g in P.generators()]
+    local, solved = [], {}
+    for sub in subgroups:
+        A, embed = subgroup_group(sub)
+        key = A.mul.tobytes()
+        if key not in solved:
+            solved[key] = _qz_presentation(A, N)[:2]
+        local.append((embed, *solved[key]))
+    return _restriction_kernel(P, reps, local)[0]
+
+
+def _abelian_subgroups(G):
+    return [
+        s for s in all_subgroups(G)
+        if all(G.op(a, b) == G.op(b, a) for a in s.members for b in s.members)
+    ]
+
+
 @pytest.mark.parametrize("name", ["D8", "Q8", "Heis27"])
 def test_oracle_full_abelian_sweep_meta_check(name):
     G = named_group(name)
-    assert b0_oracle(G, full_abelian_sweep=True).cardinality == b0_oracle(G).cardinality
+    assert same_invariants(b0_oracle(G), _restriction_reference(G, _abelian_subgroups(G)))
 
 
 def test_oracle_bound_rejected():
@@ -226,7 +265,73 @@ def test_pruned_commuting_pair_sweep_matches_all_pairs(name):
     assert [s.members for s in commuting_pair_subgroups(G)] == _all_pairs_maximal(G)
 
 
-def test_oracle_solves_each_subgroup_table_once(monkeypatch):
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC4", "S3xS3", "Heis27xC2", "F128"])
+def test_oracle_matches_restriction_reference(name):
+    G = _ladder_group(name)
+    assert same_invariants(b0_oracle(G), _restriction_reference(G, commuting_pair_subgroups(G)))
+
+
+def g128(control):
+    """V x W for V = (Z/2)^4 and W = (Z/2)^3 = <f1, f2, f3>, order 128.
+
+    beta(e1, e4) = beta(e2, e3) = f3, beta(e2, e4) = f2, beta(e3, e4) = f1.
+    Ker lambda is spanned by e1^e2, e1^e3 and e1^e4 + e2^e3, and the last is
+    no pure wedge modulo the first two, so B0 = C2.  The control adds
+    beta(e1, e2) = f3: then Ker lambda is spanned by the pure wedges e1^e3,
+    e1^(e2 + e4) and e2^(e1 + e3), and B0 = 0.
+    """
+    f = np.eye(3, dtype=np.int64)
+    beta = np.zeros((4, 4, 3), dtype=np.int64)
+    beta[0, 3] = beta[1, 2] = f[2]
+    beta[1, 3] = f[1]
+    beta[2, 3] = f[0]
+    if control:
+        beta[0, 1] = f[2]
+    return class_two_group((2,) * 4, (2,) * 3, beta, name="G128")
+
+
+@pytest.mark.parametrize("control,b0_order", [(False, 2), (True, 1)], ids=["G128", "control"])
+def test_b0_nonzero_on_g128_three_ways(control, b0_order):
+    G = g128(control)
+    want = FinAbGroup((b0_order,))
+    assert same_invariants(b0_oracle(G), want)
+    assert same_invariants(b0_closed_form(G), want)
+    assert same_invariants(_restriction_reference(G, commuting_pair_subgroups(G)), want)
+
+
+def test_oracle_rejects_a_carry_not_symmetric_on_commuting_pairs():
+    """A carry with omega != 0 on a commuting pair raises, also under python -O.
+
+    alpha(a, b) = 2 a_1 b_2 on C2 x C2 with values in Z/4 is bilinear, so it
+    passes the cocycle check of the carries, but alpha(a, b) != alpha(b, a).
+    """
+    script = """
+import numpy as np
+import cohomkit.brauer as B
+from cohomkit.groups import named_group
+
+G = named_group("C2xC2")
+x = B.abelian_structure(G).coords
+carries = B._character_carries
+B._character_carries = lambda G, N: carries(G, N) + [2 * np.outer(x[:, 0], x[:, 1]) % N]
+try:
+    B.b0_oracle(G)
+except AssertionError as exc:
+    print(exc)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["a character carry is not symmetric on commuting pairs"]
+
+
+def test_oracle_builds_one_cohomology_group(monkeypatch):
     CG = cohomkit.cohomology.CohomologyGroup
     built = []
     init = CG.__init__
@@ -238,9 +343,9 @@ def test_oracle_solves_each_subgroup_table_once(monkeypatch):
     monkeypatch.setattr(CG, "__init__", counting_init)
     G = _ladder_group("D8xC2")
     assert b0_oracle(G).cardinality == 1
-    # H^2 of G itself, then one per distinct table among the 13 subgroups
+    # H^2 of G itself, and no cohomology of any of the 13 subgroups
     assert len(commuting_pair_subgroups(G)) == 13
-    assert len(built) == 3
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(

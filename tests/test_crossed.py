@@ -452,8 +452,8 @@ def test_witness_delta_identity_point3():
                 # extract eps, eps' through the section of phi and compare
                 eps = Cochain(d.MMmod, 1, np.array([lift(v) for v in z.table]))
                 epsp = Cochain(d.MMmod, 1, np.array([lift(v) for v in zp.table]))
-                lam_t = lambda_prime_extraction(tf, z, a, eps)
-                lamp_t = lambda_prime_extraction(tf, zp, ap, epsp)
+                lam_t = lambda_prime_extraction(tf, a, eps)
+                lamp_t = lambda_prime_extraction(tf, ap, epsp)
                 lam = Cochain(Kmod, 2, np.array(
                     [[solve_preimage(incl, d.MMmod.ab.element(v)).coords for v in row] for row in lam_t.table]
                 ))
