@@ -315,18 +315,19 @@ def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     return K, incl
 
 
+def quotient_presentation(A: FinAbGroup, rows) -> tuple[Presentation, AbHom]:
+    """A / <rows> as a presentation, and the projection: the class of each unit vector."""
+    n = A.rank
+    pres = Presentation(A.orders, np.eye(n, dtype=np.int64), rows)
+    cols = [pres.class_coords(e).coords for e in np.eye(n, dtype=np.int64)]
+    proj = AbHom(A, pres.group, np.array(cols, dtype=np.int64).T if n else np.zeros((pres.group.rank, 0)))
+    return pres, proj
+
+
 def cokernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """(Q, proj) with proj surjective and Ker proj = Im h."""
-    n = h.target.rank
-    pres = Presentation(h.target.orders, np.eye(n, dtype=np.int64), h.matrix.T)
-    Q = pres.group
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[j] = 1
-        cols.append(pres.class_coords(e).coords)
-    proj = AbHom(h.target, Q, np.array(cols, dtype=np.int64).T if n else np.zeros((Q.rank, 0)))
-    return Q, proj
+    pres, proj = quotient_presentation(h.target, h.matrix.T)
+    return pres.group, proj
 
 
 def image_size(h: AbHom) -> int:

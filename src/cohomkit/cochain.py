@@ -9,7 +9,9 @@ Conventions (fixed once, used everywhere):
 * conjugation of a cochain over a normal subgroup twists indices only,
   (c^s)_{t1..tr} = c_{s^-1 t1 s, ...} (the coefficients carry a trivial
   subgroup action wherever this is used);
-* Shapiro evaluation picks the identity coset, sh(a)(s_vec) = a_{s_vec}(1).
+* Shapiro evaluation picks the identity coset, sh(a)(s_vec) = a_{s_vec}(1);
+  the tensor-side map sh' is sh of each component of the omega
+  decomposition, which alone holds the coordinates of M (x) M.
 """
 
 from __future__ import annotations
@@ -227,16 +229,12 @@ def shapiro_inverse_2(a: Cochain, section: CosetSection, M: InducedModule) -> Co
 
 
 def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np.ndarray) -> list[Cochain]:
-    """Components of the tensor-side Shapiro map: (s_vec) -> x_{s_vec}(g, 1)."""
+    """Components of the tensor-side Shapiro map: (s_vec) -> x_{s_vec}(g, 1).
+
+    Component g is the Shapiro evaluation of omega component g of x, since
+    omega_g(f)(1) = f(g, 1); the layout of M (x) M is omega's alone.
+    """
     MM = omega.MM
     if x.module is not MM and x.module.ab != MM.ab:
         raise ValueError("sh_prime takes a cochain valued in M (x) M")
-    ka = omega.A.rank
-    kaa = omega.AA.group.rank
-    m = omega.n_cosets
-    sub = x.restricted_table(embed)
-    comps = []
-    for g in range(m):
-        cols = [omega.tensor.index(g * ka + (t // ka), 0 * ka + (t % ka)) for t in range(kaa)]
-        comps.append(Cochain(H_module, x.degree, sub[..., cols]))
-    return comps
+    return [shapiro_forward(x.mapped(c, omega.ind_AA), H_module, embed) for c in omega.components]

@@ -222,11 +222,6 @@ class CPIndex:
         c = np.asarray(coords, dtype=np.int64)
         return (c @ self.a_strides).astype(np.int64)
 
-    def index_of(self, z, a) -> int:
-        return int(self.z_index(np.asarray(z).reshape(1, -1))[0]) * self.a_coords.shape[0] + int(
-            self.a_index(np.asarray(a).reshape(1, -1))[0]
-        )
-
 
 def _mixed_radix_strides(orders) -> np.ndarray:
     k = len(orders)

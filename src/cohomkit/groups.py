@@ -26,6 +26,7 @@ from .abelian import (
     Presentation,
     TensorProduct,
     all_coords,
+    quotient_presentation,
     subgroup_span,
 )
 from .intmat import ModSpan
@@ -483,11 +484,6 @@ class GModule:
         out = coords @ self.act[g].T
         return out % mods if out.size else out
 
-    def is_trivial_action(self) -> bool:
-        mods = np.array(self.ab.orders, dtype=np.int64).reshape(-1, 1)
-        ident = np.eye(self.ab.rank, dtype=np.int64) % mods
-        return all((self.act[g] % mods == ident).all() for g in self.group.elements())
-
     def __repr__(self):
         return f"GModule({self.group.name} acting on {self.ab})"
 
@@ -516,12 +512,6 @@ class InducedModule(GModule):
         moved = (src[:, :, None] == np.arange(m)).astype(np.int64)
         act = np.einsum("scd,ij->scidj", moved, np.eye(k, dtype=np.int64))
         super().__init__(G, ab, act.reshape(G.size, m * k, m * k))
-
-    def coset_mul(self, c1: int, c2: int) -> int:
-        return int(self.coset_of[self.group.op(int(self.coset_reps[c1]), int(self.coset_reps[c2]))])
-
-    def coset_inv(self, c: int) -> int:
-        return int(self.coset_of[self.group.inv[int(self.coset_reps[c])]])
 
 
 def induced_module(G: FiniteGroup, H: Subgroup, A: FinAbGroup) -> InducedModule:
@@ -586,23 +576,13 @@ def dual_module(M: GModule) -> GModule:
 
 def quotient_module(M: GModule, span_rows) -> tuple[GModule, AbHom, Presentation]:
     """Quotient by an action-stable subgroup given by generator rows."""
-    pres = Presentation(M.ab.orders, np.eye(M.ab.rank, dtype=np.int64), span_rows)
+    pres, proj = quotient_presentation(M.ab, span_rows)
     Q = pres.group
-    k = M.ab.rank
-    proj_cols = []
-    for j in range(k):
-        e = np.zeros(k, dtype=np.int64)
-        e[j] = 1
-        proj_cols.append(pres.class_coords(e).coords)
-    proj = AbHom(M.ab, Q, np.array(proj_cols, dtype=np.int64).T if k else np.zeros((Q.rank, 0)))
+    # one lift per generator of Q, as rows; g acts on Q through the lifts
+    lifts = np.array([pres.rep(gen) for gen in Q.generators()], dtype=np.int64).reshape(Q.rank, M.ab.rank)
     acts = np.zeros((M.group.size, Q.rank, Q.rank), dtype=np.int64)
     for g in M.group.elements():
-        cols = []
-        for gen in Q.generators():
-            lifted = pres.rep(gen)
-            moved = M.apply(g, lifted)
-            cols.append(proj.apply_coords(moved))
-        acts[g] = np.array(cols, dtype=np.int64).T
+        acts[g] = proj.apply_coords(M.apply(g, lifts)).T
     return GModule(M.group, Q, acts), proj, pres
 
 
@@ -639,10 +619,6 @@ class CosetSection:
         if (lhs != rhs).any():
             c, s, t = np.argwhere(lhs != rhs)[0]
             raise AssertionError(f"section cocycle condition fails at ({c},{s},{t})")
-
-    def coset_action(self, c: int, s: int) -> int:
-        """The coset c * sbar."""
-        return int(self._cs[c, s])
 
 
 def coset_section(G: FiniteGroup, H: Subgroup) -> CosetSection:
@@ -694,7 +670,10 @@ class OmegaDecomposition:
     """Componentwise isomorphism M (x) M  ->  Ind(A (x) A)^[G:H] for M = Ind_H^G(A).
 
     Component at coset g sends f to h |-> f(g h, h); the inverse reassembles
-    f(g, h) from component g h^{-1} evaluated at h.
+    f(g, h) from component g h^{-1} evaluated at h.  This is the one place
+    that knows the coordinates of M (x) M: coordinate (c1 ka + i, c2 ka + j)
+    of ``tensor`` is a_i at c1 times a_j at c2, and coordinate t = i ka + j
+    of A (x) A sits at h kaa + t in ``ind_AA``.
     """
 
     def __init__(self, M: InducedModule):
@@ -704,33 +683,34 @@ class OmegaDecomposition:
         self.MM, self.tensor = tensor_module(M, M)
         self.AA = TensorProduct(A, A)
         self.ind_AA = induced_module(G, H, self.AA.group)
-        m = self.M.n_cosets
+        m = M.n_cosets
         ka = A.rank
         kaa = self.AA.group.rank
         self.n_cosets = m
-        comps = []
-        for g in range(m):
-            rows = np.zeros((m * kaa, self.MM.ab.rank), dtype=np.int64)
-            for h in range(m):
-                gh = self.M.coset_mul(g, h)
-                for t in range(kaa):
-                    i, j = divmod(t, ka)
-                    src = self.tensor.index(gh * ka + i, h * ka + j)
-                    rows[h * kaa + t, src] = 1
-            comps.append(AbHom(self.MM.ab, self.ind_AA.ab, rows))
-        self.components = comps
+        reps = M.coset_reps
+        prod = M.coset_of[G.mul[reps[:, None], reps]]  # prod[g, h]: the coset g h
+        # every (g, h, i, j) at once, in the order of the forward rows
+        g, h, i, j = np.indices((m, m, ka, ka)).reshape(4, -1)
+        # row (g, h, t) of the forward map reads f(g h, h) at (i, j)
+        fwd = np.zeros((m * m * kaa, self.MM.ab.rank), dtype=np.int64)
+        fwd[np.arange(fwd.shape[0]), self.tensor.index(prod[g, h] * ka + i, h * ka + j)] = 1
+        self.components = [AbHom(self.MM.ab, self.ind_AA.ab, rows) for rows in np.split(fwd, m)]
         total = FinAbGroup(tuple(self.ind_AA.ab.orders) * m)
         self.sum_group = total
-        self.forward = AbHom(self.MM.ab, total, np.concatenate([c.matrix for c in comps]))
+        self.forward = AbHom(self.MM.ab, total, fwd)
+        # f((g, i), (h, j)) is component g h^-1 at coset h; h^-1 is the coset
+        # whose product with h is the identity coset 0
+        inv_coset = np.argmax(prod == 0, axis=1)
         inv = np.zeros((self.MM.ab.rank, total.rank), dtype=np.int64)
-        for gg in range(m):
-            for hh in range(m):
-                comp = self.M.coset_mul(gg, self.M.coset_inv(hh))  # g h^-1
-                for t in range(kaa):
-                    i, j = divmod(t, ka)
-                    dst = self.tensor.index(gg * ka + i, hh * ka + j)
-                    inv[dst, comp * m * kaa + hh * kaa + t] += 1
+        comp = prod[g, inv_coset[h]]
+        inv[self.tensor.index(g * ka + i, h * ka + j), (comp * m + h) * kaa + i * ka + j] = 1
         self.inverse = AbHom(total, self.MM.ab, inv)
+
+    def place(self, g0: int) -> AbHom:
+        """omega^-1 on the summand at g0: Ind(A (x) A) -> M (x) M sends x to
+        the f with f(c1, c2) = x(c2) where c1 c2^-1 = g0, and 0 elsewhere."""
+        b = self.ind_AA.ab.rank
+        return AbHom(self.ind_AA.ab, self.MM.ab, self.inverse.matrix[:, g0 * b : (g0 + 1) * b])
 
     def verify(self) -> None:
         _check_mutually_inverse(self.forward, self.inverse, "omega")

@@ -12,7 +12,8 @@ Grammar (one directive per line, '#' comments, blank lines ignored):
     subgroup trivial|all|gen:i,j|i,j,...   a (normal) subgroup of `group`
     decomposition trivial|all|gen:i|i,...  decomposition subgroup of `group`
     twist c,c,...|c,c,...      a 1-cochain on the Galois quotient valued in
-                               M + M, one coordinate block per element
+                               M + M, one coordinate block per element, each
+                               of width 2 |galois| rank(base)
     check <name> [key=value]...
 
 Check names: cohomology, bk-build, b0, br-nr, sha, verify-shapiro,
@@ -82,6 +83,7 @@ class Scenario:
     subgroup: Subgroup | None = None
     decomposition: Subgroup | None = None
     twist_rows: np.ndarray | None = None
+    twist_line_no: int = field(default=0, compare=False)
     checks: list[CheckSpec] = field(default_factory=list)
     source_lines: list[str] = field(default_factory=list)
 
@@ -198,6 +200,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
             try:
                 rows = [[int(x) for x in blk.split(",")] for blk in rest.split("|")]
                 current.twist_rows = np.array(rows, dtype=np.int64)
+                current.twist_line_no = line_no
             except ValueError:
                 raise ScenarioError(line_no, f"bad twist table {rest!r}")
         elif key == "check":
@@ -230,15 +233,15 @@ def _validate(sc: Scenario) -> None:
     needs_pair = {"verify-shapiro"}
     for chk in sc.checks:
         if chk.name in needs_datum and (sc.base is None or sc.galois is None):
-            raise ScenarioError(0, f"scenario {sc.name!r}: check {chk.name} needs base and galois")
+            raise ScenarioError(chk.line_no, f"scenario {sc.name!r}: check {chk.name} needs base and galois")
         if chk.name in needs_pair and (sc.group is None or sc.subgroup is None or sc.base is None):
             raise ScenarioError(
-                0, f"scenario {sc.name!r}: check {chk.name} needs group, subgroup and base"
+                chk.line_no, f"scenario {sc.name!r}: check {chk.name} needs group, subgroup and base"
             )
         if chk.name == "cohomology" and sc.base is None:
-            raise ScenarioError(0, f"scenario {sc.name!r}: cohomology needs a base module")
+            raise ScenarioError(chk.line_no, f"scenario {sc.name!r}: cohomology needs a base module")
         if chk.name == "cohomology" and sc.group is None and sc.galois is None:
-            raise ScenarioError(0, f"scenario {sc.name!r}: cohomology needs group or galois")
+            raise ScenarioError(chk.line_no, f"scenario {sc.name!r}: cohomology needs group or galois")
         sigma = chk.params.get("sigma")
         if sigma is not None and sigma >= sc.galois.size:
             raise ScenarioError(
@@ -246,3 +249,20 @@ def _validate(sc: Scenario) -> None:
                 f"check {chk.name}: sigma={sigma} is not an element of the Galois group "
                 f"of order {sc.galois.size}",
             )
+    if sc.twist_rows is not None:
+        _validate_twist(sc)
+
+
+def _validate_twist(sc: Scenario) -> None:
+    """A twist is a 1-cochain on galois valued in M + M, M = Ind(base): one
+    block per element of galois, each of width 2 |galois| rank(base)."""
+    if sc.base is None or sc.galois is None:
+        raise ScenarioError(sc.twist_line_no, f"scenario {sc.name!r}: twist needs base and galois")
+    blocks, width = sc.galois.size, 2 * sc.galois.size * sc.base.rank
+    if sc.twist_rows.shape != (blocks, width):
+        got_blocks, got_width = sc.twist_rows.shape
+        raise ScenarioError(
+            sc.twist_line_no,
+            f"twist has {got_blocks} blocks of width {got_width}; galois of order {sc.galois.size} "
+            f"over a base of rank {sc.base.rank} needs {blocks} blocks of width {width}",
+        )

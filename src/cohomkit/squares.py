@@ -12,6 +12,10 @@ is additive, so generators suffice):
 * loc-H1         -- localization of degree-1 classes vs conjugated restriction;
 * loc-H2         -- localization of tensor-side degree-2 families.
 
+No index arithmetic on M (x) M is done here: its coordinates belong to
+the omega decomposition of ``groups``.  sh' evaluates the omega components,
+and loc-H2 places a family at one coset by omega^-1.
+
 Each failed comparison carries a witness (class coordinates and component
 indices); exceeding a work bound yields 'skipped', never a silent pass.
 """
@@ -19,7 +23,6 @@ indices); exceeding a work bound yields 'skipped', never a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +49,6 @@ from .groups import (
     induced_module,
     restrict_module,
     subgroup_group,
-    tensor_module,
     trivial_module,
 )
 
@@ -159,18 +161,13 @@ class ShapiroSquares:
             for ti in range(self.ctx.e):
                 mat = np.kron(self.vs.components[si].matrix, self.vs.components[ti].matrix)
                 # reindex into the local tensor module
-                loc_tensor = self.local_tensor
-                hom = AbHom(self.MM.ab, loc_tensor[0].ab, mat)
-                comp = z.mapped(hom, loc_tensor[0])
+                local_MM = self.local_omega.MM
+                comp = z.mapped(AbHom(self.MM.ab, local_MM.ab, mat), local_MM)
                 parts = sh_prime(comp, self.local_omega, self.trivHD_AA, self.HDembed)
                 for c_local, part in enumerate(parts):
                     h = int(self.vs.gv_of_local_coset[c_local])
                     out[(h, si, ti)] = part
         return out
-
-    @cached_property
-    def local_tensor(self):
-        return tensor_module(self.M_local, self.M_local)
 
     def local_section_index(self, h_gv: int) -> int:
         """Lift of a decomposition-quotient element through the local section."""
@@ -249,26 +246,16 @@ class ShapiroSquares:
         # both paths are additive in the family (alpha_g): presentation
         # generators placed at a single position g0 span everything
         gens = [H2H.rep(coords) for coords in H2H.group.generators()]
-        ka = self.A.rank
         kaa = self.AA.group.rank
-        m = self.M.n_cosets
         qq = self.ctx.quotient
         zero = Cochain(self.trivHD_AA, 2, np.zeros((len(self.hd_in_H),) * 2 + (kaa,), dtype=np.int64))
-        for g0 in range(m):
+        for g0 in range(self.M.n_cosets):
+            place = self.omega.place(g0)
             for alpha in gens:
                 x = shapiro_inverse_2(alpha, self.section, self.omega.ind_AA)
-                # assemble y in Z^2(G, M (x) M): y(s,t)(c1,c2) = x_{c1 c2^-1}(c2)
-                n = self.G.size
-                ytab = np.zeros((n, n, self.MM.ab.rank), dtype=np.int64)
-                for c1 in range(m):
-                    for c2 in range(m):
-                        if self.M.coset_mul(c1, self.M.coset_inv(c2)) != g0:
-                            continue
-                        for t in range(kaa):
-                            i, j = divmod(t, ka)
-                            dst = self.tensorMM.index(c1 * ka + i, c2 * ka + j)
-                            ytab[:, :, dst] = x.table[:, :, c2 * kaa + t]
-                y = Cochain(self.MM, 2, ytab)
+                # y = omega^-1 of the family that is x at g0 and zero elsewhere:
+                # y(s,t)(c1,c2) = x(s,t)(c2) when c1 c2^-1 = g0
+                y = x.mapped(place, self.MM)
                 yv = Cochain(self.MM_res, 2, y.restricted_table(self.vs.Dembed))
                 alpha_table = alpha.table.tolist()
                 for (h, si, ti), left in self.sh_v_prime_components(yv).items():

@@ -1,6 +1,7 @@
 """Scenario parsing, report determinism, exit codes, CLI plumbing."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,44 @@ def test_cli_bad_check_parameter_exits_2(tmp_path, capsys):
     f.write_text("scenario t\nbase C2\ngalois C2\ncheck cohomology degree=-1\n")
     assert main(["run", str(f)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("scenario x\nbase C2\ncheck b0\n", "line 3: scenario 'x': check b0 needs base and galois"),
+        ("scenario x\nbase C2\n\ncheck verify-shapiro\n", "line 4: .*needs group, subgroup and base"),
+        ("scenario x\ngalois C2\ncheck cohomology\n", "line 3: .*cohomology needs a base module"),
+        ("scenario x\nbase C2\n# no group\ncheck cohomology\n", "line 4: .*cohomology needs group or galois"),
+    ],
+)
+def test_cli_missing_requirement_names_the_check_line(tmp_path, capsys, text, message):
+    f = tmp_path / "needs.scn"
+    f.write_text(text)
+    assert main(["run", str(f)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "twist,got",
+    [
+        ("1,0|0,1", "2 blocks of width 2"),
+        ("0,0,0,0", "1 blocks of width 4"),
+        ("0,0,0,0|0,0,0,0|0,0,0,0", "3 blocks of width 4"),
+    ],
+)
+def test_cli_malformed_twist_exits_2_at_its_line(tmp_path, capsys, twist, got):
+    """A twist on galois C2 over base C2 needs 2 blocks of width 2 * 2 * 1."""
+    f = tmp_path / "twist.scn"
+    f.write_text(f"scenario x\nbase C2\ngalois C2\ntwist {twist}\ncheck verify-bk\n")
+    assert main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 4: twist has {got}" in err and "needs 2 blocks of width 4" in err
+
+
+def test_twist_needs_base_and_galois():
+    with pytest.raises(ScenarioError, match="line 3: scenario 'x': twist needs base and galois"):
+        parse_scenarios("scenario x\nbase C2\ntwist 0,0|0,0\n")
 
 
 def _bench_pool_contexts():

@@ -32,6 +32,7 @@ from cohomkit.groups import (
     induced_module,
     is_simple_module,
     minimal_generating_set,
+    named_abelian,
     named_group,
     omega_decomposition,
     quotient_group,
@@ -93,7 +94,7 @@ def test_induced_module_cyclic_shift():
 def test_induced_module_full_subgroup_is_trivial():
     C3 = cyclic_group(3)
     M = induced_module(C3, Subgroup.make(C3, [0, 1, 2]), FinAbGroup((2,)))
-    assert M.ab.cardinality == 2 and M.is_trivial_action()
+    assert M.ab.cardinality == 2 and (M.act == np.eye(1, dtype=np.int64)).all()
 
 
 def test_induced_module_s3_swap():
@@ -106,7 +107,7 @@ def test_induced_module_s3_swap():
             assert tuple(M.apply(g, np.array([1, 0]))) == (0, 1)
     # restriction to H acts trivially
     Mres, _ = restrict_module(M, A3)
-    assert Mres.is_trivial_action()
+    assert (Mres.act == np.eye(Mres.ab.rank, dtype=np.int64)).all()
 
 
 def test_induced_requires_normal_subgroup():
@@ -459,9 +460,9 @@ def test_section_gamma_matches_the_double_loop():
         sec = coset_section(G, H)
         assert sec.u.tolist() == u
         assert (sec.gamma == gamma).all(), (name, H.members)
-        assert [sec.coset_action(c, s) for c in range(len(u)) for s in range(G.size)] == [
-            int(coset_of[G.op(u[c], s)]) for c in range(len(u)) for s in range(G.size)
-        ]
+        # _cs[c, s]: the coset c * sbar
+        want = [[int(coset_of[G.op(u[c], s)]) for s in range(G.size)] for c in range(len(u))]
+        assert sec._cs.tolist() == want
 
 
 def test_section_checks_reject_a_corrupted_gamma():
@@ -610,6 +611,23 @@ def test_module_constructors_match_the_loops(M):
         T, _ = tensor_module(M, N)
         assert (T.act == _tensor_loop(M, N, T.ab.orders)).all()
     assert (dual_module(M).act == _dual_loop(M)).all()
+
+
+@pytest.mark.parametrize(
+    "base, galois", [("C2", "C2"), ("C3", "C2"), ("C2xC2", "C2"), ("C4", "C3"), ("C2", "S3")]
+)
+def test_quotient_module_projection_is_equivariant(base, galois):
+    """On the BK quotient (M (x) M) / j(A (x) A): proj kills the span rows
+    and proj(g v) = g proj(v) for every g and every unit vector v."""
+    G = named_group(galois)
+    M = induced_module(G, Subgroup.make(G, [0]), named_abelian(base))
+    MM, tensor = tensor_module(M, M)
+    j = constant_inclusion(M, tensor)
+    Q, proj, _ = quotient_module(MM, j.matrix.T)
+    assert not proj.apply_coords(j.matrix.T).any()
+    units = np.eye(MM.ab.rank, dtype=np.int64)
+    for g in G.elements():
+        assert (proj.apply_coords(MM.apply(g, units)) == Q.apply(g, proj.apply_coords(units))).all(), g
 
 
 def test_dual_module_rejects_a_non_integral_action():

@@ -84,7 +84,8 @@ def _central_shift_per_pair(coc, idx, beta):
     u2 = coc.u.copy()
     for s in coc.Q.elements():
         for t in coc.Q.elements():
-            zidx = idx.index_of(beta.table[s, t], np.zeros(idx.cp.ka, dtype=np.int64))
+            # the element (z, 0) of F: z_index(z) * |M + M| + a_index(0)
+            zidx = int(idx.z_index(beta.table[s, t])) * idx.a_coords.shape[0]
             u2[s, t] = coc.F.op(zidx, int(coc.u[s, t]))
     return u2
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cohomkit.abelian import FinAbGroup
-from cohomkit.cochain import Cochain, cup
+from cohomkit.cochain import Cochain, cup, random_cochain
 from cohomkit.fixtures import shapiro_fixtures
-from cohomkit.groups import LocalizationContext, Subgroup, named_group
+from cohomkit.groups import LocalizationContext, Subgroup, named_group, omega_decomposition
 from cohomkit.squares import LOCAL_SQUARES, SQUARE_NAMES, ShapiroSquares, verify_shapiro_squares
 
 FIXTURES = shapiro_fixtures()
+PLACE_FIXTURES = shapiro_fixtures(("C2", "C3", "C2xC2", "C2xC4"))
 
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=[f.name for f in FIXTURES])
@@ -20,6 +21,27 @@ def test_all_squares_pass(fx):
         assert [r.name for r in results] == list(SQUARE_NAMES)
         for r in results:
             assert r.status == "pass", (fx.name, r.name, r.detail, r.witness)
+
+
+@pytest.mark.parametrize("fx", PLACE_FIXTURES, ids=[f.name for f in PLACE_FIXTURES])
+def test_loc_h2_family_placed_by_the_coset_formula(fx):
+    """loc-H2's y, omega^-1 of the family that is x at g0 and zero elsewhere,
+    is y(s_vec)(c1, c2) = x(s_vec)(c2) when c1 c2^-1 = g0, and 0 otherwise."""
+    om = omega_decomposition(fx.G, fx.H, fx.A)
+    G, M = fx.G, om.M
+    ka, kaa, m = fx.A.rank, om.AA.group.rank, om.n_cosets
+    reps = [int(u) for u in M.coset_reps]
+    rng = np.random.default_rng(17)
+    for r in (1, 2):
+        x = random_cochain(om.ind_AA, r, rng)
+        for g0 in range(m):
+            y = x.mapped(om.place(g0), om.MM)
+            for c1, c2 in np.ndindex(m, m):
+                at_g0 = M.coset_of[G.op(reps[c1], int(G.inv[reps[c2]]))] == g0
+                for i, j in np.ndindex(ka, ka):
+                    got = y.table[..., om.tensor.index(c1 * ka + i, c2 * ka + j)]
+                    want = x.table[..., c2 * kaa + om.AA.index(i, j)] if at_g0 else 0
+                    assert (got == want).all(), (r, g0, c1, c2, i, j)
 
 
 def test_global_squares_without_context_skip_local():
