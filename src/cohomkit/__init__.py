@@ -64,17 +64,17 @@ from .crossed import (
     q_power_and_relevable,
 )
 from .groups import (
+    CosetSection,
     FiniteGroup,
     GModule,
     LocalizationContext,
+    OmegaDecomposition,
     Subgroup,
-    coset_section,
+    VarsigmaDecomposition,
     induced_module,
     named_abelian,
     named_group,
-    omega_decomposition,
     quotient_group,
-    varsigma_decomposition,
 )
 from .intmat import SmithDecomposition, smith_normal_form
 from .nonab import Neutrality, NonabTwoCocycle, is_neutral_bruteforce, neutrality_via_delta

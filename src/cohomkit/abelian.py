@@ -94,17 +94,24 @@ class FinAbGroup:
         return "FinAbGroup(%s)" % " x ".join(f"C{n}" for n in self.orders if n > 1)
 
 
+def _same_groups(what: str, got: tuple, want: tuple) -> None:
+    """Refuse, also under python -O, arguments from other groups than `want`."""
+    if got != want:
+        raise ValueError(f"{what} lies in orders {[g.orders for g in got]}, not {[g.orders for g in want]}")
+
+
 @dataclass(frozen=True)
 class AbElement:
     parent: FinAbGroup
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coords) == self.parent.rank
-        assert all(0 <= c < n for c, n in zip(self.coords, self.parent.orders))
+        orders = self.parent.orders
+        if len(self.coords) != len(orders) or not all(0 <= c < n for c, n in zip(self.coords, orders)):
+            raise ValueError(f"coordinates {self.coords} do not fit orders {orders}")
 
     def __add__(self, other: "AbElement") -> "AbElement":
-        assert self.parent == other.parent
+        _same_groups("summand", (other.parent,), (self.parent,))
         return AbElement(
             self.parent,
             tuple((a + b) % n for a, b, n in zip(self.coords, other.coords, self.parent.orders)),
@@ -162,7 +169,7 @@ class AbHom:
             )
 
     def __call__(self, x: AbElement) -> AbElement:
-        assert x.parent == self.source
+        _same_groups("argument", (x.parent,), (self.source,))
         return self.target.element(self.apply_coords(np.array(x.coords, dtype=np.int64)))
 
     def apply_coords(self, coords: np.ndarray) -> np.ndarray:
@@ -173,12 +180,12 @@ class AbHom:
         return out % mods if out.size else out.reshape(coords.shape[:-1] + (self.target.rank,))
 
     def compose(self, other: "AbHom") -> "AbHom":
-        assert other.target == self.source
+        _same_groups("inner target", (other.target,), (self.source,))
         self._check_int64()
         return AbHom(other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other: "AbHom") -> "AbHom":
-        assert self.source == other.source and self.target == other.target
+        _same_groups("summand", (other.source, other.target), (self.source, self.target))
         return AbHom(self.source, self.target, self.matrix + other.matrix)
 
     def __neg__(self):
@@ -287,7 +294,7 @@ class Presentation:
 
     def rep(self, cls: AbElement) -> np.ndarray:
         """An ambient representative vector of the class."""
-        assert cls.parent == self.group
+        _same_groups("class", (cls.parent,), (self.group,))
         y = np.zeros(len(self._diag), dtype=np.int64)
         y[self._keep] = cls.coords
         vec = matmul_mod(self._U_span.solve(y), self.s_span.basis, self.L)
@@ -336,7 +343,7 @@ def image_size(h: AbHom) -> int:
 
 def solve_preimage(h: AbHom, t: AbElement):
     """Some s with h(s) == t, or None when t is outside the image."""
-    assert t.parent == h.target
+    _same_groups("element", (t.parent,), (h.target,))
     L = lcm(h.source.exponent, h.target.exponent)
     # one condition per target coordinate: row i of [matrix | t] holds mod o_i
     Ab = scaled_rows(np.column_stack([h.matrix, t.coords]), h.target.orders, L)
@@ -390,7 +397,7 @@ class TensorProduct:
         return i * self.right.rank + j
 
     def pair(self, a: AbElement, b: AbElement) -> AbElement:
-        assert a.parent == self.left and b.parent == self.right
+        _same_groups("pair", (a.parent, b.parent), (self.left, self.right))
         coords = np.outer(np.array(a.coords, dtype=np.int64), np.array(b.coords, dtype=np.int64))
         return self.group.element(coords.reshape(-1))
 
@@ -421,11 +428,10 @@ class ExteriorSquare:
         return c
 
     def index(self, i: int, j: int) -> int:
-        assert i < j
-        return self.pairs.index((i, j))
+        return self.pairs.index((i, j))  # ValueError unless i < j
 
     def wedge(self, a: AbElement, b: AbElement) -> AbElement:
-        assert a.parent == self.base and b.parent == self.base
+        _same_groups("pair", (a.parent, b.parent), (self.base, self.base))
         coords = [
             a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i] for i, j in self.pairs
         ]
@@ -488,7 +494,7 @@ class DualPairing:
         self.modulus = A.exponent
 
     def pairing(self, chi: AbElement, a: AbElement) -> int:
-        assert chi.parent == self.group and a.parent == self.base
+        _same_groups("pair", (chi.parent, a.parent), (self.group, self.base))
         e = self.modulus
         total = 0
         for c, x, n in zip(chi.coords, a.coords, self.base.orders):

@@ -18,6 +18,17 @@ from .checks import run_check
 BOUND_ENV = "COHOMKIT_BOUND"
 
 
+def _at_least(least: int):
+    """argparse type: an integer of at least `least`, as the grammar requires of seed and bound."""
+
+    def integer(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {int(text)}")
+        return int(text)
+
+    return integer
+
+
 def _run_scenario(sc: Scenario) -> Report:
     report = Report(
         scenario=sc.name,
@@ -46,11 +57,10 @@ def _emit(reports: list[Report], fmt: str, out_path: str | None) -> int:
     return 0
 
 
-def _apply_overrides(scenarios: list[Scenario], args) -> None:
-    env_bound = os.environ.get(BOUND_ENV)
+def _apply_overrides(scenarios: list[Scenario], args, env_bound: int | None) -> None:
     for sc in scenarios:
         if env_bound is not None:
-            sc.bound = int(env_bound)
+            sc.bound = env_bound
         if args.bound is not None:
             sc.bound = args.bound
         if args.seed is not None:
@@ -67,8 +77,8 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="run the built-in verification battery")
     sub.add_parser("list-fixtures", help="list built-in groups and scenario names")
     for p in (p_run, p_suite):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
+        p.add_argument("--seed", type=_at_least(0), default=None)
+        p.add_argument("--bound", type=_at_least(1), default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "structured"), default="structured")
     args = parser.parse_args(argv)
@@ -85,6 +95,11 @@ def main(argv=None) -> int:
         print("suite scenarios:", " ".join(sc.name for sc in suite))
         return 0
 
+    try:
+        env_bound = _at_least(1)(os.environ[BOUND_ENV]) if BOUND_ENV in os.environ else None
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        print(f"cohomkit: {BOUND_ENV}: {e}", file=sys.stderr)
+        return 2
     if args.command == "run":
         try:
             with open(args.file) as fh:
@@ -102,7 +117,7 @@ def main(argv=None) -> int:
     if not scenarios:
         print("cohomkit: no scenarios found", file=sys.stderr)
         return 2
-    _apply_overrides(scenarios, args)
+    _apply_overrides(scenarios, args, env_bound)
     reports = [_run_scenario(sc) for sc in scenarios]
     return _emit(reports, args.format, args.out)
 

@@ -10,7 +10,8 @@ Conventions (fixed once, used everywhere):
   (c^s)_{t1..tr} = c_{s^-1 t1 s, ...} (the coefficients carry a trivial
   subgroup action wherever this is used);
 * Shapiro evaluation picks the identity coset, sh(a)(s_vec) = a_{s_vec}(1);
-  the tensor-side map sh' is sh of each component of the omega
+  of all components of a decomposition at once it is one evaluation,
+  :func:`shapiro_components`.  The tensor-side map sh' is that of the omega
   decomposition, which alone holds the coordinates of M (x) M.
 """
 
@@ -228,6 +229,17 @@ def shapiro_inverse_2(a: Cochain, section: CosetSection, M: InducedModule) -> Co
     return Cochain(M, 2, a.table[gamma.T[:, None, :], gamma[section._cs.T].transpose(0, 2, 1)])
 
 
+def shapiro_components(x: Cochain, dec, H_module: GModule, embed: np.ndarray) -> list[Cochain]:
+    """Shapiro evaluation of every component of a decomposition `dec` (omega
+    or varsigma) of x's module: restrict x through `embed`, then apply the
+    identity-coset rows of all components, ``dec.at_identity``, at once."""
+    table = x.restricted_table(embed)
+    at_identity = dec.at_identity
+    flat = at_identity.apply_coords(table.reshape(_lead(table), at_identity.source.rank))
+    shape = table.shape[:-1] + (H_module.ab.rank,)
+    return [Cochain(H_module, x.degree, part.reshape(shape)) for part in np.split(flat, dec.count, axis=1)]
+
+
 def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np.ndarray) -> list[Cochain]:
     """Components of the tensor-side Shapiro map: (s_vec) -> x_{s_vec}(g, 1).
 
@@ -237,4 +249,4 @@ def sh_prime(x: Cochain, omega: OmegaDecomposition, H_module: GModule, embed: np
     MM = omega.MM
     if x.module is not MM and x.module.ab != MM.ab:
         raise ValueError("sh_prime takes a cochain valued in M (x) M")
-    return [shapiro_forward(x.mapped(c, omega.ind_AA), H_module, embed) for c in omega.components]
+    return shapiro_components(x, omega, H_module, embed)

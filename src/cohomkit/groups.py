@@ -9,6 +9,7 @@ Conventions that everything downstream relies on:
   induced-module cosets and set-theoretic sections are its right cosets H g;
   localization transversals are its left cosets g H, read off the transposed
   table.  So every derived table is reproducible byte for byte;
+* it alone forms the coset action table c * sbar, which the others read;
 * induced-module coordinates are laid out coset-major: coordinate
   (c, i) = coset index c, base-module factor i.
 """
@@ -80,10 +81,6 @@ class FiniteGroup:
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.op(self.op(g, x), int(self.inv[g]))
-
     def power(self, g: int, k: int) -> int:
         k = int(k)
         if k < 0:
@@ -148,16 +145,18 @@ class Subgroup:
         return pos
 
 
-def cosets(mul: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
-    """(coset_of, reps) for the right cosets H g of the subgroup with these members.
+def cosets(mul: np.ndarray, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coset_of, reps, table) for the right cosets H g of the subgroup with these members.
 
     The representative of a coset is its lowest member, and cosets are
     numbered in the order of their representatives, so reps is sorted and
-    reps[0] = 0.  Passing the transposed table gives the left cosets g H.
+    reps[0] = 0; table[c, s] is the coset c * sbar of reps[c] * s.  Passing
+    the transposed table gives the left cosets g H.
     """
     lowest = mul[np.asarray(members, dtype=np.int64)].min(axis=0)
     reps = np.unique(lowest)
-    return np.searchsorted(reps, lowest), reps
+    coset_of = np.searchsorted(reps, lowest)
+    return coset_of, reps, coset_of[mul[reps]]
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
@@ -239,9 +238,8 @@ def quotient_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, np.ndarray
     """(G/H, projection array); H must be normal.  Coset reps: lowest index."""
     if not H.normal:
         raise ValueError("quotient requires a normal subgroup")
-    coset_of, reps = cosets(G.mul, H.members)
-    mul = coset_of[G.mul[np.ix_(reps, reps)]]
-    Q = FiniteGroup(mul, labels=[G.labels[r] for r in reps], name=f"{G.name}/H")
+    coset_of, reps, table = cosets(G.mul, H.members)
+    Q = FiniteGroup(table[:, reps], labels=[G.labels[r] for r in reps], name=f"{G.name}/H")
     return Q, coset_of
 
 
@@ -501,15 +499,14 @@ class InducedModule(GModule):
             raise ValueError("induced modules here require a normal subgroup")
         self.base = A
         self.H = H
-        self.coset_of, self.coset_reps = cosets(G.mul, H.members)
+        self.coset_of, self.coset_reps, self.coset_table = cosets(G.mul, H.members)
         m = self.coset_reps.size
         self.n_cosets = m
         k = A.rank
         ab = FinAbGroup(tuple(A.orders) * m)
         # moved[s, c, d] = 1 when d is the coset c * sbar; each coordinate
         # block of coset c goes to the block of c * sbar
-        src = self.coset_of[G.mul[self.coset_reps]].T
-        moved = (src[:, :, None] == np.arange(m)).astype(np.int64)
+        moved = (self.coset_table.T[:, :, None] == np.arange(m)).astype(np.int64)
         act = np.einsum("scd,ij->scidj", moved, np.eye(k, dtype=np.int64))
         super().__init__(G, ab, act.reshape(G.size, m * k, m * k))
 
@@ -602,11 +599,9 @@ class CosetSection:
         if not H.normal:
             raise ValueError("coset sections here require a normal subgroup")
         self.G = G
-        self.H = H
         self.Hgroup, self.Hembed = subgroup_group(H)
-        self.coset_of, self.u = cosets(G.mul, H.members)  # lowest-index section; u[0] = identity
-        self.n_cosets = self.u.size
-        self._cs = self.coset_of[G.mul[self.u]]  # _cs[c, s]: the coset c * sbar
+        # lowest-index section, u[0] = identity; _cs[c, s]: the coset c * sbar
+        self.coset_of, self.u, self._cs = cosets(G.mul, H.members)
         self.gamma = H.positions[G.mul[G.mul[self.u], G.inv[self.u[self._cs]]]]
         self._check_cocycle_condition()
 
@@ -619,10 +614,6 @@ class CosetSection:
         if (lhs != rhs).any():
             c, s, t = np.argwhere(lhs != rhs)[0]
             raise AssertionError(f"section cocycle condition fails at ({c},{s},{t})")
-
-
-def coset_section(G: FiniteGroup, H: Subgroup) -> CosetSection:
-    return CosetSection(G, H)
 
 
 @dataclass
@@ -643,7 +634,7 @@ class LocalizationContext:
         Q = self.quotient
         self.gv = Subgroup.make(Q, self.proj[list(D.members)])
         # left-coset transversal of gv in the quotient, lowest index first
-        self._left_coset, reps = cosets(Q.mul.T, self.gv.members)
+        self._left_coset, reps, _ = cosets(Q.mul.T, self.gv.members)
         self.transversal = tuple(int(s) for s in reps)
         self.e = reps.size
         self._check_factorization()
@@ -655,10 +646,10 @@ class LocalizationContext:
         if not np.array_equal(products, np.arange(Q.size)):
             raise AssertionError("transversal does not give unique factorization")
 
-    def factor(self, g: int) -> tuple[int, int]:
-        """g = s * h with s in the transversal, h in gv."""
-        s = self.transversal[self._left_coset[g]]
-        return s, self.quotient.op(int(self.quotient.inv[s]), g)
+    def factor(self, g):
+        """g = s * h with s in the transversal, h in gv; elementwise over arrays."""
+        s = np.asarray(self.transversal)[self._left_coset[g]]
+        return s, self.quotient.mul[self.quotient.inv[s], g]
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +657,36 @@ class LocalizationContext:
 # ---------------------------------------------------------------------------
 
 
-class OmegaDecomposition:
+class _Decomposition:
+    """An isomorphism ``forward`` onto ``count`` copies of the induced module ``part``,
+    one block of rows per component, and its ``inverse``, verified on construction."""
+
+    def _finish(self, name: str, source_act: np.ndarray, part: InducedModule, count: int) -> None:
+        self.name, self.source_act, self.part, self.count = name, source_act, part, count
+        self.verify()
+        # every component evaluated at the identity coset: the coset-0 rows of the blocks
+        rows = self.blocks()[:, : part.base.rank].reshape(-1, self.forward.source.rank)
+        self.at_identity = AbHom(self.forward.source, FinAbGroup(tuple(part.base.orders) * count), rows)
+
+    def blocks(self) -> np.ndarray:
+        """The component matrices, stacked: (count, part rank, source rank)."""
+        return self.forward.matrix.reshape(self.count, self.part.ab.rank, self.forward.source.rank)
+
+    def verify(self) -> None:
+        """The two maps are mutually inverse, and every component is equivariant."""
+        for first, second in ((self.forward, self.inverse), (self.inverse, self.forward)):
+            mods = np.array(first.source.orders, dtype=np.int64).reshape(-1, 1)
+            if ((second.matrix @ first.matrix - np.eye(len(mods), dtype=np.int64)) % mods).any():
+                raise AssertionError(f"{self.name} forward and inverse maps are not mutually inverse")
+        # every component against every group element at once: (count, n, rows, cols)
+        comps = self.blocks()[:, None]
+        mods = np.array(self.part.ab.orders, dtype=np.int64).reshape(-1, 1)
+        bad = ((comps @ self.source_act - self.part.act @ comps) % mods).any(axis=(2, 3))
+        if bad.any():
+            raise AssertionError(f"{self.name} component {int(np.argwhere(bad)[0, 0])} not equivariant")
+
+
+class OmegaDecomposition(_Decomposition):
     """Componentwise isomorphism M (x) M  ->  Ind(A (x) A)^[G:H] for M = Ind_H^G(A).
 
     Component at coset g sends f to h |-> f(g h, h); the inverse reassembles
@@ -678,7 +698,6 @@ class OmegaDecomposition:
 
     def __init__(self, M: InducedModule):
         G, H, A = M.group, M.H, M.base
-        self.G, self.H, self.A = G, H, A
         self.M = M
         self.MM, self.tensor = tensor_module(M, M)
         self.AA = TensorProduct(A, A)
@@ -686,17 +705,13 @@ class OmegaDecomposition:
         m = M.n_cosets
         ka = A.rank
         kaa = self.AA.group.rank
-        self.n_cosets = m
-        reps = M.coset_reps
-        prod = M.coset_of[G.mul[reps[:, None], reps]]  # prod[g, h]: the coset g h
+        prod = M.coset_table[:, M.coset_reps]  # prod[g, h]: the coset g h
         # every (g, h, i, j) at once, in the order of the forward rows
         g, h, i, j = np.indices((m, m, ka, ka)).reshape(4, -1)
         # row (g, h, t) of the forward map reads f(g h, h) at (i, j)
         fwd = np.zeros((m * m * kaa, self.MM.ab.rank), dtype=np.int64)
         fwd[np.arange(fwd.shape[0]), self.tensor.index(prod[g, h] * ka + i, h * ka + j)] = 1
-        self.components = [AbHom(self.MM.ab, self.ind_AA.ab, rows) for rows in np.split(fwd, m)]
         total = FinAbGroup(tuple(self.ind_AA.ab.orders) * m)
-        self.sum_group = total
         self.forward = AbHom(self.MM.ab, total, fwd)
         # f((g, i), (h, j)) is component g h^-1 at coset h; h^-1 is the coset
         # whose product with h is the identity coset 0
@@ -705,6 +720,7 @@ class OmegaDecomposition:
         comp = prod[g, inv_coset[h]]
         inv[self.tensor.index(g * ka + i, h * ka + j), (comp * m + h) * kaa + i * ka + j] = 1
         self.inverse = AbHom(total, self.MM.ab, inv)
+        self._finish("omega", self.MM.act, self.ind_AA, m)
 
     def place(self, g0: int) -> AbHom:
         """omega^-1 on the summand at g0: Ind(A (x) A) -> M (x) M sends x to
@@ -712,30 +728,8 @@ class OmegaDecomposition:
         b = self.ind_AA.ab.rank
         return AbHom(self.ind_AA.ab, self.MM.ab, self.inverse.matrix[:, g0 * b : (g0 + 1) * b])
 
-    def verify(self) -> None:
-        _check_mutually_inverse(self.forward, self.inverse, "omega")
-        indmods = np.array(self.ind_AA.ab.orders, dtype=np.int64).reshape(-1, 1)
-        for g, comp in enumerate(c.matrix for c in self.components):
-            # every s at once: (n, rows, cols) stacks
-            bad = ((comp @ self.MM.act - self.ind_AA.act @ comp) % indmods).any(axis=(1, 2))
-            if bad.any():
-                raise AssertionError(f"omega component {g} not equivariant at {int(np.argmax(bad))}")
 
-
-def _check_mutually_inverse(forward: AbHom, inverse: AbHom, name: str) -> None:
-    for first, second in ((forward, inverse), (inverse, forward)):
-        mods = np.array(first.source.orders, dtype=np.int64).reshape(-1, 1)
-        if ((second.matrix @ first.matrix - np.eye(len(mods), dtype=np.int64)) % mods).any():
-            raise AssertionError(f"{name} forward and inverse maps are not mutually inverse")
-
-
-def omega_decomposition(G: FiniteGroup, H: Subgroup, A: FinAbGroup) -> OmegaDecomposition:
-    omega = OmegaDecomposition(induced_module(G, H, A))
-    omega.verify()
-    return omega
-
-
-class VarsigmaDecomposition:
+class VarsigmaDecomposition(_Decomposition):
     """Restriction of M = Ind_H^G(A) to D, split along a transversal.
 
     Component at a transversal element s sends f to h |-> f(s h) on the
@@ -746,49 +740,32 @@ class VarsigmaDecomposition:
         if M.group is not ctx.G or M.H != ctx.H:
             raise ValueError("localization context belongs to another (G, H) than the induced module")
         A = M.base
-        self.ctx, self.A, self.M = ctx, A, M
-        self.M_res, self.Dembed = restrict_module(M, ctx.D)
+        self.M_res = pullback_module(M, ctx.Dgroup, ctx.Dembed)
         self.M_local = induced_module(ctx.Dgroup, ctx.H_D_in_D, A)
         ka = A.rank
-        m_local = self.M_local.n_cosets
+        local_rank = self.M_local.ab.rank
         # M.coset_of and ctx.proj both come from ``cosets``, so the global
         # coset of an element of G/H is that element itself; a local coset
         # corresponds to the image in G/H of its representative, an element of gv
-        self.gv_of_local_coset = ctx.proj[self.Dembed[self.M_local.coset_reps]]
+        self.gv_of_local_coset = ctx.proj[ctx.Dembed[self.M_local.coset_reps]]
         self.local_coset_of_gv = np.full(ctx.quotient.size, -1, dtype=np.int64)
-        self.local_coset_of_gv[self.gv_of_local_coset] = np.arange(m_local)
-        eye = np.eye(ka, dtype=np.int64)
-        comps = []
-        for s in ctx.transversal:
-            moved = np.zeros((m_local, self.M.n_cosets), dtype=np.int64)
-            moved[np.arange(m_local), ctx.quotient.mul[s, self.gv_of_local_coset]] = 1
-            comps.append(AbHom(self.M.ab, self.M_local.ab, np.kron(moved, eye)))
-        self.components = comps
+        self.local_coset_of_gv[self.gv_of_local_coset] = np.arange(self.M_local.n_cosets)
+        factor = np.arange(ka)
+        # row (s, l, i) of the forward map reads f at the coset s * l, factor i
+        coset = ctx.quotient.mul[np.asarray(ctx.transversal)[:, None], self.gv_of_local_coset]
+        fwd = np.zeros((ctx.e * local_rank, M.ab.rank), dtype=np.int64)
+        fwd[np.arange(fwd.shape[0]), (coset[:, :, None] * ka + factor).reshape(-1)] = 1
         total = FinAbGroup(tuple(self.M_local.ab.orders) * ctx.e)
-        self.sum_group = total
-        self.forward = AbHom(self.M.ab, total, np.concatenate([c.matrix for c in comps]))
-        inv = np.zeros((self.M.ab.rank, total.rank), dtype=np.int64)
-        local_rank = self.M_local.ab.rank
-        for g in range(self.M.n_cosets):
-            s, h = ctx.factor(g)
-            col = ctx.transversal.index(s) * local_rank + self.local_coset_of_gv[h] * ka
-            inv[g * ka : (g + 1) * ka, col : col + ka] = eye
-        self.inverse = AbHom(total, self.M.ab, inv)
-
-    def verify(self) -> None:
-        _check_mutually_inverse(self.forward, self.inverse, "varsigma")
-        # D-equivariance of each component, every d at once
-        locmods = np.array(self.M_local.ab.orders, dtype=np.int64).reshape(-1, 1)
-        acts = self.M.act[self.Dembed]
-        for idx, comp in enumerate(c.matrix for c in self.components):
-            if ((comp @ acts - self.M_local.act @ comp) % locmods).any():
-                raise AssertionError(f"varsigma component {idx} not equivariant")
-
-
-def varsigma_decomposition(ctx: LocalizationContext, A: FinAbGroup) -> VarsigmaDecomposition:
-    vs = VarsigmaDecomposition(ctx, induced_module(ctx.G, ctx.H, A))
-    vs.verify()
-    return vs
+        self.forward = AbHom(M.ab, total, fwd)
+        # g = s h: the block of coset g is read from the component at s, local
+        # coset of h; the transversal is sorted, so searchsorted finds s in it
+        g = np.arange(M.n_cosets)
+        s, h = ctx.factor(g)
+        col = np.searchsorted(ctx.transversal, s) * local_rank + self.local_coset_of_gv[h] * ka
+        inv = np.zeros((M.ab.rank, total.rank), dtype=np.int64)
+        inv[(g[:, None] * ka + factor).reshape(-1), (col[:, None] + factor).reshape(-1)] = 1
+        self.inverse = AbHom(total, M.ab, inv)
+        self._finish("varsigma", self.M_res.act, self.M_local, ctx.e)
 
 
 # ---------------------------------------------------------------------------

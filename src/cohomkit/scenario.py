@@ -161,6 +161,8 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 current.seed = int(rest)
             except ValueError:
                 raise ScenarioError(line_no, f"bad seed {rest!r}")
+            if current.seed < 0:
+                raise ScenarioError(line_no, "seed must be non-negative")
         elif key == "bound":
             try:
                 current.bound = int(rest)

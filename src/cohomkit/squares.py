@@ -13,8 +13,9 @@ is additive, so generators suffice):
 * loc-H2         -- localization of tensor-side degree-2 families.
 
 No index arithmetic on M (x) M is done here: its coordinates belong to
-the omega decomposition of ``groups``.  sh' evaluates the omega components,
-and loc-H2 places a family at one coset by omega^-1.
+the omega decomposition of ``groups``.  sh' and sh_v are one Shapiro
+evaluation each over all components, and loc-H2 places a family at one
+coset by omega^-1.  Each of H, H_D and D becomes a group once.
 
 Each failed comparison carries a witness (class coordinates and component
 indices); exceeding a work bound yields 'skipped', never a silent pass.
@@ -31,7 +32,7 @@ from .cochain import (
     Cochain,
     conjugation_action,
     cup,
-    shapiro_forward,
+    shapiro_components,
     shapiro_inverse_1,
     shapiro_inverse_2,
     sh_prime,
@@ -47,8 +48,7 @@ from .groups import (
     VarsigmaDecomposition,
     constant_inclusion,
     induced_module,
-    restrict_module,
-    subgroup_group,
+    pullback_module,
     trivial_module,
 )
 
@@ -96,12 +96,11 @@ class ShapiroSquares:
         self.work_bound = work_bound
         self.section = CosetSection(G, H)
         self.omega = OmegaDecomposition(induced_module(G, H, A))
-        self.omega.verify()
         self.M = self.omega.M
         self.MM = self.omega.MM
         self.tensorMM = self.omega.tensor
         self.AA = self.omega.AA
-        self.Hgrp, self.embed = subgroup_group(H)
+        self.Hgrp, self.embed = self.section.Hgroup, self.section.Hembed
         self.trivH_A = trivial_module(self.Hgrp, A)
         self.trivH_AA = trivial_module(self.Hgrp, self.AA.group)
         self.trivG_AA = trivial_module(G, self.AA.group)
@@ -109,20 +108,22 @@ class ShapiroSquares:
         self.j_hom = constant_inclusion(self.M, self.tensorMM)
         if ctx is not None:
             self.vs = VarsigmaDecomposition(ctx, self.M)
-            self.vs.verify()
             self.Dgrp = ctx.Dgroup
             self.M_res = self.vs.M_res
             self.M_local = self.vs.M_local
             self.local_section = CosetSection(self.Dgrp, ctx.H_D_in_D)
             self.local_omega = OmegaDecomposition(self.M_local)
-            self.local_omega.verify()
-            self.HDgrp, self.HDembed = subgroup_group(ctx.H_D_in_D)
+            self.HDgrp, self.HDembed = self.local_section.Hgroup, self.local_section.Hembed
             self.trivHD_A = trivial_module(self.HDgrp, A)
             self.trivHD_AA = trivial_module(self.HDgrp, self.AA.group)
             self.trivD_AA = trivial_module(self.Dgrp, self.AA.group)
-            self.MM_res, _ = restrict_module(self.MM, ctx.D)
+            self.MM_res = pullback_module(self.MM, self.Dgrp, ctx.Dembed)
             # positions in H of the members of H_D
-            self.hd_in_H = H.positions[self.vs.Dembed[self.HDembed]]
+            self.hd_in_H = H.positions[ctx.Dembed[self.HDembed]]
+            # sh'_v at the transversal pair (s, t) reads the kron of their varsigma components
+            mat, local_ab = self.vs.blocks(), self.local_omega.MM.ab
+            pairs = np.ndindex(ctx.e, ctx.e)
+            self.vv_homs = {(s, t): AbHom(self.MM.ab, local_ab, np.kron(mat[s], mat[t])) for s, t in pairs}
 
     # -- caches ---------------------------------------------------------------
 
@@ -143,36 +144,19 @@ class ShapiroSquares:
     def conj_H(self, sigma: int, c: Cochain) -> Cochain:
         return conjugation_action(self.G, self.H, self.embed, sigma, c)
 
-    def conj_HD(self, sigma_local: int, c: Cochain) -> Cochain:
-        return conjugation_action(self.Dgrp, self.ctx.H_D_in_D, self.HDembed, sigma_local, c)
-
     def sh_v_components(self, z: Cochain) -> list[Cochain]:
         """sh_v of a cochain over D valued in M: one H_D-cochain per transversal rep."""
-        out = []
-        for idx in range(self.ctx.e):
-            comp = z.mapped(self.vs.components[idx], self.M_local)
-            out.append(shapiro_forward(comp, self.trivHD_A, self.HDembed))
-        return out
+        return shapiro_components(z, self.vs, self.trivHD_A, self.HDembed)
 
     def sh_v_prime_components(self, z: Cochain) -> dict:
         """sh'_v of a cochain over D valued in M (x) M, keyed by (h, s, t)."""
         out = {}
-        for si in range(self.ctx.e):
-            for ti in range(self.ctx.e):
-                mat = np.kron(self.vs.components[si].matrix, self.vs.components[ti].matrix)
-                # reindex into the local tensor module
-                local_MM = self.local_omega.MM
-                comp = z.mapped(AbHom(self.MM.ab, local_MM.ab, mat), local_MM)
-                parts = sh_prime(comp, self.local_omega, self.trivHD_AA, self.HDembed)
-                for c_local, part in enumerate(parts):
-                    h = int(self.vs.gv_of_local_coset[c_local])
-                    out[(h, si, ti)] = part
+        local_MM = self.local_omega.MM
+        for (si, ti), hom in self.vv_homs.items():
+            parts = sh_prime(z.mapped(hom, local_MM), self.local_omega, self.trivHD_AA, self.HDembed)
+            for c_local, part in enumerate(parts):
+                out[(int(self.vs.gv_of_local_coset[c_local]), si, ti)] = part
         return out
-
-    def local_section_index(self, h_gv: int) -> int:
-        """Lift of a decomposition-quotient element through the local section."""
-        c_local = self.vs.local_coset_of_gv[h_gv]
-        return int(self.local_section.u[c_local])
 
     # -- the six squares -------------------------------------------------------
 
@@ -211,8 +195,10 @@ class ShapiroSquares:
                 lhs = self.sh_v_prime_components(cup(cx.rep, cy.rep, self.tensorMM, self.MM_res))
                 b_comps = self.sh_v_components(cy.rep)
                 for (h, si, ti), left in lhs.items():
-                    sigma = int(self.Dgrp.inv[self.local_section_index(h)])
-                    rhs = cup(self.conj_HD(sigma, a_comps[si]), b_comps[ti], self.AA, self.trivHD_AA)
+                    # the inverse of the local section's lift of h
+                    sigma = int(self.Dgrp.inv[self.local_section.u[self.vs.local_coset_of_gv[h]]])
+                    conj = conjugation_action(self.Dgrp, self.ctx.H_D_in_D, self.HDembed, sigma, a_comps[si])
+                    rhs = cup(conj, b_comps[ti], self.AA, self.trivHD_AA)
                     witness = {"x": cx.coords.coords, "y": cy.coords.coords, "hst": (h, si, ti)}
                     yield detail, witness, H2HD, left, rhs
 
@@ -233,7 +219,7 @@ class ShapiroSquares:
         classes, detail = _class_sample(H1)
         for ca in classes:
             x = shapiro_inverse_1(ca.rep, self.section, self.M)
-            lhs = self.sh_v_components(Cochain(self.M_res, 1, x.restricted_table(self.vs.Dembed)))
+            lhs = self.sh_v_components(Cochain(self.M_res, 1, x.restricted_table(self.ctx.Dembed)))
             for si, s in enumerate(self.ctx.transversal):
                 # s is its own global coset; its lowest-index section lift in G
                 sigma = int(self.G.inv[int(self.section.u[s])])
@@ -256,7 +242,7 @@ class ShapiroSquares:
                 # y = omega^-1 of the family that is x at g0 and zero elsewhere:
                 # y(s,t)(c1,c2) = x(s,t)(c2) when c1 c2^-1 = g0
                 y = x.mapped(place, self.MM)
-                yv = Cochain(self.MM_res, 2, y.restricted_table(self.vs.Dembed))
+                yv = Cochain(self.MM_res, 2, y.restricted_table(self.ctx.Dembed))
                 alpha_table = alpha.table.tolist()
                 for (h, si, ti), left in self.sh_v_prime_components(yv).items():
                     s = self.ctx.transversal[si]

@@ -46,6 +46,7 @@ from cohomkit.crossed import (
 )
 from cohomkit.fixtures import shapiro_fixtures
 from cohomkit.groups import (
+    CosetSection,
     LocalizationContext,
     Subgroup,
     cyclic_group,
@@ -144,9 +145,7 @@ def test_criterion_05_quasi_inverses_cochain_level():
         Hgrp, embed = subgroup_group(fx.H)
         if Hgrp.size > 6:
             continue
-        from cohomkit.groups import coset_section
-
-        sec = coset_section(fx.G, fx.H)
+        sec = CosetSection(fx.G, fx.H)
         M = induced_module(fx.G, fx.H, fx.A)
         tH = trivial_module(Hgrp, fx.A)
         for a in cohomology(tH, 1).cocycles():

@@ -261,6 +261,40 @@ def test_cli_env_bound_override(tmp_path, monkeypatch):
     assert "bound 12345" in out.read_text()
 
 
+def test_cli_negative_scenario_seed_exits_2_at_its_line(tmp_path, capsys):
+    f = tmp_path / "s.scn"
+    f.write_text(MINIMAL.replace("seed 3", "seed -1"))
+    assert main(["run", str(f)]) == 2
+    assert "line 3: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["suite", "--seed", "-1"], "argument --seed: must be at least 0, not -1"),
+        (["suite", "--bound", "-5"], "argument --bound: must be at least 1, not -5"),
+        (["suite", "--bound", "0"], "argument --bound: must be at least 1, not 0"),
+        (["suite", "--seed", "x"], "argument --seed: invalid integer value: 'x'"),
+    ],
+)
+def test_cli_out_of_range_seed_or_bound_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value,message", [("abc", "invalid literal for int() with base 10: 'abc'"), ("-3", "must be at least 1, not -3")]
+)
+def test_cli_bad_env_bound_exits_2(tmp_path, monkeypatch, capsys, value, message):
+    f = tmp_path / "s.scn"
+    f.write_text(MINIMAL)
+    monkeypatch.setenv("COHOMKIT_BOUND", value)
+    assert main(["run", str(f)]) == 2
+    assert f"cohomkit: COHOMKIT_BOUND: {message}" in capsys.readouterr().err
+
+
 def test_cli_text_format(tmp_path):
     f = tmp_path / "s.scn"
     f.write_text(MINIMAL)

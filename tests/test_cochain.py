@@ -20,10 +20,11 @@ from cohomkit.cochain import (
 )
 from cohomkit.cohomology import cohomology
 from cohomkit.groups import (
+    CosetSection,
     GModule,
+    OmegaDecomposition,
     Subgroup,
     alternating_subgroup_s3,
-    coset_section,
     cyclic_group,
     induced_module,
     named_group,
@@ -175,7 +176,7 @@ def test_shapiro_quasi_inverse_roundtrip_all_cocycles(gname, hmem, aorders):
     G = named_group(gname)
     H = alternating_subgroup_s3(G) if hmem is None else Subgroup.make(G, hmem)
     A = FinAbGroup(aorders)
-    sec = coset_section(G, H)
+    sec = CosetSection(G, H)
     M = induced_module(G, H, A)
     Hgrp, embed = subgroup_group(H)
     tH = trivial_module(Hgrp, A)
@@ -196,7 +197,7 @@ def test_shapiro_inverse_on_subgroup_elements_is_conjugation():
     C4 = cyclic_group(4)
     H = Subgroup.make(C4, [0, 2])
     A = FinAbGroup((2,))
-    sec = coset_section(C4, H)
+    sec = CosetSection(C4, H)
     M = induced_module(C4, H, A)
     Hgrp, embed = subgroup_group(H)
     tH = trivial_module(Hgrp, A)
@@ -204,7 +205,7 @@ def test_shapiro_inverse_on_subgroup_elements_is_conjugation():
     if differential(a).is_zero:
         x = shapiro_inverse_1(a, sec, M)
         for sigma_local, sigma in enumerate(embed):
-            for c in range(sec.n_cosets):
+            for c in range(sec.u.size):
                 lifted = conjugation_action(C4, H, embed, int(C4.inv[int(sec.u[c])]), a)
                 assert x.table[int(sigma), c] == lifted.table[sigma_local, 0]
 
@@ -213,7 +214,6 @@ def test_sh_prime_agrees_with_omega_then_shapiro():
     """Componentwise: mapping through omega_g and then Shapiro, as sh_prime
     does, equals the explicit evaluation (s_vec) -> x_{s_vec}(g, 1) over H."""
     from cohomkit.cochain import sh_prime
-    from cohomkit.groups import omega_decomposition
 
     rng = np.random.default_rng(7)
     cases = [("C2", [0], (2,)), ("C3", [0], (2,)), ("S3", None, (3,)), ("C2xC2", [0, 3], (2, 4))]
@@ -221,7 +221,7 @@ def test_sh_prime_agrees_with_omega_then_shapiro():
         G = named_group(gname)
         H = alternating_subgroup_s3(G) if hmem is None else Subgroup.make(G, hmem)
         A = FinAbGroup(aorders)
-        om = omega_decomposition(G, H, A)
+        om = OmegaDecomposition(induced_module(G, H, A))
         Hgrp, embed = subgroup_group(H)
         tH_AA = trivial_module(Hgrp, om.AA.group)
         ka, kaa = A.rank, om.AA.group.rank
@@ -229,7 +229,7 @@ def test_sh_prime_agrees_with_omega_then_shapiro():
             x = random_cochain(om.MM, r, rng)
             sub = x.restricted_table(embed)
             comps = sh_prime(x, om, tH_AA, embed)
-            for g in range(om.n_cosets):
+            for g in range(om.count):
                 # coordinate t = (i, j) of A (x) A at (g, 1): a_i at coset g
                 # times a_j at the identity coset 0
                 cols = [om.tensor.index(g * ka + t // ka, 0 * ka + t % ka) for t in range(kaa)]
@@ -239,14 +239,13 @@ def test_sh_prime_agrees_with_omega_then_shapiro():
 def test_constant_function_inclusion_has_equal_components():
     from cohomkit.abelian import AbHom
     from cohomkit.cochain import sh_prime
-    from cohomkit.groups import omega_decomposition
 
     C4 = cyclic_group(4)
     H = Subgroup.make(C4, [0, 2])
-    om = omega_decomposition(C4, H, FinAbGroup((2,)))
+    om = OmegaDecomposition(induced_module(C4, H, FinAbGroup((2,))))
     ka = 1
     kaa = om.AA.group.rank
-    m = om.n_cosets
+    m = om.count
     rows = np.zeros((om.MM.ab.rank, kaa), dtype=np.int64)
     for c1 in range(m):
         for c2 in range(m):

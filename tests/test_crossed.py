@@ -617,7 +617,8 @@ print(outcome(om.verify))
 vs = G.VarsigmaDecomposition(
     G.LocalizationContext(S3, A3, G.Subgroup.make(S3, range(6))), G.induced_module(S3, A3, FinAbGroup((3,)))
 )
-vs.components[0] = AbHom(vs.components[0].source, vs.components[0].target, [[1, 0], [0, 0]])
+vs.forward = AbHom(vs.forward.source, vs.forward.target, [[2, 0], [0, 1]])
+vs.inverse = AbHom(vs.inverse.source, vs.inverse.target, [[2, 0], [0, 1]])
 print(outcome(vs.verify))
 C2 = cyclic_group(2)
 sub, mid = G.trivial_module(C2, FinAbGroup((2,))), G.trivial_module(C2, FinAbGroup((4,)))
@@ -703,6 +704,9 @@ zero_f = (CC.zero_cochain(d.Zmod, 1), zero_a)
 print(outcome(lambda: C.cohomologous_witness(tf, (bad_z, zero_a), zero_f, d.Msum.ab.zero())))
 tf.act = lambda q, z, a: (z, (np.asarray(a) + 1) % 2)
 print(outcome(lambda: C.cohomologous_witness(tf, zero_f, zero_f, d.Msum.ab.zero())))
+# an element with too few coordinates, and a class of another group
+print(outcome(lambda: FinAbGroup((2, 3)).element([1])))
+print(outcome(lambda: H1.presentation.rep(FinAbGroup((3,)).element([1]))))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -767,6 +771,8 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "AssertionError: connecting value must be central",
         "AssertionError: comparison cochain failed to be a cocycle",
         "AssertionError: conjugation witness failed the pointwise identity",
+        "ValueError: coordinates (1,) do not fit orders (2, 3)",
+        "ValueError: class lies in orders [(3,)], not [(2,)]",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

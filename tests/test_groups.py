@@ -11,6 +11,7 @@ from cohomkit.abelian import AbHom, FinAbGroup, TensorProduct, is_cyclic
 from cohomkit.crossed import build_bk
 from cohomkit.groups import (
     GROUP_CATALOG,
+    CosetSection,
     GModule,
     LocalizationContext,
     OmegaDecomposition,
@@ -20,7 +21,6 @@ from cohomkit.groups import (
     alternating_subgroup_s3,
     center_subgroup,
     constant_inclusion,
-    coset_section,
     cosets,
     cyclic_group,
     cyclic_subgroups,
@@ -34,7 +34,6 @@ from cohomkit.groups import (
     minimal_generating_set,
     named_abelian,
     named_group,
-    omega_decomposition,
     quotient_group,
     quotient_module,
     restrict_module,
@@ -42,7 +41,6 @@ from cohomkit.groups import (
     submodule_lattice,
     tensor_module,
     trivial_module,
-    varsigma_decomposition,
 )
 
 ALL_NAMES = ["1", "C2", "C3", "C4", "C6", "C2xC2", "S3", "D8", "Q8", "Heis8", "Heis27"]
@@ -124,14 +122,14 @@ def test_induced_requires_normal_subgroup():
 def test_coset_sections_validate(gname, members):
     G = named_group(gname)
     H = alternating_subgroup_s3(G) if members is None else Subgroup.make(G, members)
-    sec = coset_section(G, H)  # constructor checks the section cocycle law
+    sec = CosetSection(G, H)  # constructor checks the section cocycle law
     assert sec.u[0] == 0
 
 
 def test_coset_section_full_subgroup():
     S3 = named_group("S3")
-    sec = coset_section(S3, Subgroup.make(S3, list(S3.elements())))
-    assert sec.n_cosets == 1
+    sec = CosetSection(S3, Subgroup.make(S3, list(S3.elements())))
+    assert sec.u.size == 1
     for s in S3.elements():
         assert int(sec.Hembed[sec.gamma[0, s]]) == s  # gamma(., s) = s
 
@@ -149,7 +147,7 @@ def test_coset_section_full_subgroup():
 def test_omega_is_equivariant_isomorphism(gname, hmem, aorders):
     G = named_group(gname)
     H = alternating_subgroup_s3(G) if hmem is None else Subgroup.make(G, hmem)
-    omega_decomposition(G, H, FinAbGroup(aorders)).verify()
+    OmegaDecomposition(induced_module(G, H, FinAbGroup(aorders)))  # verified on construction
 
 
 @pytest.mark.parametrize(
@@ -188,7 +186,7 @@ def test_varsigma_fixtures():
         ctx = LocalizationContext(S3, A3, D)
         assert ctx.e == e
         assert ctx.e * ctx.gv.size == len(ctx.quotient)  # unique factorization
-        varsigma_decomposition(ctx, FinAbGroup((3,))).verify()
+        VarsigmaDecomposition(ctx, induced_module(S3, A3, FinAbGroup((3,))))  # verified on construction
 
 
 def test_localization_unique_factorization_exhaustive():
@@ -418,10 +416,23 @@ def _factor_scan(Q, transversal, gv, g):
 def test_cosets_match_the_right_coset_loop_on_every_subgroup(name):
     G = _COSET_GROUPS[name]
     for H in _SUBGROUPS[name]:
-        coset_of, reps = cosets(G.mul, H.members)
+        coset_of, reps, table = cosets(G.mul, H.members)
         want_of, want_reps = _right_cosets_loop(G, H)
         assert coset_of.tolist() == want_of.tolist()
         assert reps.tolist() == want_reps
+        # table[c, s]: the coset of reps[c] * s
+        assert table.tolist() == [[int(want_of[G.op(r, s)]) for s in range(G.size)] for r in want_reps]
+
+
+def test_quotient_section_and_induced_module_read_the_one_coset_table():
+    for name, H in _NORMAL_PAIRS:
+        G = _COSET_GROUPS[name]
+        _, reps, table = cosets(G.mul, H.members)
+        assert quotient_group(G, H)[0].mul.tolist() == table[:, reps].tolist()
+        assert CosetSection(G, H)._cs.tolist() == table.tolist()
+        # over A = Z/2, s moves the coordinate of coset c to that of c * sbar
+        M = induced_module(G, H, FinAbGroup((2,)))
+        assert M.act.tolist() == np.eye(reps.size, dtype=np.int64)[table.T].tolist(), (name, H.members)
 
 
 def test_quotient_and_induced_module_match_the_coset_loop():
@@ -457,7 +468,7 @@ def test_section_gamma_matches_the_double_loop():
             for s in range(G.size):
                 target = int(coset_of[G.op(u[c], s)])
                 gamma[c, s] = hpos[G.op(G.op(u[c], s), int(G.inv[u[target]]))]
-        sec = coset_section(G, H)
+        sec = CosetSection(G, H)
         assert sec.u.tolist() == u
         assert (sec.gamma == gamma).all(), (name, H.members)
         # _cs[c, s]: the coset c * sbar
@@ -467,7 +478,7 @@ def test_section_gamma_matches_the_double_loop():
 
 def test_section_checks_reject_a_corrupted_gamma():
     S3 = named_group("S3")
-    sec = coset_section(S3, alternating_subgroup_s3(S3))
+    sec = CosetSection(S3, alternating_subgroup_s3(S3))
     sec.gamma[0, 1] = (sec.gamma[0, 1] + 1) % 3
     with pytest.raises(AssertionError, match="cocycle condition fails"):
         sec._check_cocycle_condition()
@@ -506,20 +517,21 @@ def test_factorization_check_rejects_a_bad_transversal():
 def test_decomposition_checks_reject_corrupted_maps():
     S3 = named_group("S3")
     A3 = alternating_subgroup_s3(S3)
-    omega = OmegaDecomposition(induced_module(S3, A3, FinAbGroup((3,))))
-    omega.verify()
+    omega = OmegaDecomposition(induced_module(S3, A3, FinAbGroup((3,))))  # verified on construction
     inv = omega.inverse
     omega.inverse = AbHom(inv.source, inv.target, np.zeros_like(inv.matrix))
     with pytest.raises(AssertionError, match="not mutually inverse"):
         omega.verify()
     ctx = LocalizationContext(S3, A3, Subgroup.make(S3, list(S3.elements())))
     vs = VarsigmaDecomposition(ctx, induced_module(S3, A3, FinAbGroup((3,))))
-    vs.verify()
     with pytest.raises(ValueError, match="another"):
         VarsigmaDecomposition(ctx, induced_module(S3, Subgroup.make(S3, [0]), FinAbGroup((3,))))
-    comp = vs.components[0]
-    vs.components[0] = AbHom(comp.source, comp.target, [[1, 0], [0, 0]])
-    with pytest.raises(AssertionError, match="not equivariant"):
+    # -1 on coset 0 only is its own inverse, but the transpositions swap the
+    # two cosets, so it is no D-map
+    flip = [[2, 0], [0, 1]]
+    vs.forward = AbHom(vs.forward.source, vs.forward.target, flip)
+    vs.inverse = AbHom(vs.inverse.source, vs.inverse.target, flip)
+    with pytest.raises(AssertionError, match="varsigma component 0 not equivariant"):
         vs.verify()
 
 
@@ -530,7 +542,7 @@ def test_quotient_and_section_reject_non_normal_subgroups():
     with pytest.raises(ValueError, match="normal subgroup"):
         quotient_group(S3, H)
     with pytest.raises(ValueError, match="normal subgroup"):
-        coset_section(S3, H)
+        CosetSection(S3, H)
 
 
 def test_subgroup_positions_invert_the_embedding():

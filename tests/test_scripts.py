@@ -1,4 +1,5 @@
-"""The helper scripts under scripts/ run and print their known results."""
+"""The helper scripts under scripts/ run and print their known results, and
+the benchmark's tracer wraps every traced boundary of cohomkit."""
 
 import os
 import pathlib
@@ -44,3 +45,28 @@ def test_script_output(args, expected):
     assert proc.returncode == 0, proc.stderr
     lines = [re.sub(r" \(\d+\.\ds\)$", "", line) for line in proc.stdout.splitlines()]
     assert lines == expected
+
+
+def test_benchmark_tracer_covers_every_traced_boundary():
+    """A traced name that is deleted, or that some namespace still reaches
+    unwrapped after ``install``, would fail every traced benchmark run."""
+    script = (
+        "import workloads\n"
+        "from tracer import Tracer, check_coverage, install\n"
+        "workloads.cohomkit_modules()\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "print(check_coverage(tracer))\n"
+    )
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

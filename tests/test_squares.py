@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from cohomkit.abelian import FinAbGroup
-from cohomkit.cochain import Cochain, cup, random_cochain
+from cohomkit.abelian import AbHom, FinAbGroup
+from cohomkit.cochain import Cochain, cup, random_cochain, sh_prime, shapiro_forward
 from cohomkit.fixtures import shapiro_fixtures
-from cohomkit.groups import LocalizationContext, Subgroup, named_group, omega_decomposition
+from cohomkit.groups import LocalizationContext, OmegaDecomposition, Subgroup, induced_module, named_group
 from cohomkit.squares import LOCAL_SQUARES, SQUARE_NAMES, ShapiroSquares, verify_shapiro_squares
 
 FIXTURES = shapiro_fixtures()
@@ -27,9 +27,9 @@ def test_all_squares_pass(fx):
 def test_loc_h2_family_placed_by_the_coset_formula(fx):
     """loc-H2's y, omega^-1 of the family that is x at g0 and zero elsewhere,
     is y(s_vec)(c1, c2) = x(s_vec)(c2) when c1 c2^-1 = g0, and 0 otherwise."""
-    om = omega_decomposition(fx.G, fx.H, fx.A)
+    om = OmegaDecomposition(induced_module(fx.G, fx.H, fx.A))
     G, M = fx.G, om.M
-    ka, kaa, m = fx.A.rank, om.AA.group.rank, om.n_cosets
+    ka, kaa, m = fx.A.rank, om.AA.group.rank, om.count
     reps = [int(u) for u in M.coset_reps]
     rng = np.random.default_rng(17)
     for r in (1, 2):
@@ -42,6 +42,47 @@ def test_loc_h2_family_placed_by_the_coset_formula(fx):
                     got = y.table[..., om.tensor.index(c1 * ka + i, c2 * ka + j)]
                     want = x.table[..., c2 * kaa + om.AA.index(i, j)] if at_g0 else 0
                     assert (got == want).all(), (r, g0, c1, c2, i, j)
+
+
+def _sh_prime_loop(x, omega, H_module, embed):
+    """sh', one omega component at a time over the whole group, then restricted."""
+    comps = [AbHom(omega.MM.ab, omega.ind_AA.ab, block) for block in omega.blocks()]
+    return [shapiro_forward(x.mapped(c, omega.ind_AA), H_module, embed) for c in comps]
+
+
+def _sh_v_loop(sq, z):
+    comps = [AbHom(sq.M.ab, sq.M_local.ab, block) for block in sq.vs.blocks()]
+    return [shapiro_forward(z.mapped(c, sq.M_local), sq.trivHD_A, sq.HDembed) for c in comps]
+
+
+def _sh_v_prime_loop(sq, z):
+    out = {}
+    local_MM = sq.local_omega.MM
+    blocks = sq.vs.blocks()
+    for si in range(sq.ctx.e):
+        for ti in range(sq.ctx.e):
+            comp = z.mapped(AbHom(sq.MM.ab, local_MM.ab, np.kron(blocks[si], blocks[ti])), local_MM)
+            for c_local, part in enumerate(_sh_prime_loop(comp, sq.local_omega, sq.trivHD_AA, sq.HDembed)):
+                out[(int(sq.vs.gv_of_local_coset[c_local]), si, ti)] = part
+    return out
+
+
+@pytest.mark.parametrize("fx", PLACE_FIXTURES, ids=[f.name for f in PLACE_FIXTURES])
+def test_stacked_shapiro_evaluations_match_the_component_loops(fx):
+    """sh', sh_v and sh'_v restrict first and apply the identity-coset rows of
+    every component at once; the loops map each component over the whole
+    group and then restrict.  Same cochains, and sh'_v in (h, s, t) order."""
+    rng = np.random.default_rng(23)
+    for D in fx.decompositions:
+        sq = ShapiroSquares(fx.G, fx.H, fx.A, ctx=LocalizationContext(fx.G, fx.H, D))
+        for r in (1, 2):
+            x = random_cochain(sq.MM, r, rng)
+            args = (sq.omega, sq.trivH_AA, sq.embed)
+            assert sh_prime(x, *args) == _sh_prime_loop(x, *args)
+            z = random_cochain(sq.M_res, r, rng)
+            assert sq.sh_v_components(z) == _sh_v_loop(sq, z)
+            zz = random_cochain(sq.MM_res, r, rng)
+            assert list(sq.sh_v_prime_components(zz).items()) == list(_sh_v_prime_loop(sq, zz).items())
 
 
 def test_global_squares_without_context_skip_local():
@@ -83,6 +124,20 @@ def test_squares_build_each_induced_module_of_a_once(monkeypatch):
     assert built.count((1, A)) == 1  # Ind_{H_D}^D(A), D trivial
 
 
+def test_squares_turn_each_subgroup_into_a_group_once(monkeypatch):
+    """H and H_D through the two coset sections, D through the context."""
+    from cohomkit import groups
+
+    S3 = named_group("S3")
+    A3 = groups.alternating_subgroup_s3(S3)
+    ctx = LocalizationContext(S3, A3, Subgroup.make(S3, [0, 1]))
+    calls = []
+    subgroup_group = groups.subgroup_group
+    monkeypatch.setattr(groups, "subgroup_group", lambda sub: calls.append(sub) or subgroup_group(sub))
+    ShapiroSquares(S3, A3, FinAbGroup((2,)), ctx=ctx)
+    assert [(sub.parent, sub.members) for sub in calls] == [(S3, A3.members), (ctx.Dgroup, ctx.H_D_in_D.members)]
+
+
 @pytest.mark.parametrize("decomposition", [None, "all"])
 def test_squares_with_h_equal_g_build_each_group_once(decomposition, cohomology_builds):
     """With H = G (and D = G), H^r(G, .), H^r(H, .), H^r(D, .) and H^r(H_D, .) coincide."""
@@ -111,9 +166,8 @@ def test_mutated_cup_breaks_leibniz_with_witness():
     from cohomkit.cochain import differential, shapiro_inverse_1
     from cohomkit.cohomology import cohomology
     from cohomkit.groups import (
+        CosetSection,
         alternating_subgroup_s3,
-        coset_section,
-        induced_module,
         subgroup_group,
         tensor_module,
         trivial_module,
@@ -124,7 +178,7 @@ def test_mutated_cup_breaks_leibniz_with_witness():
     A = FinAbGroup((3,))
     M = induced_module(S3, A3, A)
     MM, tens = tensor_module(M, M)
-    sec = coset_section(S3, A3)
+    sec = CosetSection(S3, A3)
     Hgrp, _ = subgroup_group(A3)
     H1 = cohomology(trivial_module(Hgrp, A), 1)
     witnesses = []
