@@ -67,7 +67,10 @@ class FinAbGroup:
         return AbElement(self, (0,) * self.rank)
 
     def element(self, coords) -> "AbElement":
-        return AbElement(self, tuple(int(c) % n for c, n in zip(coords, self.orders)))
+        coords = tuple(int(c) for c in coords)
+        if len(coords) != self.rank:
+            raise ValueError(f"coordinates {coords} do not fit orders {self.orders}")
+        return AbElement(self, tuple(c % n for c, n in zip(coords, self.orders)))
 
     def generators(self) -> list["AbElement"]:
         """The unit vectors of the factors of order > 1, in factor order.
@@ -426,9 +429,6 @@ class ExteriorSquare:
             c[p, i, j] = 1
             c[p, j, i] = -1
         return c
-
-    def index(self, i: int, j: int) -> int:
-        return self.pairs.index((i, j))  # ValueError unless i < j
 
     def wedge(self, a: AbElement, b: AbElement) -> AbElement:
         _same_groups("pair", (a.parent, b.parent), (self.base, self.base))

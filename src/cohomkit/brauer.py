@@ -54,8 +54,10 @@ from .groups import (
     cyclic_subgroups,
     derived_subgroup,
     generated_subgroup,
+    generator_tree,
     is_simple_module,
     minimal_generating_set,
+    quotient_group,
     restrict_module,
     subgroup_group,
     trivial_module,
@@ -79,39 +81,30 @@ class AbelianStructure:
 
 
 def abelian_structure(G: FiniteGroup) -> AbelianStructure:
+    """G as Z^k / R presented on a minimal generating set x_1..x_k.
+
+    The generator tree from the identity gives each element an exponent
+    vector: its parent's plus e_i.  The cycles of the Cayley graph generate
+    its relations, so R is spanned by vec(g) + e_i - vec(x_i g) over every
+    (g, i), together with the orders of the x_i.
+    """
     if not G.is_abelian():
         raise ValueError("cyclic decomposition requires an abelian group")
     gens = minimal_generating_set(G)
     if not gens:
         pres = Presentation((), np.zeros((0, 0)), np.zeros((0, 0)))
         return AbelianStructure(G, pres.group, np.zeros((G.size, 0), dtype=np.int64), [])
-    box = [G.order_of(g) for g in gens]
-    # exponent-vector of every element, plus the relation lattice of the box
-    from itertools import product as iproduct
-
-    elem_of = {}
-    relations = []
-    for vec in iproduct(*(range(b) for b in box)):
-        g = 0
-        for gi, e in zip(gens, vec):
-            g = G.op(g, G.power(gi, e))
-        if g not in elem_of:
-            elem_of[g] = vec
-        if g == 0 and any(vec):
-            relations.append(vec)
-    if len(elem_of) != G.size:
-        raise AssertionError("generating set does not reach every element")
-    pres = Presentation(tuple(box), np.eye(len(box), dtype=np.int64), relations)
-    coords = np.zeros((G.size, pres.group.rank), dtype=np.int64)
-    for g, vec in elem_of.items():
-        coords[g] = pres.class_coords(np.array(vec, dtype=np.int64)).coords
-    reps = []
-    for unit in pres.group.generators():
-        vec = pres.rep(unit)
-        g = 0
-        for gi, e in zip(gens, vec):
-            g = G.op(g, G.power(gi, int(e)))
-        reps.append(g)
+    k = len(gens)
+    box = np.array([G.order_of(g) for g in gens], dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    vec = np.zeros((G.size, k), dtype=np.int64)
+    for f, i, g in generator_tree(G, gens, [0]):
+        vec[f] = vec[g] + eye[i]
+    relations = (vec[:, None, :] + eye - vec[G.mul[gens].T]) % box  # [g, i]: x_i g = G.mul[gens[i], g]
+    pres = Presentation(tuple(box.tolist()), eye, relations.reshape(-1, k))
+    classes = np.array([pres.class_coords(e).coords for e in eye], dtype=np.int64)  # row i: class of e_i
+    coords = vec @ classes % np.array(pres.group.orders, dtype=np.int64)
+    reps = (coords[:, None, :] == np.eye(pres.group.rank, dtype=np.int64)).all(axis=2).argmax(axis=0).tolist()
     return AbelianStructure(G, pres.group, coords, reps)
 
 
@@ -134,52 +127,42 @@ class LambdaData:
     ab_proj: np.ndarray        # element -> F^ab coordinates
 
 
-def lambda_map(F: FiniteGroup, rng=None) -> LambdaData:
-    """The pairing lambda(a ^ b) = [lift(a), lift(b)] for a class-2 group."""
-    Z = center_subgroup(F)
+def _abelianization(F: FiniteGroup) -> tuple[Subgroup, AbelianStructure, np.ndarray]:
+    """(D, Fab, coords): the derived subgroup D, the structure of F / D, and
+    the F / D coordinates of each element of F, shape (n, rank)."""
     D = derived_subgroup(F)
+    Qt, proj = quotient_group(F, D)
+    Fab = abelian_structure(Qt)
+    return D, Fab, Fab.coords[proj]
+
+
+def lambda_map(F: FiniteGroup) -> LambdaData:
+    """The pairing lambda(a ^ b) = [lift(a), lift(b)] for a class-2 group.
+
+    lambda is read on the lowest lift of each generator of F^ab, off one
+    table of commutators [a, b] = a b a^-1 b^-1, and then checked exactly:
+    lambda(abar ^ bbar) = [a, b] for every a of F against every lift b.  In
+    class 2 the commutator is bilinear, so that covers every pair (a, b).
+    """
+    Z = center_subgroup(F)
+    D, Fab, ab_proj = _abelianization(F)
     if not set(D.members) <= set(Z.members):
         raise ValueError("group must be nilpotent of class <= 2")
     Zgrp, _ = subgroup_group(Z)
-    zpos = Z.positions
     Zc = abelian_structure(Zgrp)
-    from .groups import quotient_group
-
-    # abelianization: F / [F,F]
-    Qt, proj = quotient_group(F, D)
-    Fab = abelian_structure(Qt)
-    ab_proj = Fab.coords[proj]  # element of F -> F^ab coordinates
     wedge = ExteriorSquare(Fab.group)
-    # lifts of the F^ab generators
-    lifts = []
-    for rep in Fab.reps:
-        cands = np.flatnonzero(proj == rep)
-        lifts.append(int(cands[0]))
-    cols = []
-    for (i, j) in wedge.pairs:
-        c = F.op(F.op(lifts[i], lifts[j]), F.op(int(F.inv[lifts[i]]), int(F.inv[lifts[j]])))
-        if zpos[c] < 0:
-            raise AssertionError("commutator escaped the center")
-        cols.append(Zc.coords[zpos[c]])
-    lam = AbHom(
-        wedge.group,
-        Zc.group,
-        np.array(cols, dtype=np.int64).T if cols else np.zeros((Zc.group.rank, 0)),
-    )
-    # lift independence, sampled: replacing lifts by central translates
-    rng = rng or np.random.default_rng(0)
-    zmem = list(Z.members)
-    for _ in range(100):
-        if not wedge.pairs:
-            break
-        i, j = wedge.pairs[int(rng.integers(len(wedge.pairs)))]
-        l1 = F.op(lifts[i], zmem[int(rng.integers(len(zmem)))])
-        l2 = F.op(lifts[j], zmem[int(rng.integers(len(zmem)))])
-        c = F.op(F.op(l1, l2), F.op(int(F.inv[l1]), int(F.inv[l2])))
-        k = wedge.index(i, j)
-        want = lam(wedge.group.element([int(t == k) for t in range(wedge.group.rank)]))
-        if tuple(Zc.coords[zpos[c]]) != want.coords:
-            raise AssertionError("lambda depends on the lifts")
+    lifts = (ab_proj[:, None, :] == np.eye(Fab.group.rank, dtype=np.int64)).all(axis=2).argmax(axis=0)
+    commutators = F.mul[F.mul, F.mul[F.inv][:, F.inv]]  # [a, b] = a b a^-1 b^-1
+    at = Z.positions[commutators[:, lifts]]  # [a, j]: [a, lift j] among the members of Z
+    if (at < 0).any():
+        raise AssertionError("commutator escaped the center")
+    comm = Zc.coords[at]  # (n, rank of F^ab, rank of Z)
+    pairs = np.array(wedge.pairs, dtype=np.int64).reshape(-1, 2)
+    lam = AbHom(wedge.group, Zc.group, comm[lifts[pairs[:, 0]], pairs[:, 1]].T)
+    # lambda(abar ^ e_j), abar ^ e_j having wedge coordinates coef[:, :, j] @ abar
+    values = np.einsum("kp,pij,ai->ajk", lam.matrix, wedge.coefficients, ab_proj)
+    if (values % np.array(Zc.group.orders, dtype=np.int64) != comm).any():
+        raise AssertionError("lambda depends on the lifts")
     S, S_incl = kernel(lam)
     rows = vanishing_products(wedge, lam)  # generators of S_lambda
     # present S / S_lambda inside the wedge square
@@ -250,12 +233,7 @@ def _character_carries(G: FiniteGroup, N: int) -> list[np.ndarray]:
     0 -> Z/N -> Q/Z -> Q/Z -> 0; these tables span the kernel of
     H^2(G, Z/N) -> H^2(G, Q/Z).
     """
-    from .groups import quotient_group
-
-    D = derived_subgroup(G)
-    Qt, proj = quotient_group(G, D)
-    ab = abelian_structure(Qt)
-    coords = ab.coords[proj]  # (n, rank)
+    _, ab, coords = _abelianization(G)
     out = []
     for i, d in enumerate(ab.group.orders):
         if N % d:

@@ -46,7 +46,7 @@ from .abelian import (
     subgroup_span,
 )
 from .cochain import Cochain, differential, zero_cochain
-from .groups import GModule, minimal_generating_set
+from .groups import GModule, generator_tree, minimal_generating_set
 from .intmat import kernel_uniform as _kernel_uniform, matmul_mod
 
 
@@ -122,26 +122,11 @@ class CohomologyGroup:
     # -- tree -----------------------------------------------------------------
 
     def _build_tree(self):
-        G = self.module.group
         eye = np.eye(self.k, dtype=np.int64)
         # generators acting as the identity skip the matmul in _law_rhs
         self._acts_trivially = {x: bool((self.module.act[x] == eye).all()) for x in self.X}
-        self.order: list[int] = list(self.X)
-        self.parent: dict[int, tuple[int, int]] = {}
-        visited = set(self.X)
-        frontier = list(self.X)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for xi, x in enumerate(self.X):
-                    f = G.op(x, g)
-                    if f not in visited:
-                        visited.add(f)
-                        self.parent[f] = (xi, g)
-                        self.order.append(f)
-                        nxt.append(f)
-            frontier = nxt
-        assert len(visited) == self.n, "generating set failed to reach the whole group"
+        # (f, xi, g): the law at (X[xi], g) gives u(f, .), f = X[xi] g
+        self._tree = generator_tree(self.module.group, self.X, self.X)
 
     def _law_rhs(self, T: np.ndarray, x: int, g) -> np.ndarray:
         """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
@@ -164,7 +149,7 @@ class CohomologyGroup:
     def _compute_cocycles(self):
         # the pairs (x, g) whose condition the tree does not already impose
         off_tree = np.ones((len(self.X), self.n), dtype=bool)
-        for xi, g in self.parent.values():
+        for _, xi, g in self._tree:
             off_tree[xi, g] = False
         pairs = np.argwhere(off_tree)
         per_pair = self.W * self.k
@@ -243,10 +228,8 @@ class CohomologyGroup:
         b = slices.shape[0]
         T = np.zeros((self.n, self.W, self.k, b), dtype=np.int64)
         T[self.X] = slices.T.reshape(len(self.X), self.W, self.k, b)
-        for f in self.order:
-            if f in self.parent:
-                xi, g = self.parent[f]
-                T[f] = self._law_rhs(T, self.X[xi], g) % self.L
+        for f, xi, g in self._tree:
+            T[f] = self._law_rhs(T, self.X[xi], g) % self.L
         T %= self._orders[:, None]
         return T
 

@@ -81,15 +81,6 @@ class FiniteGroup:
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def power(self, g: int, k: int) -> int:
-        k = int(k)
-        if k < 0:
-            g, k = int(self.inv[g]), -k
-        out = 0
-        for _ in range(k):
-            out = self.op(out, g)
-        return out
-
     def order_of(self, g: int) -> int:
         k, x = 1, g
         while x != 0:
@@ -186,6 +177,30 @@ def minimal_generating_set(G: FiniteGroup) -> list[int]:
             if inside.all():
                 break
     return gens
+
+
+def generator_tree(G: FiniteGroup, gens, roots) -> list[tuple[int, int, int]]:
+    """A breadth-first tree of the Cayley graph of gens, grown from roots.
+
+    One (child, generator index i, parent) triple per element outside roots,
+    with child = gens[i] * parent, in first-visit order: parents in the order
+    they were visited, then generators.  So every parent comes before its
+    children, and a word for each element can be read off in one pass.
+    """
+    rows = G.mul[list(gens)].tolist()
+    order = list(roots)
+    seen = set(order)
+    tree = []
+    for g in order:  # the loop also visits the children appended below
+        for i, row in enumerate(rows):
+            f = row[g]
+            if f not in seen:
+                seen.add(f)
+                order.append(f)
+                tree.append((f, i, g))
+    if len(order) != G.size:
+        raise AssertionError("generating set does not reach every element")
+    return tree
 
 
 def center_subgroup(G: FiniteGroup) -> Subgroup:

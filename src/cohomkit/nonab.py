@@ -45,31 +45,19 @@ class NonabTwoCocycle:
     u: np.ndarray    # (|Q|, |Q|) element indices in F
 
     def validate(self) -> bool:
-        Q, F = self.Q, self.F
-        for s in Q.elements():
-            perm = self.rho[s]
-            if sorted(perm) != list(range(F.size)):
-                return False
-            # automorphism check
-            if (F.mul[perm][:, perm] != perm[F.mul]).any():
-                return False
-        for s in Q.elements():
-            for t in Q.elements():
-                st = Q.op(s, t)
-                inner = int(self.u[s, t])
-                comp = self.rho[s][self.rho[t]]
-                # int(u_{s,t}) . rho_s . rho_t
-                lhs = F.mul[F.mul[inner, comp], int(F.inv[inner])]
-                if (self.rho[st] != lhs).any():
-                    return False
-        for s in Q.elements():
-            for t in Q.elements():
-                for v in Q.elements():
-                    lhs = F.op(int(self.u[s, Q.op(t, v)]), int(self.rho[s][self.u[t, v]]))
-                    rhs = F.op(int(self.u[Q.op(s, t), v]), int(self.u[s, t]))
-                    if lhs != rhs:
-                        return False
-        return True
+        """The three laws as table comparisons over every (s, t, v) at once."""
+        Q, F, rho, u = self.Q, self.F, self.rho, self.u
+        # each rho_s is a permutation, then an automorphism: rho_s(ab) = rho_s(a) rho_s(b)
+        if (np.sort(rho, axis=1) != np.arange(F.size)).any():
+            return False
+        if (F.mul[rho[:, :, None], rho[:, None, :]] != rho[:, F.mul]).any():
+            return False
+        # rho_{st} = int(u_{s,t}) . rho_s . rho_t, over (s, t, f)
+        comp = rho[np.arange(Q.size)[:, None, None], rho[None]]
+        if (rho[Q.mul] != F.mul[F.mul[u[:, :, None], comp], F.inv[u][:, :, None]]).any():
+            return False
+        # u_{s,tv} rho_s(u_{t,v}) = u_{st,v} u_{s,t}, over (s, t, v)
+        return bool((F.mul[u[:, Q.mul], rho[:, u]] == F.mul[u[Q.mul], u[:, :, None]]).all())
 
     def transformed(self, c: np.ndarray) -> "NonabTwoCocycle":
         """The cohomologous cocycle along c: Q -> F."""

@@ -178,6 +178,12 @@ def test_hom_additivity_random_sampling():
         assert h(a + b) == h(a) + h(b)
 
 
+@pytest.mark.parametrize("orders,coords", [((2,), [1, 1]), ((2, 3), [1, 1, 5]), ((2, 3), [1]), ((), [0])])
+def test_element_refuses_a_coordinate_count_other_than_the_rank(orders, coords):
+    with pytest.raises(ValueError, match=r"coordinates .* do not fit orders"):
+        FinAbGroup(orders).element(coords)
+
+
 def test_hom_rejects_ill_defined_matrix():
     with pytest.raises(ValueError):
         AbHom(FinAbGroup((2,)), FinAbGroup((4,)), [[1]])  # 2*1 != 0 mod 4

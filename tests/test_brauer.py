@@ -13,6 +13,7 @@ import cohomkit.cohomology
 from cohomkit.abelian import (
     AbHom,
     FinAbGroup,
+    Presentation,
     TensorProduct,
     kernel,
     same_invariants,
@@ -53,7 +54,9 @@ from cohomkit.groups import (
     generated_subgroup,
     dual_module,
     induced_module,
+    minimal_generating_set,
     named_group,
+    quotient_group,
     quotient_module,
     restrict_module,
     subgroup_group,
@@ -63,21 +66,70 @@ from cohomkit.groups import (
 B0_GROUPS = ["D8", "Q8", "Heis8", "Heis27"]
 
 
+def _box_structure(G):
+    """Reference: every vector of the box of generator powers, multiplied out.
+
+    The first vector reaching an element is its exponent vector, and the
+    vectors reaching the identity are the relations.  Returns the group,
+    coordinates and representatives as ``abelian_structure`` does.
+    """
+
+    def power(g, k):
+        out = 0
+        for _ in range(int(k)):
+            out = G.op(out, g)
+        return out
+
+    def word(vec):
+        g = 0
+        for gi, e in zip(gens, vec):
+            g = G.op(g, power(gi, e))
+        return g
+
+    gens = minimal_generating_set(G)
+    box = [G.order_of(g) for g in gens]
+    elem_of, relations = {}, []
+    for vec in itertools.product(*(range(b) for b in box)):
+        g = word(vec)
+        elem_of.setdefault(g, vec)
+        if g == 0 and any(vec):
+            relations.append(vec)
+    assert len(elem_of) == G.size
+    pres = Presentation(tuple(box), np.eye(len(box), dtype=np.int64), relations)
+    coords = np.zeros((G.size, pres.group.rank), dtype=np.int64)
+    for g, vec in elem_of.items():
+        coords[g] = pres.class_coords(np.array(vec, dtype=np.int64)).coords
+    return pres.group, coords, [word(pres.rep(unit)) for unit in pres.group.generators()]
+
+
+def _abelianization_table(F):
+    return quotient_group(F, derived_subgroup(F))[0]
+
+
+# C4, C6, C2 x C2, mixed orders, order 64, and the abelianizations of F128 and P512
+ABELIAN_TABLES = [
+    lambda: named_group("C4"),
+    lambda: named_group("C6"),
+    lambda: named_group("C2xC2"),
+    lambda: direct_product(direct_product(cyclic_group(4), cyclic_group(2)), cyclic_group(3)),
+    lambda: direct_product(direct_product(named_group("C2xC2"), cyclic_group(4)), cyclic_group(4)),
+    lambda: _abelianization_table(_ladder_group("F128")),
+    lambda: _abelianization_table(p512(P512_RELATIONS["e1^e2+e3^e4"])),
+]
+
+
 def test_abelian_structure_is_isomorphism():
-    for name in ["C4", "C6", "C2xC2"]:
-        G = named_group(name)
+    """An isomorphism onto its group, equal to the box enumeration's."""
+    for make in ABELIAN_TABLES:
+        G = make()
         ab = abelian_structure(G)
-        mods = np.array(ab.group.orders, dtype=np.int64) if ab.group.rank else None
-        for g in G.elements():
-            for h in G.elements():
-                s = G.op(g, h)
-                assert (ab.coords[s] == (ab.coords[g] + ab.coords[h]) % mods).all()
-        for i in range(ab.group.rank):
-            unit = [int(i == j) for j in range(ab.group.rank)]
-            g = 0
-            for rep, c in zip(ab.reps, unit):
-                g = G.op(g, G.power(rep, c))
-            assert (ab.coords[g] == np.array(unit)).all()
+        mods = np.array(ab.group.orders, dtype=np.int64)
+        assert ab.group.cardinality == G.size
+        assert (ab.coords[G.mul] == (ab.coords[:, None] + ab.coords[None, :]) % mods).all()
+        assert (ab.coords[ab.reps] == np.eye(ab.group.rank, dtype=np.int64)).all()
+        group, coords, reps = _box_structure(G)
+        assert (ab.group.orders, ab.reps) == (group.orders, reps)
+        assert (ab.coords == coords).all()
 
 
 @pytest.mark.parametrize("name", B0_GROUPS)
@@ -212,6 +264,29 @@ def test_vanishing_wedges_on_p512_match_pair_loop(relation):
     want = ModSpan(np.concatenate([np.array(rows), lattice]), 2).basis
     got = ModSpan(np.concatenate([vanishing_products(ld.wedge, ld.lam), lattice]), 2).basis
     assert (got == want).all()
+
+
+LAMBDA_GROUPS = {
+    **{name: (lambda name=name: _ladder_group(name)) for name in ["D8xC2", "Q8xC4", "Heis27xC2", "F128"]},
+    **{f"P512 {rel}": (lambda rel=rel: p512(P512_RELATIONS[rel])) for rel in P512_RELATIONS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_GROUPS))
+def test_lambda_is_the_commutator_on_every_pair(name):
+    """lambda(abar ^ bbar) = [a, b] on all of F x F.
+
+    lambda_map checks every a against the generator lifts only; in class 2
+    that covers every pair, which this test reads directly.
+    """
+    F = LAMBDA_GROUPS[name]()
+    ld = lambda_map(F)
+    x = ld.ab_proj
+    wedges = np.einsum("pij,ai,bj->abp", ld.wedge.coefficients, x, x)
+    values = np.einsum("kp,abp->abk", ld.lam.matrix, wedges) % np.array(ld.Zc.group.orders)
+    pos = center_subgroup(F).positions[F.mul[F.mul, F.mul[np.ix_(F.inv, F.inv)]]]
+    assert (pos >= 0).all()
+    assert (values == ld.Zc.coords[pos]).all()
 
 
 def test_class_two_group_rejects_bad_maps():

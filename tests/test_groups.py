@@ -28,6 +28,7 @@ from cohomkit.groups import (
     direct_product,
     dual_module,
     generated_subgroup,
+    generator_tree,
     heisenberg_group,
     induced_module,
     is_simple_module,
@@ -569,6 +570,25 @@ def test_generating_set_matches_the_greedy_loop():
     f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
     for G in [*_COSET_GROUPS.values(), f128]:
         assert minimal_generating_set(G) == _greedy_generators_loop(G)
+
+
+def test_generator_tree_reaches_each_element_once_from_its_parent():
+    """Each non-root element once, as gens[i] * parent, in first-visit order:
+    parents in the order they were reached, then generator indices."""
+    f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
+    for G in [*(named_group(name) for name in ALL_NAMES), f128]:
+        gens = minimal_generating_set(G) or [0]
+        for roots in ([0], gens):
+            tree = generator_tree(G, gens, roots)
+            order = list(roots) + [f for f, _, _ in tree]
+            assert sorted(order) == list(range(G.size))
+            visit = {g: k for k, g in enumerate(order)}
+            for f, i, g in tree:
+                assert visit[g] < visit[f] and f == G.op(gens[i], g)
+            keys = [(visit[g], i) for _, i, g in tree]
+            assert keys == sorted(keys)
+    with pytest.raises(AssertionError, match="does not reach every element"):
+        generator_tree(named_group("C4"), [2], [0])
 
 
 def _restrict_loop(M, D):

@@ -32,6 +32,29 @@ def test_action_cocycle_validates_and_is_neutral():
     assert (c == 0).all()
 
 
+def test_validate_rejects_a_break_of_each_law():
+    """One case per law, each keeping the other two laws true."""
+    # a transposition of two non-identity elements: an involution, so
+    # rho_1 rho_1 = rho_0, but not an automorphism
+    swap = PERMS.copy()
+    swap[1] = np.arange(F.size)
+    swap[1, [1, 2]] = [2, 1]
+    # rho_0 = conjugation by a non-central g, an automorphism with rho_0 rho_0 != rho_0
+    g = int(np.flatnonzero((F.mul != F.mul.T).any(axis=1))[0])
+    inner = PERMS.copy()
+    inner[0] = F.mul[F.mul[g], F.inv[g]]
+    # u shifted by a central 2-cochain that is no cocycle: beta(e, s) = z only
+    beta = np.zeros((2, 2, D.Zmod.ab.rank), dtype=np.int64)
+    beta[0, 1, 0] = 1
+    assert differential(Cochain(D.Zmod, 2, beta)).table.any()
+    for coc in [
+        cocycle_from_action(D.cp.Q, F, swap),
+        cocycle_from_action(D.cp.Q, F, inner),
+        central_shift(BASE, IDX, Cochain(D.Zmod, 2, beta)),
+    ]:
+        assert not coc.validate()
+
+
 def test_coboundary_shift_stays_neutral():
     H1z = cohomology(D.Zmod, 1)
     b = Cochain(D.Zmod, 1, np.array([[1, 0, 0], [0, 1, 1]]))
