@@ -25,6 +25,7 @@ re-derives the rule.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,7 +68,11 @@ class FinAbGroup:
         return AbElement(self, (0,) * self.rank)
 
     def element(self, coords) -> "AbElement":
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        try:
+            coords = tuple(map(operator.index, coords))
+        except TypeError:
+            raise ValueError(f"coordinates {coords} are not all integers") from None
         if len(coords) != self.rank:
             raise ValueError(f"coordinates {coords} do not fit orders {self.orders}")
         return AbElement(self, tuple(c % n for c, n in zip(coords, self.orders)))
@@ -225,15 +230,26 @@ def scaled_rows(matrix, orders, L: int) -> np.ndarray:
     return np.asarray(matrix, dtype=np.int64) % orders * (L // orders)
 
 
+def _order_lattice(orders) -> np.ndarray:
+    """The order-lattice rows o_i e_i that are nonzero mod L = lcm(orders):
+    a row with o_i = L is zero mod L and is left out."""
+    orders = np.array(orders, dtype=np.int64).reshape(-1)
+    return np.diag(orders)[orders != lcm(*orders.tolist())]
+
+
 def subgroup_span(orders, rows=(), track: bool = False) -> ModSpan:
     """The subgroup generated by ``rows`` in prod Z/orders[i], as a span over
-    Z/lcm(orders): the rows first, then the order-lattice rows o_i e_i."""
+    Z/lcm(orders): the rows first, then the order-lattice rows o_i e_i.
+
+    The lattice rows with o_i = lcm(orders) are zero and are left out, so a
+    tracked span's coefficients past the rows are fewer than the orders,
+    and none at all when every order is the lcm.
+    """
     orders = tuple(int(o) for o in orders)
     n = len(orders)
     rows = np.asarray(rows, dtype=np.int64)
     rows = rows.reshape(-1, n) if rows.size else rows.reshape(0, n)
-    lattice = np.diag(np.array(orders, dtype=np.int64))
-    return ModSpan(np.concatenate([rows, lattice]), lcm(*orders), n=n, track=track)
+    return ModSpan(np.concatenate([rows, _order_lattice(orders)]), lcm(*orders), n=n, track=track)
 
 
 def subgroup_order(span: ModSpan, orders) -> int:
@@ -250,6 +266,10 @@ def subgroup_order(span: ModSpan, orders) -> int:
 class Presentation:
     """S/T for subgroups T <= S of an ambient product of cyclic groups.
 
+    S and T are given by generators; T may also come as a span over the
+    same orders that holds the order lattice, such as one from
+    :func:`subgroup_span`, which is then used as it is.
+
     Provides the quotient as a :class:`FinAbGroup`, coordinates of members,
     and representative lifts of classes.  The internal consistency check
     |S| / |T| == |group| guards the whole reduction pipeline.
@@ -260,7 +280,13 @@ class Presentation:
         n = len(self.ambient_orders)
         self.L = lcm(*self.ambient_orders)
         self.s_span = subgroup_span(self.ambient_orders, s_gens)
-        self.t_span = subgroup_span(self.ambient_orders, t_gens)
+        if isinstance(t_gens, ModSpan):  # already swept, such as a tracked span kept for solving
+            same = (t_gens.L, t_gens.n) == (self.L, n)
+            if not same or t_gens.reduce(_order_lattice(self.ambient_orders)).any():
+                raise ValueError("denominator span is not a subgroup of the ambient orders")
+            self.t_span = t_gens
+        else:
+            self.t_span = subgroup_span(self.ambient_orders, t_gens)
         B = self.s_span.basis
         p = B.shape[0]
         # [B; T] spans S + T, which is S exactly when T <= S

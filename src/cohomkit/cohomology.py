@@ -5,7 +5,7 @@ condition with first argument restricted to a generating set X determines the
 condition for arbitrary first arguments (induction over words), so a cocycle
 is determined by the values u(x, w), x in X.  The remaining conditions become
 linear constraints on the slice vector; for large groups the constraints are
-sampled and the resulting kernel basis is certified by re-checking *every*
+sampled and the resulting kernel is certified by checking *every*
 generator-slot condition on the reconstructed tables, so the result is exact
 regardless of the sample.
 
@@ -13,15 +13,27 @@ One pass, the certificate, forms every condition.  Round 1 is the
 certificate on the unit slice vectors over a sample of the pairs (x, g) the
 tree leaves free, drawn with a fixed seed: the defect of the law at (x, g)
 on the j-th unit vector is column j of that pair's conditions on the slices.
-When the certificate of a kernel K finds violated conditions, the next round
-solves only those, on K: the certificate hands back each violated condition
-evaluated on the rows of K, and its kernel C over the coefficients of K gives
-the new kernel C @ K.  This is exact because K generates every solution of
-the earlier conditions, so {x : A1 x = 0, A2 x = 0} = {c K : (A2 K^T) c = 0}.
-Round 1 is the same step with K the identity.
+Its kernel K holds Z, since every cocycle meets the sampled conditions.
+
+The certificate runs modulo the coboundaries.  The coboundary rows are
+formed first; B lies in Z because d(d(b)) = 0, so B lies in K.  Every row of
+K is reduced by the pivot rows of the span of B, and C is the Howell basis
+of the residues, so K = B + span(C): on H^2(F128, Z/2), 136 rows of K give
+12 rows of C.  A condition is linear and every row of B meets it, so K lies
+in Z exactly when every row of C meets every condition: the certificate
+checks C only, and then Z = K, kept as the rows [B; C].  When it finds
+violated conditions, the next round solves only those, on C: the
+certificate hands back each violated condition evaluated on the rows of C,
+and its kernel D over the coefficients of C gives the new generators D @ C,
+with Z = B + span(D @ C).  This is exact because every cocycle is b + c C
+with b in B; b meets every condition, so c C meets them too, that is c
+solves the violated ones; and every c that does gives a cocycle.  The next
+round checks D @ C in turn.
 
 Class arithmetic (equality, membership of coboundaries, enumeration) happens
-on slice coordinates, where the coboundary subgroup is a Howell span.  The
+on slice coordinates, where the coboundary subgroup is a Howell span.  That
+span is swept once per group, with its coefficients tracked: it reduces K,
+solves for coboundary witnesses and is the denominator of Z/B.  The
 presentation of Z/B is formed the first time it is read, so a build whose
 group is never asked for, such as one that only tests cocycles, forms none.
 The trivial group takes the same path with X = {e}.
@@ -47,7 +59,10 @@ from .abelian import (
 )
 from .cochain import Cochain, differential, zero_cochain
 from .groups import GModule, generator_tree, minimal_generating_set
-from .intmat import kernel_uniform as _kernel_uniform, matmul_mod
+from .intmat import ModSpan, howell_form, kernel_uniform as _kernel_uniform, matmul_mod
+
+# entries of the (n, W, k, rows) tables that one block of a certificate forms
+TABLE_BLOCK = 1 << 22
 
 
 class BoundExceeded(RuntimeError):
@@ -104,8 +119,8 @@ class CohomologyGroup:
                 f"slice tableau of {self.n * self.W * self.k * self.s} entries exceeds bound {work_bound}"
             )
         self._build_tree()
-        self._compute_cocycles()
         self._compute_coboundaries()
+        self._compute_cocycles()
 
     # -- degree 0 ------------------------------------------------------------
 
@@ -158,20 +173,35 @@ class CohomologyGroup:
             take = min(len(pairs), max(2, target_rows // max(per_pair, 1)))
             pairs = pairs[np.random.default_rng(0).permutation(len(pairs))[:take]]
         # Round 1 solves the sampled conditions, read off the unit slice
-        # vectors; a later round the violated conditions on the rows of the
-        # previous kernel, which generate its solutions (module docstring).
+        # vectors.  Its kernel K holds Z, and K = B + span(C): only C is
+        # certified, and a later round solves the violated conditions on the
+        # rows of C, which with B generate every solution (module docstring).
         rows = self._certificate(np.eye(self.s, dtype=np.int64), pairs)[1]
-        kern = _kernel_uniform(rows, self.L)
+        gens = self._modulo_coboundaries(_kernel_uniform(rows, self.L))
         for _ in range(12):
-            bad, rows = self._certificate(kern)
+            bad, rows = self._certificate(gens)
             if not bad:
-                self._z_rows = kern
+                self._z_rows = np.concatenate([self._b_rows, gens])
                 return
-            kern = matmul_mod(_kernel_uniform(rows, self.L), kern, self.L)
-            kern = kern[kern.any(axis=1)]
+            gens = self._nonzero_rows(matmul_mod(_kernel_uniform(rows, self.L), gens, self.L))
         raise BoundExceeded(
             f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {off_tree.sum()} pairs still violated)"
         )
+
+    def _nonzero_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The rows reduced mod the ambient orders, without those that are zero."""
+        rows = rows % np.array(self.ambient_orders, dtype=np.int64)
+        return rows[rows.any(axis=1)]
+
+    def _modulo_coboundaries(self, kern: np.ndarray) -> np.ndarray:
+        """C with span(kern) = B + span(C), when span(kern) holds B.
+
+        Every row of ``kern`` is reduced by the pivots of the B span at once;
+        C is the Howell basis of the residues, without its rows that are
+        zero in the ambient group.
+        """
+        residues = self._b_span.reduce(kern)
+        return self._nonzero_rows(howell_form(residues[residues.any(axis=1)], self.L, n=self.s))
 
     def _certificate(
         self, kern: np.ndarray, pairs: np.ndarray | None = None
@@ -188,6 +218,8 @@ class CohomologyGroup:
         from Z/o_i to Z/L.  On the unit slice vectors (``kern`` the
         identity) these rows are the pairs' conditions on the slices, and
         on any ``kern`` they are those conditions times ``kern.T`` mod L.
+        The tables are formed for a block of rows of ``kern`` at a time, at
+        most ``TABLE_BLOCK`` entries of (n, W, k, rows) each.
         """
         b = kern.shape[0]
         if kern.size == 0:
@@ -195,29 +227,33 @@ class CohomologyGroup:
         every = pairs is None
         if every:
             pairs = np.argwhere(np.ones((len(self.X), self.n), dtype=bool))
-        T = self._tables_from_slices(kern)  # (n, W, k, b)
         mul = self.module.group.mul
         orders = self._orders[:, None]
-        at, defects = [], []
-        for xi, x in enumerate(self.X):
-            pos = np.flatnonzero(pairs[:, 0] == xi)
-            gs = slice(None) if every else pairs[pos, 1]  # a slice gathers no copy of T
-            diff = self._law_rhs(T, x, gs)
-            np.subtract(T[mul[x, gs]], diff, out=diff)
-            diff %= orders
-            hit = diff.any(axis=(1, 2, 3))
-            if hit.any():
-                at.append(pos[hit])
-                defects.append(scaled_rows(diff[hit].reshape(-1, b), np.tile(self._orders, hit.sum() * self.W), self.L))
-        if not at:
+        per_pair = self.W * self.k
+        step = max(1, TABLE_BLOCK // (self.n * per_pair))
+        hits = []  # (positions in ``pairs``, first row of kern, their defects on the block)
+        for start in range(0, b, step):
+            T = self._tables_from_slices(kern[start : start + step])  # (n, W, k, block)
+            for xi, x in enumerate(self.X):
+                pos = np.flatnonzero(pairs[:, 0] == xi)
+                gs = slice(None) if every else pairs[pos, 1]  # a slice gathers no copy of T
+                diff = self._law_rhs(T, x, gs)
+                np.subtract(T[mul[x, gs]], diff, out=diff)
+                diff %= orders
+                hit = diff.any(axis=(1, 2, 3))
+                if hit.any():
+                    block = diff[hit].reshape(-1, T.shape[-1])
+                    rows = scaled_rows(block, np.tile(self._orders, hit.sum() * self.W), self.L)
+                    hits.append((pos[hit], start, rows.reshape(-1, per_pair, T.shape[-1])))
+            del T, diff  # free the block's tables before the next one is formed
+        if not hits:
             return [], np.zeros((0, b), dtype=np.int64)
-        at = np.concatenate(at)
-        rows = np.concatenate(defects).reshape(len(at), self.W * self.k, b)
-        if not every:  # the blocks come generator by generator: restore the order of ``pairs``
-            del defects  # free the blocks before the reorder copies the rows
-            order = np.argsort(at)
-            at, rows = at[order], rows[order]
-        return [(int(xi), int(g)) for xi, g in pairs[at]], rows.reshape(-1, b)
+        at = np.unique(np.concatenate([pos for pos, _, _ in hits]))  # in the order of ``pairs``
+        out = np.zeros((len(at), per_pair, b), dtype=np.int64)
+        while hits:  # popped, so each block is freed once it is copied
+            pos, start, rows = hits.pop()
+            out[np.searchsorted(at, pos), :, start : start + rows.shape[-1]] = rows
+        return [(int(xi), int(g)) for xi, g in pairs[at]], out.reshape(-1, b)
 
     def _tables_from_slices(self, slices: np.ndarray) -> np.ndarray:
         """Full cochain tables of slice vectors, batch-last: shape (n, W, k, b).
@@ -259,7 +295,14 @@ class CohomologyGroup:
     @cached_property
     def presentation(self) -> Presentation:
         """Z/B in slice coordinates, formed the first time it is read."""
-        return Presentation(self.ambient_orders, self._z_rows, self._b_rows)
+        return Presentation(self.ambient_orders, self._z_rows, self._b_span)
+
+    @cached_property
+    def _b_span(self) -> ModSpan:
+        """The B span, swept once with its coefficients tracked: it reduces
+        the first kernel, solves for coboundary witnesses and is the
+        denominator of the presentation."""
+        return subgroup_span(self.ambient_orders, self._b_rows, track=True)
 
     @property
     def group(self) -> FinAbGroup:
@@ -271,7 +314,8 @@ class CohomologyGroup:
 
     @property
     def z_rows(self) -> np.ndarray:
-        """Generators of the cocycle subgroup, in slice coordinates."""
+        """Generators of the cocycle subgroup, in slice coordinates: the rows
+        of B, then the certified generators of Z/B in a sampled build."""
         return self._z_rows
 
     @property
@@ -352,7 +396,7 @@ class CohomologyGroup:
         if self.degree == 0:
             return None
         vec = self.slice_coords(c) % self.L
-        sol = subgroup_span(self.ambient_orders, self._b_rows, track=True).solve(vec)
+        sol = self._b_span.solve(vec)
         if sol is None:
             return None
         sol = sol[: self._b_rows.shape[0]]  # coefficients of the basis coboundaries

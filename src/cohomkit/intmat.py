@@ -355,20 +355,29 @@ class ModSpan:
         return self._basis
 
     def _eliminate(self, R: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
-        """(q, r) with r = [v | 0] - q @ R mod L and r zero or reduced at every pivot."""
-        row = np.zeros(R.shape[1], dtype=np.int64)
-        row[: self.n] = np.asarray(v, dtype=np.int64) % self.L
-        q = np.zeros(len(self._pivots), dtype=np.int64)
+        """(q, r) with r = [v | 0] - q @ R mod L and r zero or reduced at every pivot.
+
+        ``v`` is one vector or a batch of them as rows; one vector runs as a
+        batch of one.  The loop runs over the pivots, and each step updates
+        at once the rows that are nonzero at its pivot.  A pivot row is zero
+        left of its pivot.
+        """
+        v = np.asarray(v, dtype=np.int64)
+        batch = v[None] if v.ndim == 1 else v
+        rows = np.zeros((len(batch), R.shape[1]), dtype=np.int64)
+        rows[:, : self.n] = batch % self.L
+        q = np.zeros((len(batch), len(self._pivots)), dtype=np.int64)
         for i, j in enumerate(self._pivots):
-            if row[j]:
-                q[i] = row[j] // R[i, j]
-                row = (row - q[i] * R[i]) % self.L
-        return q, row
+            hit = np.flatnonzero(rows[:, j])
+            if hit.size:
+                q[hit, i] = rows[hit, j] // R[i, j]
+                rows[hit, j:] = (rows[hit, j:] - q[hit, i, None] * R[i, j:]) % self.L
+        return (q[0], rows[0]) if v.ndim == 1 else (q, rows)
 
     # -- queries -----------------------------------------------------------
 
     def reduce(self, v) -> np.ndarray:
-        """Canonical coset representative of v modulo this span."""
+        """Canonical coset representative of v modulo this span; of each row of a batch."""
         return self._eliminate(self._rows[:, : self.n], v)[1]
 
     def contains(self, v) -> bool:

@@ -30,7 +30,7 @@ from cohomkit.abelian import (
     subgroup_span,
     vanishing_products,
 )
-from cohomkit.intmat import OverflowAbort, kernel_uniform
+from cohomkit.intmat import ModSpan, OverflowAbort, kernel_uniform
 
 Z4 = FinAbGroup((4,))
 
@@ -184,6 +184,18 @@ def test_element_refuses_a_coordinate_count_other_than_the_rank(orders, coords):
         FinAbGroup(orders).element(coords)
 
 
+@pytest.mark.parametrize("coords", [[1.7, 2], [1.0, 2], np.array([1.0, 2.0]), [1, "2"], [1, None]])
+def test_element_refuses_a_coordinate_that_is_not_an_integer(coords):
+    with pytest.raises(ValueError, match="not all integers"):
+        FinAbGroup((2, 3)).element(coords)
+
+
+def test_element_takes_integer_coordinates_of_any_integer_type():
+    G = FinAbGroup((2, 3))
+    for coords in ([3, -1], np.array([3, -1]), (np.int32(3), np.int64(-1)), [True, 2]):
+        assert G.element(coords).coords == (1, int(coords[1]) % 3)
+
+
 def test_hom_rejects_ill_defined_matrix():
     with pytest.raises(ValueError):
         AbHom(FinAbGroup((2,)), FinAbGroup((4,)), [[1]])  # 2*1 != 0 mod 4
@@ -270,6 +282,45 @@ def test_presentation_quotient_sizes():
 def test_presentation_rejects_a_denominator_outside_the_numerator(orders, s_gens, t_gens):
     with pytest.raises(ValueError, match="denominator subgroup is not contained in numerator"):
         Presentation(orders, s_gens, t_gens)
+
+
+@pytest.mark.parametrize(
+    "orders, s_gens, t_gens",
+    [
+        ((4, 4), np.eye(2, dtype=np.int64), [[2, 0]]),
+        ((2, 4), np.eye(2, dtype=np.int64), [[1, 2]]),
+        ((2, 4, 8), [[1, 1, 1], [0, 2, 4]], [[0, 2, 4]]),
+        ((3, 6), [[1, 1]], []),
+    ],
+)
+def test_presentation_reads_a_swept_denominator_as_its_generators(orders, s_gens, t_gens):
+    span = subgroup_span(orders, t_gens, track=True)
+    given_span, given_rows = Presentation(orders, s_gens, span), Presentation(orders, s_gens, t_gens)
+    assert given_span.t_span is span
+    assert given_span.group == given_rows.group
+    for cls in given_rows.group.elements():
+        v = given_rows.rep(cls)
+        assert np.array_equal(given_span.rep(cls), v)
+        assert given_span.class_coords(v) == cls
+
+
+def test_presentation_refuses_a_span_of_other_orders():
+    # a span over Z/4 without the order-lattice row (2, 0) of (2, 4), and a span over Z/8
+    with pytest.raises(ValueError, match="denominator span"):
+        Presentation((2, 4), np.eye(2, dtype=np.int64), ModSpan([[0, 1]], 4, n=2))
+    with pytest.raises(ValueError, match="denominator span"):
+        Presentation((2, 4), np.eye(2, dtype=np.int64), subgroup_span((2, 8), [[0, 2]]))
+
+
+def test_subgroup_span_leaves_out_lattice_rows_that_are_zero():
+    # over (2, 4, 4) only the row 2 e_0 is nonzero mod 4: two rows, one lattice row
+    span = subgroup_span((2, 4, 4), [[1, 1, 0], [0, 2, 2]], track=True)
+    assert span.solve([1, 1, 0]).shape == (3,)
+    assert subgroup_order(span, (2, 4, 4)) == 8
+    # every order is the lcm: no lattice row at all, and no coefficient past the rows
+    span = subgroup_span((128,) * 4, [[1, 2, 3, 4]], track=True)
+    assert span.solve([2, 4, 6, 8]).tolist() == [2]
+    assert subgroup_order(span, (128,) * 4) == 128
 
 
 # -- the mixed-order rule -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Presentations of H^r: sizes, class decisions, connecting maps."""
 
 import itertools
+import pathlib
 import random
 from math import gcd
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, same_invariants, scaled_rows
+from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, same_invariants, scaled_rows, subgroup_span
+from cohomkit.checks import run_check
 from cohomkit.cochain import Cochain, differential, random_cochain
 from cohomkit.cohomology import (
     BoundExceeded,
@@ -32,6 +34,7 @@ from cohomkit.groups import (
     trivial_module,
 )
 from cohomkit.intmat import howell_form, kernel_uniform, matmul_mod
+from cohomkit.scenario import parse_scenarios
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (4, 6), (6, 4), (2, 3)])
@@ -101,12 +104,131 @@ TWO_ROUND_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TWO_ROUND_BUILDS))
-def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
+def _two_round_module(name):
     factors, coeffs = TWO_ROUND_BUILDS[name]
     G = named_group(factors[0])
     for factor in factors[1:]:
         G = direct_product(G, named_group(factor))
+    return trivial_module(G, FinAbGroup(coeffs))
+
+
+def _record_kernels_modulo_b(monkeypatch) -> list:
+    """Record (H, K, C) for each first kernel K a build reduces to C modulo B."""
+    seen = []
+    reduce = CohomologyGroup._modulo_coboundaries
+
+    def recorded(self, kern):
+        out = reduce(self, kern)
+        seen.append((self, kern, out))
+        return out
+
+    monkeypatch.setattr(CohomologyGroup, "_modulo_coboundaries", recorded)
+    return seen
+
+
+def _same_subgroup(H, rows_a, rows_b) -> bool:
+    orders = H.ambient_orders
+    return np.array_equal(subgroup_span(orders, rows_a).basis, subgroup_span(orders, rows_b).basis)
+
+
+def _is_cocycle_by_differential(H, vec) -> bool:
+    return not differential(H.cochain(vec)).table.any()
+
+
+def _check_kernels_modulo_b(seen):
+    """K = B + span(C), and the build ends at [B; C'] with C' cocycles; it
+    keeps the span of K exactly when C holds only cocycles."""
+    assert seen
+    for H, K, C in seen:
+        assert len(C) <= len(K)
+        assert _same_subgroup(H, K, np.concatenate([H.b_rows, C]))
+        assert np.array_equal(H.z_rows[: len(H.b_rows)], H.b_rows)
+        assert all(_is_cocycle_by_differential(H, z) for z in H.z_rows[len(H.b_rows) :])
+        assert _same_subgroup(H, H.z_rows, K) == all(_is_cocycle_by_differential(H, c) for c in C)
+
+
+def _conformance_builds():
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.scn")):
+        for sc in parse_scenarios(path.read_text()):
+            for spec in sc.checks:
+                run_check(sc, spec)
+
+
+KERNEL_MODULO_B_BUILDS = {
+    "conformance vectors": _conformance_builds,
+    "C2xC2 on C2xC4": lambda: [cohomology(trivial_module(named_group("C2xC2"), FinAbGroup((2, 4))), r) for r in (1, 2)],
+    "C4 on C2xC4": lambda: [cohomology(_mixed_order_module_with_action(), r) for r in (1, 2)],
+    "S3 on Ind C3": lambda: [cohomology(CERTIFICATE_MODULES["S3 on Ind C3"](), r) for r in (1, 2)],
+    "C2 acting by -1 on Z4": lambda: [
+        cohomology(GModule(cyclic_group(2), FinAbGroup((4,)), [np.eye(1, dtype=int), [[3]]]), r) for r in (1, 2)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODULO_B_BUILDS))
+def test_first_kernel_is_the_coboundaries_plus_a_few_generators(monkeypatch, name):
+    seen = _record_kernels_modulo_b(monkeypatch)
+    KERNEL_MODULO_B_BUILDS[name]()
+    _check_kernels_modulo_b(seen)
+
+
+def test_a_non_cocycle_in_the_first_kernel_takes_a_later_round(monkeypatch):
+    # add to the first kernel a slice vector outside Z, so outside B: the
+    # certificate of C must catch it and the next round must remove it
+    M = trivial_module(named_group("C2xC2"), FinAbGroup((2, 4)))
+    reference = cohomology(M, 2)
+    stray = next(e for e in np.eye(reference.s, dtype=np.int64) if not _is_cocycle_by_differential(reference, e))
+    calls = []
+
+    def widened(A, L):
+        K = kernel_uniform(A, L)
+        calls.append(K)
+        return np.concatenate([K, stray[None]]) if len(calls) == 1 else K
+
+    monkeypatch.setattr("cohomkit.cohomology._kernel_uniform", widened)
+    seen = _record_kernels_modulo_b(monkeypatch)
+    H = cohomology(M, 2)
+    assert len(calls) == 2
+    _check_kernels_modulo_b(seen)
+    assert _same_subgroup(H, H.z_rows, reference.z_rows)
+    assert H.group == reference.group
+
+
+def test_coboundary_witnesses_share_one_span(monkeypatch):
+    import cohomkit.cohomology as C
+
+    built = []
+    monkeypatch.setattr(C, "subgroup_span", lambda *a, **kw: built.append(a) or subgroup_span(*a, **kw))
+    M = trivial_module(named_group("D8"), FinAbGroup((2, 4)))
+    H = cohomology(M, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        db = differential(random_cochain(M, 1, rng))
+        assert (differential(H.coboundary_witness(db)).table == db.table).all()
+    assert H.group.cardinality == H.size
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(["C2xC2 on C2xC4", "S3 on Ind C3"]))
+def test_a_blocked_certificate_equals_one_block(monkeypatch, name, degree):
+    import cohomkit.cohomology as C
+
+    H = cohomology(CERTIFICATE_MODULES[name](), degree)
+    rng = np.random.default_rng(degree)
+    V = rng.integers(0, np.array(H.ambient_orders), size=(7, H.s))
+    pairs = np.argwhere(np.ones((len(H.X), H.n), dtype=bool))[rng.permutation(len(H.X) * H.n)[: H.n]]
+    whole = [H._certificate(V), H._certificate(V, pairs), H._certificate(np.eye(H.s, dtype=np.int64), pairs)]
+    monkeypatch.setattr(C, "TABLE_BLOCK", 2 * H.n * H.W * H.k)  # blocks of two rows
+    blocked = [H._certificate(V), H._certificate(V, pairs), H._certificate(np.eye(H.s, dtype=np.int64), pairs)]
+    assert whole[0][0]  # some pair is violated
+    for (got_pairs, got_rows), (want_pairs, want_rows) in zip(blocked, whole):
+        assert got_pairs == want_pairs
+        assert np.array_equal(got_rows, want_rows)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_ROUND_BUILDS))
+def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
     calls = []
 
     def counted(A, L):
@@ -114,10 +236,12 @@ def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
         return kernel_uniform(A, L)
 
     monkeypatch.setattr("cohomkit.cohomology._kernel_uniform", counted)
-    H = cohomology(trivial_module(G, FinAbGroup(coeffs)), 2)
+    seen = _record_kernels_modulo_b(monkeypatch)
+    H = cohomology(_two_round_module(name), 2)
     assert len(calls) == 2
-    # the second round solves over the rows of the first kernel, not the slices
+    # the second round solves over the generators of K/B, not the slices
     assert calls[1][1] < H.s
+    _check_kernels_modulo_b(seen)
     # the cocycles are the solutions of every pair's conditions
     every = _slice_conditions(H).reshape(-1, H.s)
     want = howell_form(kernel_uniform(every, H.L), H.L, n=H.s)

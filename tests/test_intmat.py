@@ -203,6 +203,18 @@ def test_reduce_is_constant_on_cosets(inst, shift_coeffs):
     assert (span.reduce(v) == span.reduce((v + shift) % L)).all()
 
 
+@given(_span_instance(), st.integers(0, 6), st.booleans(), st.integers(0, 1 << 30))
+@settings(max_examples=120, deadline=None)
+def test_batch_reduce_matches_one_row_at_a_time(inst, count, track, seed):
+    L, n, rows = inst
+    span = ModSpan(rows, L, n=n, track=track)
+    V = np.random.default_rng(seed).integers(-3 * L, 3 * L, size=(count, n))
+    got = span.reduce(V)
+    assert got.shape == (count, n)
+    for v, r in zip(V, got):
+        assert np.array_equal(r, span.reduce(v))
+
+
 @pytest.mark.parametrize("L", [3**20, 2**40 + 15])
 def test_moduli_beyond_int64_are_refused(L):
     with pytest.raises(OverflowAbort, match=str(L)):

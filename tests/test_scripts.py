@@ -1,9 +1,11 @@
 """The helper scripts under scripts/ run and print their known results, and
 the benchmark's tracer wraps every traced boundary of cohomkit."""
 
+import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -70,3 +72,20 @@ def test_benchmark_tracer_covers_every_traced_boundary():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_traced_multiplier_run_records_every_expected_boundary(tmp_path):
+    """A traced benchmark run exits 1 when a boundary it expects on a
+    workload, such as ``cochain.differential`` on the multiplier, records no
+    call.  The run uses a copy of the benchmark, so its span log is written
+    under tmp_path, and imports the package from this checkout."""
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "multiplier", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"]
