@@ -189,9 +189,10 @@ def smith_normal_form(A) -> SmithDecomposition:
     # divisibility chain on the diagonal is guaranteed by construction
     diag = [M[i][i] for i in range(min(m, n))]
     for a, b in zip(diag, diag[1:]):
-        assert b == 0 or (a != 0 and b % a == 0), diag
-    assert abs(_det_unimodular(U)) == 1
-    assert abs(_det_unimodular(V)) == 1
+        if not (b == 0 or (a != 0 and b % a == 0)):
+            raise AssertionError(f"diagonal is not a divisibility chain: {diag}")
+    if abs(_det_unimodular(U)) != 1 or abs(_det_unimodular(V)) != 1:
+        raise AssertionError("Smith transforms are not unimodular")
     return SmithDecomposition(
         U=tuple(tuple(r) for r in U),
         D=tuple(tuple(r) for r in M),
@@ -229,7 +230,8 @@ def _unit_lifting(a: int, L: int) -> int:
     # adjust u by multiples of L1 until it is a unit mod L
     while gcd(u, L) != 1:
         u = (u + L1) % L
-    assert (u * a) % L == g
+    if (u * a) % L != g:
+        raise AssertionError(f"unit {u} does not lift {a} to gcd {g} mod {L}")
     return u
 
 

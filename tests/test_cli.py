@@ -1,6 +1,8 @@
 """Scenario parsing, report determinism, exit codes, CLI plumbing."""
 
+import ast
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -325,6 +327,18 @@ def test_subgroup_checks_survive_optimized_mode(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "line 4: not a subgroup" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_no_check_in_the_package_is_a_bare_assert():
+    # python -O strips assert statements, so every check raises instead
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohomkit"
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []
 
 
 def test_cli_subprocess_entry():

@@ -33,7 +33,7 @@ from cohomkit.groups import (
     subgroup_group,
     trivial_module,
 )
-from cohomkit.intmat import howell_form, kernel_uniform, matmul_mod
+from cohomkit.intmat import kernel_uniform, matmul_mod
 from cohomkit.scenario import parse_scenarios
 
 
@@ -112,17 +112,16 @@ def _two_round_module(name):
     return trivial_module(G, FinAbGroup(coeffs))
 
 
-def _record_kernels_modulo_b(monkeypatch) -> list:
-    """Record (H, K, C) for each first kernel K a build reduces to C modulo B."""
+def _record_builds(monkeypatch) -> list:
+    """Record each H^1 and H^2 build once its cocycles are found."""
     seen = []
-    reduce = CohomologyGroup._modulo_coboundaries
+    compute = CohomologyGroup._compute_cocycles
 
-    def recorded(self, kern):
-        out = reduce(self, kern)
-        seen.append((self, kern, out))
-        return out
+    def recorded(self):
+        compute(self)
+        seen.append(self)
 
-    monkeypatch.setattr(CohomologyGroup, "_modulo_coboundaries", recorded)
+    monkeypatch.setattr(CohomologyGroup, "_compute_cocycles", recorded)
     return seen
 
 
@@ -135,16 +134,26 @@ def _is_cocycle_by_differential(H, vec) -> bool:
     return not differential(H.cochain(vec)).table.any()
 
 
-def _check_kernels_modulo_b(seen):
-    """K = B + span(C), and the build ends at [B; C'] with C' cocycles; it
-    keeps the span of K exactly when C holds only cocycles."""
+def _tree_slots(H) -> np.ndarray:
+    """Mask of the slice entries u(x, g) on the tree edges (x g, x, g); none in degree 1."""
+    slots = np.zeros((len(H.X), H.W, H.k), dtype=bool)
+    if H.degree == 2:
+        for _, xi, g in H._tree:
+            slots[xi, g] = True
+    return slots.reshape(-1)
+
+
+def _check_gauge(seen):
+    """z_rows = [B; Z'] with Z' cocycles that vanish on the tree edges, and
+    span(z_rows) is the solution set of every generator-slot condition."""
     assert seen
-    for H, K, C in seen:
-        assert len(C) <= len(K)
-        assert _same_subgroup(H, K, np.concatenate([H.b_rows, C]))
-        assert np.array_equal(H.z_rows[: len(H.b_rows)], H.b_rows)
-        assert all(_is_cocycle_by_differential(H, z) for z in H.z_rows[len(H.b_rows) :])
-        assert _same_subgroup(H, H.z_rows, K) == all(_is_cocycle_by_differential(H, c) for c in C)
+    for H in seen:
+        nb = len(H.b_rows)
+        assert np.array_equal(H.z_rows[:nb], H.b_rows)
+        assert not H.z_rows[nb:, _tree_slots(H)].any()
+        assert all(_is_cocycle_by_differential(H, z) for z in H.z_rows[nb:])
+        every = _slice_conditions(H).reshape(-1, H.s)
+        assert _same_subgroup(H, H.z_rows, kernel_uniform(every, H.L))
 
 
 def _conformance_builds():
@@ -154,7 +163,7 @@ def _conformance_builds():
                 run_check(sc, spec)
 
 
-KERNEL_MODULO_B_BUILDS = {
+GAUGE_BUILDS = {
     "conformance vectors": _conformance_builds,
     "C2xC2 on C2xC4": lambda: [cohomology(trivial_module(named_group("C2xC2"), FinAbGroup((2, 4))), r) for r in (1, 2)],
     "C4 on C2xC4": lambda: [cohomology(_mixed_order_module_with_action(), r) for r in (1, 2)],
@@ -165,19 +174,23 @@ KERNEL_MODULO_B_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_MODULO_B_BUILDS))
+@pytest.mark.parametrize("name", sorted(GAUGE_BUILDS))
 def test_first_kernel_is_the_coboundaries_plus_a_few_generators(monkeypatch, name):
-    seen = _record_kernels_modulo_b(monkeypatch)
-    KERNEL_MODULO_B_BUILDS[name]()
-    _check_kernels_modulo_b(seen)
+    """Z is spanned by B and a few gauge rows, each a cocycle vanishing on the tree edges."""
+    seen = _record_builds(monkeypatch)
+    GAUGE_BUILDS[name]()
+    _check_gauge(seen)
 
 
 def test_a_non_cocycle_in_the_first_kernel_takes_a_later_round(monkeypatch):
-    # add to the first kernel a slice vector outside Z, so outside B: the
-    # certificate of C must catch it and the next round must remove it
+    # add to the first kernel a gauge vector that is not a cocycle: the
+    # certificate must catch it and the next round must remove it
     M = trivial_module(named_group("C2xC2"), FinAbGroup((2, 4)))
     reference = cohomology(M, 2)
-    stray = next(e for e in np.eye(reference.s, dtype=np.int64) if not _is_cocycle_by_differential(reference, e))
+    # the first kernel is over the coefficients of the free unit slice vectors
+    free = np.eye(reference.s, dtype=np.int64)[~_tree_slots(reference)]
+    coeffs = np.eye(len(free), dtype=np.int64)
+    stray = next(e for e, u in zip(coeffs, free) if not _is_cocycle_by_differential(reference, u))
     calls = []
 
     def widened(A, L):
@@ -186,10 +199,10 @@ def test_a_non_cocycle_in_the_first_kernel_takes_a_later_round(monkeypatch):
         return np.concatenate([K, stray[None]]) if len(calls) == 1 else K
 
     monkeypatch.setattr("cohomkit.cohomology._kernel_uniform", widened)
-    seen = _record_kernels_modulo_b(monkeypatch)
+    seen = _record_builds(monkeypatch)
     H = cohomology(M, 2)
     assert len(calls) == 2
-    _check_kernels_modulo_b(seen)
+    _check_gauge(seen)
     assert _same_subgroup(H, H.z_rows, reference.z_rows)
     assert H.group == reference.group
 
@@ -209,6 +222,33 @@ def test_coboundary_witnesses_share_one_span(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_build_that_only_tests_cocycles_sweeps_no_coboundary_span():
+    H = cohomology(trivial_module(named_group("D8"), FinAbGroup((2, 4))), 2)
+    assert H.is_cocycle(H.cochain(H.z_rows[-1]))
+    stray = next(e for e in np.eye(H.s, dtype=np.int64) if not _is_cocycle_by_differential(H, e))
+    assert not H.is_cocycle(H.cochain(stray))
+    assert "_b_span" not in vars(H)
+
+
+def test_b0_oracle_sweeps_no_coboundary_span(monkeypatch):
+    """The oracle presents Z/(B + carries) itself, so its build never sweeps B alone."""
+    import cohomkit.cohomology as C
+    from cohomkit.brauer import b0_oracle
+
+    built = []
+    monkeypatch.setattr(C, "subgroup_span", lambda *a, **kw: built.append(a) or subgroup_span(*a, **kw))
+    assert b0_oracle(direct_product(named_group("D8"), cyclic_group(2))).is_trivial
+    assert built == []
+
+
+def test_a_class_is_unequal_to_other_types():
+    H = cohomology(trivial_module(cyclic_group(2), FinAbGroup((2,))), 1)
+    zero, cls = sorted(H.classes(), key=lambda c: not c.is_zero)
+    assert cls in [None, cls]
+    assert cls != None and cls != 1 and cls != cls.rep  # noqa: E711
+    assert cls == H.classes()[1] and cls != zero
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", sorted(["C2xC2 on C2xC4", "S3 on Ind C3"]))
 def test_a_blocked_certificate_equals_one_block(monkeypatch, name, degree):
@@ -218,13 +258,24 @@ def test_a_blocked_certificate_equals_one_block(monkeypatch, name, degree):
     rng = np.random.default_rng(degree)
     V = rng.integers(0, np.array(H.ambient_orders), size=(7, H.s))
     pairs = np.argwhere(np.ones((len(H.X), H.n), dtype=bool))[rng.permutation(len(H.X) * H.n)[: H.n]]
-    whole = [H._certificate(V), H._certificate(V, pairs), H._certificate(np.eye(H.s, dtype=np.int64), pairs)]
-    monkeypatch.setattr(C, "TABLE_BLOCK", 2 * H.n * H.W * H.k)  # blocks of two rows
-    blocked = [H._certificate(V), H._certificate(V, pairs), H._certificate(np.eye(H.s, dtype=np.int64), pairs)]
+    eye = np.eye(H.s, dtype=np.int64)
+    whole = [H._certificate(V), H._certificate(V, pairs), H._certificate(eye, pairs)]
     assert whole[0][0]  # some pair is violated
-    for (got_pairs, got_rows), (want_pairs, want_rows) in zip(blocked, whole):
-        assert got_pairs == want_pairs
-        assert np.array_equal(got_rows, want_rows)
+    tables = H._tables_from_slices
+    for rows in (1, 2, 3, 7):  # 2 and 3 do not divide the 7 rows of V
+        blocks = []
+        monkeypatch.setattr(H, "_tables_from_slices", lambda S: blocks.append(len(S)) or tables(S))
+        monkeypatch.setattr(C, "TABLE_BLOCK", rows * H.n * H.W * H.k)
+        blocked = [H._certificate(V), H._certificate(V, pairs), H._certificate(eye, pairs)]
+        for (got_pairs, got_rows), (want_pairs, want_rows) in zip(blocked, whole):
+            assert got_pairs == want_pairs
+            assert np.array_equal(got_rows, want_rows)
+        # per call, the fewest blocks of at most ``rows`` rows, the largest as
+        # small as that number of blocks allows
+        for b in (7, 7, H.s):
+            count = -(-b // rows)
+            sizes, blocks[:count] = blocks[:count], []
+            assert sum(sizes) == b and max(sizes) == -(-b // count)
 
 
 @pytest.mark.parametrize("name", sorted(TWO_ROUND_BUILDS))
@@ -236,16 +287,14 @@ def test_later_rounds_solve_on_the_previous_kernel(monkeypatch, name):
         return kernel_uniform(A, L)
 
     monkeypatch.setattr("cohomkit.cohomology._kernel_uniform", counted)
-    seen = _record_kernels_modulo_b(monkeypatch)
+    seen = _record_builds(monkeypatch)
     H = cohomology(_two_round_module(name), 2)
     assert len(calls) == 2
-    # the second round solves over the generators of K/B, not the slices
+    # the second round solves over the generators of the first kernel, not the slices
     assert calls[1][1] < H.s
-    _check_kernels_modulo_b(seen)
-    # the cocycles are the solutions of every pair's conditions
-    every = _slice_conditions(H).reshape(-1, H.s)
-    want = howell_form(kernel_uniform(every, H.L), H.L, n=H.s)
-    assert np.array_equal(howell_form(H.z_rows, H.L, n=H.s), want)
+    # the cocycles are the solutions of every pair's conditions, and the
+    # rows past B vanish on the tree edges
+    _check_gauge(seen)
 
 
 def _brute_hr(M, r):
