@@ -1,11 +1,14 @@
 """Cohomology groups of table groups, presented by Smith normal form.
 
-Cocycles are parameterized by their generator slices: the bar cocycle
-condition with first argument restricted to a generating set X determines the
-condition for arbitrary first arguments (induction over words), so a cocycle
-is determined by the values u(x, w), x in X.  The remaining conditions become
-linear constraints on the slice vector; for large groups the constraints are
-sampled and the resulting kernel is certified by checking *every*
+Cocycles are parameterized by their generator slices.  A cochain u is a
+cocycle exactly when D(x) = 0 for every x in a generating set X, where
+D(a) = du(a, ., .) (du(a, .) in degree 1): d(du) = 0 at (x, b, g, w) gives
+D(x b) = x.D(b) once D(x) = 0, so D(x) = x.D(e) forces D(e) = 0, and then D
+vanishes on every word in X.  ``is_cocycle`` reads these conditions on the
+cochain's own table.  The tree edges are among them: they determine a
+cocycle from its values u(x, w), x in X, and the remaining conditions become
+linear constraints on that slice vector; for large groups the constraints
+are sampled and the resulting kernel is certified by checking every
 generator-slot condition on the reconstructed tables, so the result is exact
 regardless of the sample.
 
@@ -116,10 +119,9 @@ class CohomologyGroup:
         self.X = minimal_generating_set(G) or [0]
         self.W = self.n ** (degree - 1)
         self.s = len(self.X) * self.W * self.k
-        if self.n * self.W * max(self.k, 1) * max(self.s, 1) > work_bound:
-            raise BoundExceeded(
-                f"slice tableau of {self.n * self.W * self.k * self.s} entries exceeds bound {work_bound}"
-            )
+        entries = self.n * self.W * max(self.k, 1) * max(self.s, 1)
+        if entries > work_bound:
+            raise BoundExceeded(f"slice tableau of {entries} entries exceeds bound {work_bound}")
         self._build_tree()
         self._compute_coboundaries()
         self._compute_cocycles()
@@ -160,6 +162,14 @@ class CohomologyGroup:
         out += acted
         out -= T[x, g][..., None, :, :]  # broadcast over w
         return out
+
+    def _defect(self, T: np.ndarray, x: int, g) -> np.ndarray:
+        """u(x g, .) minus the law's right-hand side, reduced mod the orders:
+        zero exactly where du(x, g, .) = 0.  ``T`` and ``g`` as in ``_law_rhs``."""
+        diff = self._law_rhs(T, x, g)
+        np.subtract(T[self.module.group.mul[x, g]], diff, out=diff)
+        diff %= self._orders[:, None]
+        return diff
 
     # -- cocycles ------------------------------------------------------------
 
@@ -218,8 +228,6 @@ class CohomologyGroup:
         every = pairs is None
         if every:
             pairs = np.argwhere(np.ones((len(self.X), self.n), dtype=bool))
-        mul = self.module.group.mul
-        orders = self._orders[:, None]
         per_pair = self.W * self.k
         step = max(1, TABLE_BLOCK // (self.n * per_pair))
         step = -(-b // -(-b // step))  # ceil(b / ceil(b / step))
@@ -229,9 +237,7 @@ class CohomologyGroup:
             for xi, x in enumerate(self.X):
                 pos = np.flatnonzero(pairs[:, 0] == xi)
                 gs = slice(None) if every else pairs[pos, 1]  # a slice gathers no copy of T
-                diff = self._law_rhs(T, x, gs)
-                np.subtract(T[mul[x, gs]], diff, out=diff)
-                diff %= orders
+                diff = self._defect(T, x, gs)
                 hit = diff.any(axis=(1, 2, 3))
                 if hit.any():
                     block = diff[hit].reshape(-1, T.shape[-1])
@@ -264,23 +270,13 @@ class CohomologyGroup:
     # -- coboundaries ----------------------------------------------------------
 
     def _compute_coboundaries(self):
-        r = self.degree
-        gens = []
-        if r == 1:
-            for i in range(self.k):
-                c = zero_cochain(self.module, 0)
-                c.table[i] = 1
-                gens.append(c)
-        else:
-            for g in range(self.n):
-                for i in range(self.k):
-                    c = zero_cochain(self.module, 1)
-                    c.table[g, i] = 1
-                    gens.append(c)
-        rows = [self.slice_coords(differential(c)) for c in gens]
-        self._b_rows = (
-            np.array(rows, dtype=np.int64) if rows else np.zeros((0, self.s), dtype=np.int64)
-        )
+        # d of each unit (r-1)-cochain, in the order of its table entries;
+        # an explicit size, since -1 is ambiguous when k = 0
+        shape = (self.n,) * (self.degree - 1) + (self.k,)
+        size = self.W * self.k
+        units = np.eye(size, dtype=np.int64).reshape((size,) + shape)
+        rows = [self.slice_coords(differential(Cochain(self.module, self.degree - 1, e))) for e in units]
+        self._b_rows = np.array(rows, dtype=np.int64).reshape(size, self.s)
 
     # -- public API ------------------------------------------------------------
 
@@ -322,23 +318,18 @@ class CohomologyGroup:
         """Slice coordinate vector of a cochain table."""
         if self.degree == 0:
             return np.asarray(c.table, dtype=np.int64).reshape(self.s)
-        t = c.table.reshape(self.n, self.W, self.k)
-        out = np.zeros(self.s, dtype=np.int64)
-        for xi, x in enumerate(self.X):
-            out[(xi * self.W * self.k) : ((xi + 1) * self.W * self.k)] = t[x].reshape(-1)
-        return out
+        return c.table.reshape(self.n, self.W * self.k)[self.X].reshape(self.s)
 
     def is_cocycle(self, c: Cochain) -> bool:
-        """Exact check via every generator-slot condition (degree 1, 2)."""
+        """Exact check of the law on the cochain's own table at every
+        generator slot (degree 1, 2); see the module docstring."""
         if self.degree == 0:
             return all(
                 (self.module.apply(g, c.table) == c.table).all()
                 for g in self.module.group.elements()
             )
-        vec = self.slice_coords(c)
-        if (self.cochain(vec).table != c.table).any():
-            return False
-        return not self._certificate(vec.reshape(1, -1))[0]
+        T = c.table.reshape(self.n, self.W, self.k, 1)
+        return not any(self._defect(T, x, slice(None)).any() for x in self.X)
 
     def class_of(self, c: Cochain) -> CohomologyClass:
         if not self.is_cocycle(c):

@@ -127,13 +127,17 @@ class CrossedProduct:
         return zi, ai
 
     def power(self, z, a, k: int):
+        """(z, a)^k by repeated squaring, through ``mul`` alone."""
         zz = np.zeros_like(np.asarray(z))
         aa = np.zeros_like(np.asarray(a))
         if k < 0:
             z, a = self.inv(z, a)
             k = -k
-        for _ in range(k):
-            zz, aa = self.mul(zz, aa, z, a)
+        while k:
+            if k & 1:
+                zz, aa = self.mul(zz, aa, z, a)
+            z, a = self.mul(z, a, z, a)
+            k >>= 1
         return zz, aa
 
     def conjugate(self, z, a, zp, ap):
@@ -515,10 +519,11 @@ class QRelevabilityReport:
 
 
 def q_power_closed_form(cp: CrossedProduct, a: np.ndarray, q: int):
-    """(0,a)^q = (q(q-1)/2 * Phi(a,a), q a)."""
-    half = (q * (q - 1)) // 2
+    """(0,a)^q = (q(q-1)/2 * Phi(a,a), q a); here and below each scalar is
+    reduced mod the exponent it multiplies into, so no q overflows int64."""
+    half = (q * (q - 1) // 2) % cp.Zmod.ab.exponent
     z = (half * cp.pair(a, a)) % cp.zmods
-    return z, (q * np.asarray(a)) % cp.amods
+    return z, ((q % cp.Msum.ab.exponent) * np.asarray(a)) % cp.amods
 
 
 def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> QRelevabilityReport:
@@ -536,7 +541,7 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
         raise AssertionError("odd power identity failed")
     # the subgroup {a : sigma a = q a}
     L = cp.Msum.ab.exponent
-    mat = cp.Msum.act[sigma] - q * np.eye(cp.ka, dtype=np.int64)
+    mat = cp.Msum.act[sigma] - (q % L) * np.eye(cp.ka, dtype=np.int64)
     eligible = kernel_uniform(scaled_rows(mat, cp.Msum.ab.orders, L), L)
     span = subgroup_span(cp.amods, eligible)
     eligible_size = subgroup_order(span, cp.amods)
@@ -546,10 +551,10 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
     # the explicit conjugator a' = ((q+1)/2 x, y) of every relevable a
     km = cp.ka // 2
     ap = rel_rows.copy()
-    ap[:, :km] = (((q + 1) // 2) * ap[:, :km]) % cp.amods[:km]
+    ap[:, :km] = ((((q + 1) // 2) % L) * ap[:, :km]) % cp.amods[:km]
     zq, aq = q_power_closed_form(cp, rel_rows, q)
     zero = np.zeros((len(rel_rows), cp.kz), dtype=np.int64)
-    zc, ac = cp.conjugate(zero, ap, zero, (q * rel_rows) % cp.amods)
+    zc, ac = cp.conjugate(zero, ap, zero, aq)
     if (zc != zq).any() or (ac != aq).any():
         raise AssertionError("explicit conjugator failed")
     generated = subgroup_span(cp.amods, rel_rows).size() == span.size()
@@ -565,15 +570,13 @@ def q_power_and_relevable(cp: CrossedProduct, sigma: int, q: int, rng=None) -> Q
 
 def _is_relevable(cp: CrossedProduct, sigma: int, q: int, a: np.ndarray) -> bool:
     """Exists a lift (z, a) with (z,a)^q conjugate to sigma.(z,a)."""
-    qa = (q * a) % cp.amods
+    target, qa = q_power_closed_form(cp, a, q)  # (0, a)^q = (target, qa)
     sa = cp.Msum.apply(sigma, a)
     if (sa != qa).any():
         return False
     # conjugates of (w, qa) are w + V where V = {Phi(qa, c) - Phi(c, qa)}
     V = ((np.einsum("kij,j->ki", cp.phi_tensor, qa) - np.einsum("kij,i->kj", cp.phi_tensor, qa)).T) % cp.zmods
     # need z with sigma z - q z - q(q-1)/2 Phi(a,a) in span(V)
-    img = (cp.Zmod.act[sigma] - q * np.eye(cp.kz, dtype=np.int64)).T  # rows: images of basis
-    half = (q * (q - 1)) // 2
-    target = (half * cp.pair(a, a)) % cp.zmods
+    img = (cp.Zmod.act[sigma] - (q % cp.Zmod.ab.exponent) * np.eye(cp.kz, dtype=np.int64)).T  # rows: images of basis
     return subgroup_span(cp.zmods, np.concatenate([V, img])).contains(target)
 

@@ -116,7 +116,7 @@ def _parse_table(body: str, line_no: int) -> FiniteGroup:
     try:
         rows = [[int(x) for x in row.split(",")] for row in body.split(";")]
         return FiniteGroup(np.array(rows, dtype=np.int64), name="custom")
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an entry outside int64
         raise ScenarioError(line_no, f"invalid multiplication table: {e}")
 
 
@@ -203,7 +203,7 @@ def parse_scenarios(text: str) -> list[Scenario]:
                 rows = [[int(x) for x in blk.split(",")] for blk in rest.split("|")]
                 current.twist_rows = np.array(rows, dtype=np.int64)
                 current.twist_line_no = line_no
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ScenarioError(line_no, f"bad twist table {rest!r}")
         elif key == "check":
             if not parts[1:]:

@@ -311,21 +311,43 @@ def test_cli_list_fixtures(capsys):
     assert "S3" in out and "bk-C2-C2" in out
 
 
-def test_subgroup_checks_survive_optimized_mode(tmp_path):
-    # python -O strips assert statements; the subgroup check must not vanish
-    scn = tmp_path / "sub.scn"
-    scn.write_text("scenario sub\nseed 0\ngroup C4\nsubgroup 0,1\nbase C2\ncheck cohomology\n")
+def _run_scenario_file(tmp_path, text: str, *flags: str) -> subprocess.CompletedProcess:
+    """``python [flags] -m cohomkit run`` on a scenario file holding ``text``."""
+    scn = tmp_path / "s.scn"
+    scn.write_text(text)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "cohomkit", "run", str(scn)],
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "cohomkit", "run", str(scn)],
         capture_output=True,
         text=True,
         cwd=root,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_subgroup_checks_survive_optimized_mode(tmp_path):
+    # python -O strips assert statements; the subgroup check must not vanish
+    text = "scenario sub\nseed 0\ngroup C4\nsubgroup 0,1\nbase C2\ncheck cohomology\n"
+    proc = _run_scenario_file(tmp_path, text, "-O")
     assert proc.returncode == 2, proc.stderr
     assert "line 4: not a subgroup" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("group table 0,1;1,99999999999999999999999", "invalid multiplication table"),
+        ("twist 99999999999999999999999,0,0,0|0,0,0,0", "bad twist table"),
+    ],
+    ids=["group-table", "twist"],
+)
+def test_an_integer_outside_int64_is_a_parse_error(tmp_path, line, message, flags):
+    proc = _run_scenario_file(tmp_path, f"scenario big\nbase C2\ngalois C2\n{line}\ncheck bk-build\n", *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert f"line 4: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

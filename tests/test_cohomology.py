@@ -26,6 +26,7 @@ from cohomkit.groups import (
     GModule,
     Subgroup,
     alternating_subgroup_s3,
+    center_subgroup,
     cyclic_group,
     direct_product,
     induced_module,
@@ -485,6 +486,14 @@ def test_work_bound_raises():
         cohomology(M, 2, work_bound=10)
 
 
+def test_a_refused_build_states_the_count_it_compared():
+    # rank 0: the bound is compared with n W max(k, 1) max(s, 1) = 27 * 27
+    (sc,) = parse_scenarios("scenario s\nbound 100\nbase 1\ngroup Heis27\ncheck cohomology degree=2\n")
+    rec = run_check(sc, sc.checks[0])
+    assert rec.status == "skipped"
+    assert rec.data == {"reason": "slice tableau of 729 entries exceeds bound 100"}
+
+
 def _bockstein_ses():
     G = cyclic_group(2)
     sub = trivial_module(G, FinAbGroup((2,)))
@@ -624,6 +633,76 @@ def test_violating_pairs_match_the_differential(name, degree):
                 want = matmul_mod(conditions[xi, g], V.T % H.L, H.L)
                 assert (flagged_rows[p * per_pair : (p + 1) * per_pair] == want).all()
     assert H._certificate(H.z_rows)[0] == []
+
+
+# mixed-order trivial coefficients and induced modules with a nontrivial
+# action, over cyclic groups and over groups with two generators
+COCYCLE_LAW_MODULES = {
+    **CERTIFICATE_MODULES,
+    "C4 on trivial C2xC4": lambda: trivial_module(cyclic_group(4), FinAbGroup((2, 4))),
+    "Q8 on C4": lambda: trivial_module(named_group("Q8"), FinAbGroup((4,))),
+    "D8 on Ind C2xC4 from the center": lambda: induced_module(
+        named_group("D8"), center_subgroup(named_group("D8")), FinAbGroup((2, 4))
+    ),
+}
+
+
+def _meets_the_law_at_the_first_generator(H, c: Cochain, rng) -> Cochain:
+    """c + v with v = 0 on <x> and v(x g, .) = x.v(g, .), x = X[0], from random
+    values on the other cosets <x> g: the law still holds at x, and in
+    general fails at the other generators."""
+    M, mul, x = H.module, H.module.group.mul, H.X[0]
+    powers = [0]  # x^0, x^1, ... up to the order of x
+    while mul[x, powers[-1]]:
+        powers.append(int(mul[x, powers[-1]]))
+    v = np.zeros_like(c.table)
+    done = set(powers)
+    for g in range(H.n):
+        if g in done:
+            continue
+        v[g] = random_cochain(M, H.degree - 1, rng).table
+        h = g
+        for _ in powers[1:]:
+            v[mul[x, h]] = M.apply(x, v[h])
+            h = int(mul[x, h])
+            done.add(h)
+    return c + Cochain(M, H.degree, v)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(COCYCLE_LAW_MODULES))
+def test_is_cocycle_agrees_with_the_differential(name, degree):
+    """is_cocycle(c) exactly when d(c) = 0, on cochains that meet the law at
+    some generator slots and break it at others."""
+    M = COCYCLE_LAW_MODULES[name]()
+    H = cohomology(M, degree)
+    rng = np.random.default_rng(degree)
+    orders = np.array(H.ambient_orders, dtype=np.int64)
+    reps = [H.rep(x) for x in itertools.islice(H.group.elements(), 4)]
+    cocycles = [u + differential(random_cochain(M, degree - 1, rng)) for u in reps]
+    cochains = cocycles + [random_cochain(M, degree, rng) for _ in range(4)]
+    cochains += [H.cochain(rng.integers(0, orders, size=H.s)) for _ in range(4)]
+    cochains += [_meets_the_law_at_the_first_generator(H, u, rng) for u in cocycles]
+    # the first cocycle with one entry changed, at every entry in turn
+    for idx in np.ndindex(cocycles[0].table.shape):
+        table = cocycles[0].table.copy()
+        table[idx] += 1
+        cochains.append(Cochain(M, degree, table))
+    verdicts = [H.is_cocycle(c) for c in cochains]
+    assert verdicts == [differential(c).is_zero for c in cochains]
+    assert all(verdicts[: len(cocycles)]) and not all(verdicts)
+
+
+def test_is_cocycle_expands_no_tables(monkeypatch):
+    # the law is read on the cochain's own table: no slice vector is expanded
+    H = cohomology(trivial_module(named_group("D8"), FinAbGroup((2, 4))), 2)
+    c = H.rep(list(H.group.elements())[-1])
+    assert not c.is_zero
+    calls = []
+    tables = H._tables_from_slices
+    monkeypatch.setattr(H, "_tables_from_slices", lambda S: calls.append(len(S)) or tables(S))
+    assert H.is_cocycle(c)
+    assert calls == []
 
 
 @st.composite

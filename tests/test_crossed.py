@@ -1,16 +1,18 @@
 """Crossed products: group law, closed forms, twists, odd powers."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cohomkit.abelian import FinAbGroup, kernel, same_invariants
-from cohomkit.checks import _random_triples, check_verify_bk
+from cohomkit.checks import _random_triples, check_verify_bk, run_check
 from cohomkit.cochain import Cochain, cup, differential, pointwise_tensor, random_cochain, zero_cochain
 from cohomkit.cohomology import ShortExactSequence, cohomology, connecting_cochain
 from cohomkit.crossed import (
@@ -481,6 +483,24 @@ def test_q_power_identity_and_relevability(q):
         z1, a1 = cp.power(np.zeros(cp.kz, dtype=np.int64), a, q)
         z2, a2 = q_power_closed_form(cp, a, q)
         assert (z1 == z2).all() and (a1 == a2).all()
+
+
+@pytest.mark.parametrize("q", [10**20 + 1, 2**63 - 1, -(10**20) - 1])
+@pytest.mark.parametrize("base", ["C2", "C3"])
+def test_a_q_past_int64_reads_as_q_mod_twice_the_exponents(base, q):
+    # powers by repeated squaring and closed forms reduced mod the exponents:
+    # the verdict comes at once and is that of q mod 2 lcm(exp Z, exp(M + M))
+    d = build_bk(FinAbGroup((int(base[1:]),)), named_group("C2"))
+    small = q % (2 * math.lcm(d.Zmod.ab.exponent, d.Msum.ab.exponent))
+    records = []
+    for qq in (q, small):
+        (sc,) = parse_scenarios(f"scenario s\nbase {base}\ngalois C2\ncheck q-relevable q={qq}\n")
+        start = time.perf_counter()
+        records.append(run_check(sc, sc.checks[0]))
+        assert time.perf_counter() - start < 2
+    big, ref = records
+    assert big.data.pop("q") == q and ref.data.pop("q") == small
+    assert (big.status, big.data, big.witness) == (ref.status, ref.data, ref.witness)
 
 
 @pytest.mark.parametrize("orders,gname", [((2,), "C2"), ((4,), "1"), ((3,), "C2")])
