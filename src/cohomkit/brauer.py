@@ -247,20 +247,19 @@ def _character_carries(G: FiniteGroup, N: int) -> list[np.ndarray]:
 
 
 def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
-    """(H2, pres, carries): pres presents H^2(G, Q/Z) = Z^2 / (B^2 + carries).
+    """(H2, pres, carries): pres presents H^2(G, Q/Z) = Z' / (B' + carries'),
+    all in the tree gauge of H2, whose class decisions read the same
+    coordinates.
 
-    ``carries`` holds the slice coordinates of the character carries.
+    ``carries`` holds the gauge slice coordinates of the character carries.
     """
     triv = trivial_module(G, FinAbGroup((N,)))
     H2 = cohomology(triv, 2, work_bound=work_bound)
-    carries = []
-    for tab in _character_carries(G, N):
-        c = Cochain(triv, 2, tab.reshape(G.size, G.size, 1))
-        if not H2.is_cocycle(c):
-            raise AssertionError("character carry is not a 2-cocycle")
-        carries.append(H2.slice_coords(c))
-    carries = np.array(carries, dtype=np.int64).reshape(-1, H2.s)
-    pres = Presentation(H2.ambient_orders, H2.z_rows, np.concatenate([H2.b_rows, carries]))
+    carries = [Cochain(triv, 2, tab.reshape(G.size, G.size, 1)) for tab in _character_carries(G, N)]
+    if not all(H2.is_cocycle(c) for c in carries):
+        raise AssertionError("character carry is not a 2-cocycle")
+    carries = H2.gauge_coords(carries)
+    pres = Presentation(H2.ambient_orders, H2.z_gauge, np.concatenate([H2.b_gauge, carries]))
     return H2, pres, carries
 
 
@@ -332,16 +331,18 @@ def _restriction_kernel(P: FinAbGroup, reps: list[Cochain], local):
     """Kernel of P -> prod_A presA.group, without materializing the product.
 
     ``reps[i]`` represents the i-th generator of P; ``local`` holds one
-    ``(embed, HA, presA)`` per subgroup A, and a generator goes to the class
-    in presA of its restriction through ``embed``.  Returns the kernel and
-    its generators as elements of P.
+    ``(embed, HA, presA)`` per subgroup A, presA in the gauge coordinates of
+    HA, and a generator goes to the class in presA of its restriction
+    through ``embed``, moved into that gauge.  Returns the kernel and its
+    generators as elements of P.
     """
     orders = [o for _, _, presA in local for o in presA.group.orders]
     if not orders:
         return P, P.generators()
     blocks = []
     for embed, HA, presA in local:
-        cols = [presA.class_coords(HA.slice_coords(_restrict(rep, embed, HA))).coords for rep in reps]
+        vecs = HA.gauge_coords([_restrict(rep, embed, HA) for rep in reps])
+        cols = [presA.class_coords(vec).coords for vec in vecs]
         blocks.append(np.array(cols, dtype=np.int64).reshape(len(reps), presA.group.rank).T)
     L = lcm(P.exponent, *orders)
     mat = np.concatenate(blocks)

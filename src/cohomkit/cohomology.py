@@ -28,17 +28,26 @@ condition evaluated on the current generators, and the kernel D over their
 coefficients gives the next generators D @ gens.  This is exact: c @ gens
 meets a condition exactly when c solves it, so the span of D @ gens is the
 part of the span of gens that meets every condition checked so far.  When a
-pass over every pair finds none violated, the generators span Z in the
-gauge, and Z is kept as the rows [B; gens].  On H^2(F128, Z/128) the first
-pass solves 388 unknowns of 512, and 12 rows remain.
+pass over every pair finds none violated, the generators span Z' = Z in the
+gauge.  On H^2(F128, Z/128) the first pass solves 388 unknowns of 512, and
+12 rows remain.
 
-Class arithmetic (equality, membership of coboundaries, enumeration) happens
-on slice coordinates, where the coboundary subgroup is a Howell span.  That
-span is swept once per group, with its coefficients tracked, the first time
-it is read: it solves for coboundary witnesses and is the denominator of
-Z/B.  The presentation of Z/B is formed the first time it is read, so a
-build whose group is never asked for, such as one that only tests cocycles,
-forms neither.
+Class arithmetic (equality, membership of coboundaries, witnesses) happens
+in the gauge, on slice coordinates.  Since Z = Z' + B, H = Z'/B' with
+B' = B in the gauge: the image under d of the |X| k 1-cochains that take
+unit values on the roots X and are extended along the tree by
+c(x g) = x.c(g) + c(x), the only 1-cochains whose coboundary vanishes on
+the tree edges.  A class decision first moves its cocycle u into the gauge
+by the walk above, t = 0 on the roots and t(x g) = u(x, g) + x.t(g), one
+walk for a batch of cochains; the slices of u + d(t) are then
+u(x, w) + x.t(w) - t(x w).  The span of B' is swept once per group, with
+its coefficients tracked, the first time it is read: it solves for
+coboundary witnesses, sum a_j c_j - t, and is the denominator of Z'/B'.
+The presentation of Z'/B' is formed the first time it is read, so a build
+whose group is never asked for, such as one that only tests cocycles,
+forms neither.  The full B, n k rows in degree 2, is formed only where it
+is read: ``b_rows``, ``z_rows`` = [B; Z'] and the enumeration of every
+cocycle.  Degree 1 has no gauge, and there B' = B.
 The trivial group takes the same path with X = {e}.
 """
 
@@ -94,9 +103,11 @@ class CohomologyClass:
 class CohomologyGroup:
     """H^r(G, M) with explicit cocycle representatives and class decisions.
 
-    Every group, the trivial one included with X = {e}, builds Z and B from
-    the generator slices; degree 0 reads the fixed points directly.  The
-    presentation of Z/B, and with it ``group``, is formed on first read.
+    Every group, the trivial one included with X = {e}, builds Z' and B'
+    (``z_gauge`` and ``b_gauge``, Z and B in the tree gauge) from the
+    generator slices; degree 0 reads the fixed points directly, and its B'
+    is empty.  The presentation of Z'/B', and with it ``group``, is formed
+    on first read.
     """
 
     def __init__(self, module: GModule, degree: int, work_bound: int = 1 << 26):
@@ -132,8 +143,8 @@ class CohomologyGroup:
         M = self.module
         # fixed points: (g - 1) m = 0 for every g, one condition row per (g, i)
         A = (M.act - np.eye(self.k, dtype=np.int64)).reshape(self.n * self.k, self.k)
-        self._z_rows = _kernel_uniform(scaled_rows(A, M.ab.orders * self.n, self.L), self.L)
-        self._b_rows = np.zeros((0, self.k), dtype=np.int64)
+        self.z_gauge = _kernel_uniform(scaled_rows(A, M.ab.orders * self.n, self.L), self.L)
+        self.b_gauge = np.zeros((0, self.k), dtype=np.int64)
         self.X = []
         self.W = 1
         self.s = self.k
@@ -162,6 +173,36 @@ class CohomologyGroup:
         out += acted
         out -= T[x, g][..., None, :, :]  # broadcast over w
         return out
+
+    def _walk(self, T: np.ndarray, edge: np.ndarray | None = None) -> np.ndarray:
+        """Fill batch-last 1-cochain tables T, shape (n, k, b), given on the
+        roots X, along the tree: T(x g) = x.T(g) + edge(x, g), with ``edge``
+        batch-last 2-cochain tables (n, n, k, b), or + T(x) without it."""
+        orders = self._orders[:, None]
+        for f, xi, g in self._tree:
+            x = self.X[xi]
+            acted = T[g] if self._acts_trivially[x] else np.matmul(self.module.act[x], T[g])
+            T[f] = (acted + (T[x] if edge is None else edge[x, g])) % orders
+        return T
+
+    def _gauge(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(vecs, t) for batch-last r-cochain tables U, shape (n,)*r + (k, b).
+
+        ``vecs`` (b, s) holds the slice coordinates of U + d(t), which
+        vanish on the tree edges, and ``t`` the batch-last 1-cochain tables
+        (n, k, b) of the walk t = 0 on the roots, t(x g) = U(x, g) + x.t(g).
+        Degrees 0 and 1 have no gauge: t is None and vecs the slices of U.
+        """
+        b = U.shape[-1]
+        if self.degree < 2:
+            return U[self.X].reshape(self.s, b).T if self.degree else U.T, None
+        t = self._walk(np.zeros((self.n, self.k, b), dtype=np.int64), U)
+        vecs = np.empty((len(self.X), self.n, self.k, b), dtype=np.int64)
+        for xi, x in enumerate(self.X):  # u(x, w) + x.t(w) - t(x w), as t(x) = 0
+            acted = t if self._acts_trivially[x] else np.matmul(self.module.act[x], t)
+            vecs[xi] = U[x] + acted - t[self.module.group.mul[x]]
+        vecs %= self._orders[:, None]
+        return vecs.reshape(self.s, b).T, t
 
     def _defect(self, T: np.ndarray, x: int, g) -> np.ndarray:
         """u(x g, .) minus the law's right-hand side, reduced mod the orders:
@@ -195,7 +236,7 @@ class CohomologyGroup:
         for rnd in range(13):  # the sampled pass, then at most 12 rounds
             bad, rows = self._certificate(gens, None if rnd else pairs)
             if rnd and not bad:
-                self._z_rows = np.concatenate([self._b_rows, gens])
+                self.z_gauge = gens
                 return
             gens = matmul_mod(_kernel_uniform(rows, self.L), gens, self.L) % orders
             gens = gens[gens.any(axis=1)]
@@ -270,26 +311,41 @@ class CohomologyGroup:
     # -- coboundaries ----------------------------------------------------------
 
     def _compute_coboundaries(self):
-        # d of each unit (r-1)-cochain, in the order of its table entries;
-        # an explicit size, since -1 is ambiguous when k = 0
-        shape = (self.n,) * (self.degree - 1) + (self.k,)
-        size = self.W * self.k
-        units = np.eye(size, dtype=np.int64).reshape((size,) + shape)
-        rows = [self.slice_coords(differential(Cochain(self.module, self.degree - 1, e))) for e in units]
-        self._b_rows = np.array(rows, dtype=np.int64).reshape(size, self.s)
+        # B' = B in the gauge: d of the (r-1)-cochains fixed by unit values on
+        # the roots, in degree 2 extended along the tree by c(x g) = x.c(g) + c(x)
+        if self.degree == 1:
+            self.b_gauge = self._coboundary_rows(np.eye(self.k, dtype=np.int64))
+            return
+        units = self._extend(np.eye(len(self.X) * self.k, dtype=np.int64))
+        self.b_gauge = self._coboundary_rows(np.moveaxis(units, -1, 0))
+
+    def _extend(self, roots: np.ndarray) -> np.ndarray:
+        """Batch-last 1-cochain tables (n, k, b) with the values ``roots``,
+        shape (|X| k, b), on the roots X, extended along the tree by
+        c(x g) = x.c(g) + c(x): d of each vanishes on the tree edges."""
+        b = roots.shape[-1]
+        T = np.zeros((self.n, self.k, b), dtype=np.int64)
+        T[self.X] = roots.reshape(len(self.X), self.k, b)
+        return self._walk(T)
+
+    def _coboundary_rows(self, tables: np.ndarray) -> np.ndarray:
+        """Slice coordinates of d of each (r-1)-cochain table, one row each;
+        an explicit row count, since -1 is ambiguous when k = 0."""
+        rows = [self.slice_coords(differential(Cochain(self.module, self.degree - 1, e))) for e in tables]
+        return np.array(rows, dtype=np.int64).reshape(len(tables), self.s)
 
     # -- public API ------------------------------------------------------------
 
     @cached_property
     def presentation(self) -> Presentation:
-        """Z/B in slice coordinates, formed the first time it is read."""
-        return Presentation(self.ambient_orders, self._z_rows, self._b_span)
+        """Z'/B' in gauge slice coordinates, formed the first time it is read."""
+        return Presentation(self.ambient_orders, self.z_gauge, self._b_span)
 
     @cached_property
     def _b_span(self) -> ModSpan:
-        """The B span, swept once with its coefficients tracked: it solves
+        """The B' span, swept once with its coefficients tracked: it solves
         for coboundary witnesses and is the denominator of the presentation."""
-        return subgroup_span(self.ambient_orders, self._b_rows, track=True)
+        return subgroup_span(self.ambient_orders, self.b_gauge, track=True)
 
     @property
     def group(self) -> FinAbGroup:
@@ -299,16 +355,21 @@ class CohomologyGroup:
     def size(self) -> int:
         return self.group.cardinality
 
-    @property
+    @cached_property
     def z_rows(self) -> np.ndarray:
         """Generators of the cocycle subgroup, in slice coordinates: the rows
-        of B, then the certified generators of Z/B in a sampled build."""
-        return self._z_rows
+        of B, then those of Z'; formed the first time it is read."""
+        return np.concatenate([self.b_rows, self.z_gauge])
 
-    @property
+    @cached_property
     def b_rows(self) -> np.ndarray:
-        """Generators of the coboundary subgroup, in slice coordinates."""
-        return self._b_rows
+        """Generators of the coboundary subgroup, in slice coordinates: d of
+        each unit (r-1)-cochain, in the order of its table entries; formed
+        the first time it is read.  Below degree 2 B' is B."""
+        if self.degree < 2:
+            return self.b_gauge
+        size = self.n * self.k
+        return self._coboundary_rows(np.eye(size, dtype=np.int64).reshape(size, self.n, self.k))
 
     @property
     def ambient_orders(self) -> tuple[int, ...]:
@@ -320,9 +381,35 @@ class CohomologyGroup:
             return np.asarray(c.table, dtype=np.int64).reshape(self.s)
         return c.table.reshape(self.n, self.W * self.k)[self.X].reshape(self.s)
 
+    def gauge_coords(self, cochains: list[Cochain]) -> np.ndarray:
+        """Slice coordinates of each cochain moved into the gauge, one row
+        each, in one walk: the coordinates ``presentation`` reads.  A cocycle
+        lands in the span of ``z_gauge``, a coboundary in that of ``b_gauge``."""
+        for c in cochains:
+            self._check_cochain(c)
+        if not cochains:
+            return np.zeros((0, self.s), dtype=np.int64)
+        return self._gauge(np.stack([c.table for c in cochains], axis=-1))[0]
+
+    def _check_cochain(self, c: Cochain) -> None:
+        """Refuse a cochain of another degree, group order, coefficient group
+        or action; modules are compared by value."""
+        M = c.module
+        if M is self.module and c.degree == self.degree:
+            return
+        same = c.degree == self.degree and M.group.size == self.n and M.ab == self.module.ab
+        if same and np.array_equal(M.act, self.module.act):
+            return
+        raise ValueError(
+            f"a {c.degree}-cochain over a group of order {M.group.size} with coefficients"
+            f" {M.ab.orders}{' and another action' if same else ''} is not a cochain of"
+            f" H^{self.degree} over a group of order {self.n} with coefficients {self.module.ab.orders}"
+        )
+
     def is_cocycle(self, c: Cochain) -> bool:
         """Exact check of the law on the cochain's own table at every
         generator slot (degree 1, 2); see the module docstring."""
+        self._check_cochain(c)
         if self.degree == 0:
             return all(
                 (self.module.apply(g, c.table) == c.table).all()
@@ -334,7 +421,7 @@ class CohomologyGroup:
     def class_of(self, c: Cochain) -> CohomologyClass:
         if not self.is_cocycle(c):
             raise ValueError("not a cocycle")
-        coords = self.presentation.class_coords(self.slice_coords(c))
+        coords = self.presentation.class_coords(self.gauge_coords([c])[0])
         return CohomologyClass(self, coords, c)
 
     def cochain(self, vec: np.ndarray) -> Cochain:
@@ -357,34 +444,41 @@ class CohomologyGroup:
     def is_coboundary(self, c: Cochain) -> bool:
         if not self.is_cocycle(c):
             raise ValueError("not a cocycle")
-        return self.presentation.is_zero_class(self.slice_coords(c))
+        return self._b_span.contains(self.gauge_coords([c])[0])
 
     def cocycles(self, cap: int = 1 << 16) -> list[Cochain]:
         """Every cocycle, in lexicographic order of its slice coordinates."""
         if self.s == 0:
             return [zero_cochain(self.module, self.degree)]
-        mods = self.presentation.ambient_orders
-        span = self.presentation.s_span
+        mods = self.ambient_orders
+        span = subgroup_span(mods, self.z_rows)
         count = subgroup_order(span, mods)
         if count > cap:
             raise BoundExceeded(f"{count} cocycles exceed enumeration cap {cap}")
         return [self.cochain(vec) for vec in span_elements(span, mods)]
 
     def classes_equal(self, c1: Cochain, c2: Cochain) -> bool:
-        return self.is_coboundary(c1 - c2)
+        self._check_cochain(c1)
+        self._check_cochain(c2)
+        return self.is_coboundary(Cochain(self.module, self.degree, c1.table - c2.table))
 
     def coboundary_witness(self, c: Cochain):
-        """A cochain b with d(b) == c exactly, or None."""
+        """A cochain b with d(b) == c exactly, or None (also for a cochain
+        that is not a cocycle)."""
+        self._check_cochain(c)
         if self.degree == 0:
             return None
-        vec = self.slice_coords(c) % self.L
-        sol = self._b_span.solve(vec)
+        vecs, t = self._gauge(c.table[..., None])
+        sol = self._b_span.solve(vecs[0])
         if sol is None:
             return None
-        sol = sol[: self._b_rows.shape[0]]  # coefficients of the basis coboundaries
-        shape = (self.n,) * (self.degree - 1) + (self.k,)
-        witness = Cochain(self.module, self.degree - 1, np.asarray(sol, dtype=np.int64).reshape(shape))
+        a = np.asarray(sol[: len(self.b_gauge)], dtype=np.int64)  # coefficients of the rows of B'
+        # degree 2: sum a_j c_j - t, sum a_j c_j being the extension of the root values a
+        table = a if self.degree == 1 else (self._extend(a[:, None]) - t)[..., 0]
+        witness = Cochain(self.module, self.degree - 1, table)
         if (differential(witness).table != c.table).any():
+            if not self.is_cocycle(c):  # its slices lie in B' all the same
+                return None
             raise AssertionError("coboundary witness mismatch")
         return witness
 

@@ -10,9 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage, same_invariants, scaled_rows, subgroup_span
+from cohomkit.abelian import (
+    AbHom,
+    FinAbGroup,
+    Presentation,
+    cached_preimage,
+    same_invariants,
+    scaled_rows,
+    subgroup_span,
+)
 from cohomkit.checks import run_check
-from cohomkit.cochain import Cochain, differential, random_cochain
+from cohomkit.cochain import Cochain, differential, random_cochain, zero_cochain
 from cohomkit.cohomology import (
     BoundExceeded,
     CohomologyGroup,
@@ -22,6 +30,7 @@ from cohomkit.cohomology import (
     connecting_map,
     cyclic_cohomology_size,
 )
+from cohomkit.fixtures import shapiro_fixtures
 from cohomkit.groups import (
     GModule,
     Subgroup,
@@ -29,6 +38,7 @@ from cohomkit.groups import (
     center_subgroup,
     cyclic_group,
     direct_product,
+    generated_subgroup,
     induced_module,
     named_group,
     subgroup_group,
@@ -240,6 +250,120 @@ def test_b0_oracle_sweeps_no_coboundary_span(monkeypatch):
     monkeypatch.setattr(C, "subgroup_span", lambda *a, **kw: built.append(a) or subgroup_span(*a, **kw))
     assert b0_oracle(direct_product(named_group("D8"), cyclic_group(2))).is_trivial
     assert built == []
+
+
+def _ind_from_c2_of_d8xc2(A):
+    G = direct_product(named_group("D8"), cyclic_group(2))
+    return induced_module(G, generated_subgroup(G, [1]), A)
+
+
+GAUGE_MODULES = {
+    **{f"Ind {fx.name}": (lambda fx=fx: induced_module(fx.G, fx.H, fx.A)) for fx in shapiro_fixtures()},
+    **{f"Ind C2 to D8xC2 on {a}": (lambda a=a: _ind_from_c2_of_d8xc2(FinAbGroup(a))) for a in [(2,), (4,), (3,)]},
+    "C2xC2 on C2xC4": lambda: trivial_module(named_group("C2xC2"), FinAbGroup((2, 4))),
+    "C4 on C2xC4": lambda: _mixed_order_module_with_action(),
+    "C2 acting by -1 on Z4": lambda: GModule(cyclic_group(2), FinAbGroup((4,)), [np.eye(1, dtype=int), [[3]]]),
+}
+
+
+def _check_class_decisions_in_the_gauge(H, rng, most=64):
+    """The gauge presentation against the full one, and every class decision
+    on up to ``most`` classes x: rep(x) plus a coboundary is read as x."""
+    orders = H.ambient_orders
+    full = Presentation(orders, H.z_rows, H.b_rows)
+    assert full.group.orders == H.group.orders
+    span_b = subgroup_span(orders, H.b_rows)
+    assert all(span_b.contains(row) for row in H.b_gauge)  # B' is inside B
+    assert _same_subgroup(H, np.concatenate([H.z_gauge, H.b_rows]), H.z_rows)
+    for x in itertools.islice(H.group.elements(), most):
+        db = differential(random_cochain(H.module, H.degree - 1, rng))
+        assert H.class_of(H.rep(x) + db).coords == x
+        assert H.is_coboundary(db) and H.classes_equal(H.rep(x) + db, H.rep(x))
+        witness = H.coboundary_witness(db)
+        assert witness is not None and differential(witness) == db
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(GAUGE_MODULES))
+def test_class_decisions_in_the_gauge_match_the_full_coordinates(name, degree):
+    H = cohomology(GAUGE_MODULES[name](), degree)
+    _check_class_decisions_in_the_gauge(H, np.random.default_rng(degree))
+
+
+def test_class_decisions_in_the_gauge_on_the_conformance_builds(monkeypatch):
+    seen = _record_builds(monkeypatch)
+    _conformance_builds()
+    monkeypatch.undo()
+    rng = np.random.default_rng(0)
+    checked = {}
+    for H in seen:  # one build per module and degree
+        key = (H.degree, H.n, H.module.ab.orders, H.module.act.tobytes())
+        if key not in checked:
+            _check_class_decisions_in_the_gauge(H, rng, most=8)
+            checked[key] = not (H.module.act == np.eye(H.k, dtype=np.int64)).all()
+    assert len(checked) == 11 and sum(checked.values()) == 4  # 4 with a nontrivial action
+
+
+def test_the_full_coboundaries_are_formed_only_where_read(monkeypatch):
+    """The oracle and a build that reads only ``group`` take |X| k
+    differentials each and never form B; read, b_rows and z_rows are d of
+    every unit 1-cochain, and those rows followed by Z'."""
+    import cohomkit.cohomology as C
+    from cohomkit.brauer import b0_oracle
+
+    calls = []
+    monkeypatch.setattr(C, "differential", lambda c: calls.append(c.degree) or differential(c))
+    seen = _record_builds(monkeypatch)
+    G = direct_product(named_group("D8"), cyclic_group(2))
+    assert b0_oracle(G).is_trivial
+    H = cohomology(trivial_module(G, FinAbGroup((2, 4))), 2)
+    assert H.group.orders
+    assert len(seen) == 2 and all(K.degree == 2 for K in seen)
+    assert calls == [1] * sum(len(K.X) * K.k for K in seen) == [1] * 9
+    assert not any({"b_rows", "z_rows"} & set(vars(K)) for K in seen)
+    units = np.eye(H.n * H.k, dtype=np.int64).reshape(-1, H.n, H.k)
+    want = np.array([H.slice_coords(differential(Cochain(H.module, 1, e))) for e in units], dtype=np.int64)
+    assert H.b_rows.dtype == want.dtype and H.b_rows.tobytes() == want.tobytes()
+    assert H.z_rows.tobytes() == np.concatenate([want, H.z_gauge]).tobytes()
+
+
+def test_class_decisions_refuse_a_cochain_of_another_kind():
+    C2 = cyclic_group(2)
+    H2 = cohomology(trivial_module(C2, FinAbGroup((2,))), 2)
+    H4 = cohomology(trivial_module(C2, FinAbGroup((4,))), 2)
+    u = np.zeros((2, 2, 1), dtype=np.int64)
+    u[1, 1] = 2  # a Z/4 coboundary of C2 read mod 2 would look like one
+    negated = GModule(C2, FinAbGroup((4,)), [np.eye(1, dtype=int), [[3]]])
+    strangers = [
+        (H2, zero_cochain(H2.module, 1), "a 1-cochain over a group of order 2 with coefficients \\(2,\\) is not"),
+        (H2, Cochain(trivial_module(C2, FinAbGroup((4,))), 2, u), "coefficients \\(4,\\) is not a cochain of H\\^2"),
+        (H2, zero_cochain(trivial_module(cyclic_group(4), FinAbGroup((2,))), 2), "a group of order 4"),
+        (H4, zero_cochain(negated, 2), "\\(4,\\) and another action is not"),
+    ]
+    for H, c, message in strangers:
+        mine = zero_cochain(H.module, 2)
+        for decide in (
+            H.is_cocycle, H.class_of, H.is_coboundary, H.coboundary_witness,
+            lambda c: H.classes_equal(c, mine), lambda c: H.classes_equal(mine, c),
+        ):
+            with pytest.raises(ValueError, match=message):
+                decide(c)
+    # a module equal by value to the group's own is accepted
+    twin = Cochain(trivial_module(C2, FinAbGroup((2,))), 2, np.zeros((2, 2, 1), dtype=np.int64))
+    assert H2.is_coboundary(twin) and H2.class_of(twin).is_zero
+    assert H2.coboundary_witness(twin) is not None
+
+
+def test_a_cochain_that_is_no_cocycle_has_no_witness():
+    # a coboundary changed off the generator slices keeps its slices in B
+    M = trivial_module(named_group("D8"), FinAbGroup((2, 4)))
+    H = cohomology(M, 2)
+    db = differential(random_cochain(M, 1, np.random.default_rng(3)))
+    table = db.table.copy()
+    table[next(g for g in range(H.n) if g not in H.X), 1] += 1
+    c = Cochain(M, 2, table)
+    assert not H.is_cocycle(c)
+    assert H.coboundary_witness(c) is None
 
 
 def test_a_class_is_unequal_to_other_types():
@@ -744,7 +868,7 @@ def _bfs_cocycle_vectors(H):
     mods = np.array((tuple(H.module.ab.orders) * (H.s // max(H.k, 1)))[: H.s], dtype=np.int64)
     seen = {tuple([0] * H.s)}
     frontier = [np.zeros(H.s, dtype=np.int64)]
-    basis = [b % mods for b in H.presentation.s_span.basis]
+    basis = [b % mods for b in subgroup_span(H.ambient_orders, H.z_rows).basis]
     while frontier:
         v = frontier.pop()
         for b in basis:
