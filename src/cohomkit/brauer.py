@@ -98,7 +98,7 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
     box = np.array([G.order_of(g) for g in gens], dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)
     vec = np.zeros((G.size, k), dtype=np.int64)
-    for f, i, g in generator_tree(G, gens, [0]):
+    for f, i, g in generator_tree(G, gens, [0])[0]:
         vec[f] = vec[g] + eye[i]
     relations = (vec[:, None, :] + eye - vec[G.mul[gens].T]) % box  # [g, i]: x_i g = G.mul[gens[i], g]
     pres = Presentation(tuple(box.tolist()), eye, relations.reshape(-1, k))

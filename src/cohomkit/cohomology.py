@@ -32,6 +32,21 @@ pass over every pair finds none violated, the generators span Z' = Z in the
 gauge.  On H^2(F128, Z/128) the first pass solves 388 unknowns of 512, and
 12 rows remain.
 
+The first pass forms no table.  In the gauge every value is a sum along the
+tree path of its element (the spanning-tree normalization of Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, ch. 7): a root x gives
+u(x, w) = u(x, e w), and the edge f = x g gives u(f, w) = x.u(g, w) +
+u(x, g w), its term -u(x, g) being a tree slot, 0 in the gauge.  So
+u(f, w) = sum_t P_t u(X[i_t], h_t w) over the path terms (i_t, h_t, P_t) of
+f, formed one tree level at a time, and the condition at (x, g),
+u(x g, w) - x.u(g, w) - u(x, g w) + u(x, g), is a signed sum of path
+terms on each unit slice; on F128 that is 12 pairs against 388 tables of
+128 x 128.  The later passes still check every pair on tables, and the
+loop ends only on a pass that finds none violated, so the result is exact
+whatever the first pass read: the last pass certifies the path formula
+too.  That is why a build whose first pass was not sampled still runs
+one pass over every pair.
+
 Class arithmetic (equality, membership of coboundaries, witnesses) happens
 in the gauge, on slice coordinates.  Since Z = Z' + B, H = Z'/B' with
 B' = B in the gauge: the image under d of the |X| k 1-cochains that take
@@ -152,24 +167,46 @@ class CohomologyGroup:
     # -- tree -----------------------------------------------------------------
 
     def _build_tree(self):
-        eye = np.eye(self.k, dtype=np.int64)
-        # generators acting as the identity skip the matmul in _law_rhs
-        self._acts_trivially = {x: bool((self.module.act[x] == eye).all()) for x in self.X}
+        # elements acting as the identity skip the matmul in _law_rhs
+        self._acts_trivially = (self.module.act == np.eye(self.k, dtype=np.int64)).all(axis=(1, 2))
         # (f, xi, g): the law at (X[xi], g) gives u(f, .), f = X[xi] g
-        self._tree = generator_tree(self.module.group, self.X, self.X)
+        tree, bounds = generator_tree(self.module.group, self.X, self.X)
+        self._tree = np.array(tree, dtype=np.int64).reshape(-1, 3)
+        # the edges by depth d: (d, fs, xis, xs, gs), each parent g at depth
+        # d - 1, so a level is filled in one step; a level of one edge holds
+        # scalars, so that its step reads views
+        fs, js, gs = self._tree.T
+        xs = np.asarray(self.X, dtype=np.int64)[js]
+        self._levels = []
+        for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
+            if b - a == 1:
+                f, j, g = tree[a]
+                self._levels.append((d, f, j, self.X[j], g))
+            else:
+                self._levels.append((d, fs[a:b], js[a:b], xs[a:b], gs[a:b]))
 
-    def _law_rhs(self, T: np.ndarray, x: int, g) -> np.ndarray:
+    def _trivially(self, x) -> bool:
+        """Whether x, one element or an array of them, acts as the identity."""
+        trivial = self._acts_trivially[x]
+        return trivial.all() if isinstance(x, np.ndarray) else trivial
+
+    def _law_rhs(self, T: np.ndarray, x, g) -> np.ndarray:
         """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
 
         Degree 1: x.u(g) + u(x).  Degree 2: x.u(g, w) + u(x, g w) - u(x, g).
         T holds batch-last tables (n, W, k, b); g is one element, or an
         index array or ``slice(None)`` for several at once (then the result
-        gains a leading axis over g).
+        gains a leading axis over g); x is one generator, or an array of
+        them, one per element of the index array g.
         """
-        acted = T[g] if self._acts_trivially[x] else np.matmul(self.module.act[x], T[g]) % self.L
+        if self._trivially(x):
+            acted = T[g]
+        else:  # the action broadcast over w
+            acted = np.matmul(self.module.act[x][..., None, :, :], T[g]) % self.L
         if self.degree == 1:
             return acted + T[x]
-        out = T[x][self.module.group.mul[g]]
+        mul = self.module.group.mul
+        out = T[x[:, None], mul[g]] if isinstance(x, np.ndarray) else T[x][mul[g]]
         out += acted
         out -= T[x, g][..., None, :, :]  # broadcast over w
         return out
@@ -177,12 +214,12 @@ class CohomologyGroup:
     def _walk(self, T: np.ndarray, edge: np.ndarray | None = None) -> np.ndarray:
         """Fill batch-last 1-cochain tables T, shape (n, k, b), given on the
         roots X, along the tree: T(x g) = x.T(g) + edge(x, g), with ``edge``
-        batch-last 2-cochain tables (n, n, k, b), or + T(x) without it."""
+        batch-last 2-cochain tables (n, n, k, b), or + T(x) without it; one
+        step per depth."""
         orders = self._orders[:, None]
-        for f, xi, g in self._tree:
-            x = self.X[xi]
-            acted = T[g] if self._acts_trivially[x] else np.matmul(self.module.act[x], T[g])
-            T[f] = (acted + (T[x] if edge is None else edge[x, g])) % orders
+        for _, fs, _, xs, gs in self._levels:
+            acted = T[gs] if self._trivially(xs) else np.matmul(self.module.act[xs], T[gs])
+            T[fs] = (acted + (T[xs] if edge is None else edge[xs, gs])) % orders
         return T
 
     def _gauge(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -217,8 +254,7 @@ class CohomologyGroup:
     def _compute_cocycles(self):
         # the pairs (x, g) whose condition the tree does not already impose
         off_tree = np.ones((len(self.X), self.n), dtype=bool)
-        for _, xi, g in self._tree:
-            off_tree[xi, g] = False
+        off_tree[self._tree[:, 1], self._tree[:, 2]] = False
         pairs = np.argwhere(off_tree)
         per_pair = self.W * self.k
         target_rows = max(3 * self.s, 64)
@@ -227,84 +263,168 @@ class CohomologyGroup:
             pairs = pairs[np.random.default_rng(0).permutation(len(pairs))[:take]]
         # The unknowns are the slices the gauge leaves free: in degree 2 those
         # of the off-tree pairs, in degree 1 all.  The first pass checks the
-        # sampled pairs, every later one all pairs, and each pass keeps the
-        # combinations of the generators that meet the violated conditions.
+        # sampled pairs on the tree paths, every later one all pairs on the
+        # tables, and each pass keeps the combinations of the generators that
+        # meet the violated conditions.
         free = off_tree[:, :, None] if self.degree == 2 else True
         free = np.broadcast_to(free, (len(self.X), self.W, self.k))
         gens = np.eye(self.s, dtype=np.int64)[free.reshape(-1)]
         orders = np.array(self.ambient_orders, dtype=np.int64)
-        for rnd in range(13):  # the sampled pass, then at most 12 rounds
-            bad, rows = self._certificate(gens, None if rnd else pairs)
-            if rnd and not bad:
-                self.z_gauge = gens
-                return
+        bad, rows = self._path_conditions(pairs, free)
+        for _ in range(12):
             gens = matmul_mod(_kernel_uniform(rows, self.L), gens, self.L) % orders
             gens = gens[gens.any(axis=1)]
+            bad, rows = self._certificate(gens)
+            if not bad:
+                self.z_gauge = gens
+                return
         raise BoundExceeded(
             f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {off_tree.sum()} pairs still violated)"
         )
 
-    def _certificate(
-        self, kern: np.ndarray, pairs: np.ndarray | None = None
-    ) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Exact certificate: re-check generator-slot conditions on every row.
+    def _paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """(terms, P) of leading shape (n, depth + 1): in the gauge, with
+        (xi, h) = terms[f, t], u(f, w) = sum_t P[f, t] u(X[xi], h w), and in
+        degree 1 u(f) = sum_t P[f, t] u(X[xi]).  The padding has P = 0 and
+        terms -1.
 
-        ``pairs`` lists the pairs (x index, g) to check, by default every
-        one, generator-major.  For each generator x, the defect
-        u(x g, w) - (the law's right-hand side) is formed for its pairs,
-        every w and every row at once on the batch-last tables and reduced
-        mod the orders once.  Returns the checked pairs with a nonzero
-        defect, in the order of ``pairs``, and, W * k rows per pair in the
-        same order, their defects on the rows of ``kern``, each row scaled
-        from Z/o_i to Z/L.  On the unit slice vectors (``kern`` the
-        identity) these rows are the pairs' conditions on the slices, and
-        on any ``kern`` they are those conditions times ``kern.T`` mod L.
-        The tables are formed for a block of rows of ``kern`` at a time, at
-        most ``TABLE_BLOCK`` entries of (n, W, k, rows) each, in the fewest
-        blocks, the largest as small as that number of blocks allows.
+        A root x is (x, e, I).  The edge f = x g adds (x, g, I) to x.(the
+        terms of g), since u(x g, w) = x.u(g, w) + u(x, g w) - u(x, g) and
+        u(x, g) is a tree slot, 0 in the gauge.  One step per depth.
+        """
+        slots = len(self._levels) + 1
+        terms = np.full((self.n, slots, 2), -1, dtype=np.int64)
+        terms[self.X, 0, 0] = np.arange(len(self.X))
+        terms[self.X, 0, 1] = 0  # the identity
+        eye = np.eye(self.k, dtype=np.int64)
+        trivial = self._acts_trivially[self.X].all()
+        if not trivial:
+            P = np.zeros((self.n, slots, self.k, self.k), dtype=np.int64)
+            P[self.X, 0] = eye
+        for d, fs, js, xs, gs in self._levels:
+            terms[fs, :d] = terms[gs, :d]
+            terms[fs, d, 0] = js
+            terms[fs, d, 1] = gs
+            if not trivial:
+                P[fs, :d] = np.matmul(self.module.act[xs][..., None, :, :], P[gs, :d]) % self.L
+                P[fs, d] = eye
+        if trivial:
+            P = (terms[:, :, :1, None] >= 0) * eye
+        return terms, P
+
+    def _path_conditions(self, pairs: np.ndarray, free: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The conditions of the listed pairs (x index, g) on the unit vectors
+        of the ``free`` slices, a mask of shape (|X|, W, k) that holds no
+        tree slot, read off the tree paths (``_paths``) with no table formed.
+
+        Returns what ``_certificate(np.eye(s)[free.reshape(-1)])`` returns
+        for these pairs: the pairs with a nonzero condition, in the order of
+        ``pairs``, and their W * k rows each, scaled from Z/o_i to Z/L.  The
+        defect u(x g, w) - x.u(g, w) - u(x, g w) + u(x, g) (degree 1:
+        u(x g) - x.u(g) - u(x)) is a signed sum of path terms; each lands in
+        the column of its free slice, or in a spare last column if not free.
+        """
+        width = int(free.sum())
+        if width == 0 or len(pairs) == 0:
+            return [], np.zeros((0, width), dtype=np.int64)
+        col = np.full(free.shape, width, dtype=np.int64)
+        col[free] = np.arange(width)
+        paths, P = self._paths()
+        mul = self.module.group.mul
+        js, gs = pairs[:, 0], pairs[:, 1]
+        xs = np.asarray(self.X, dtype=np.int64)[js]
+        fs = mul[xs, gs]
+        # the terms of u(x g, .), - x.u(g, .) and - u(x, g .), then + u(x, g)
+        slots = P.shape[1]
+        count = 2 * slots + self.degree
+        terms = np.empty((len(pairs), count, 2), dtype=np.int64)
+        terms[:, :slots] = paths[fs]
+        terms[:, slots : 2 * slots] = paths[gs]
+        terms[:, 2 * slots :] = pairs[:, None]
+        coef = np.empty((len(pairs), count, self.k, self.k), dtype=np.int64)
+        coef[:, :slots] = P[fs]
+        acted = P[gs] if self._trivially(xs) else np.matmul(self.module.act[xs][:, None], P[gs])
+        coef[:, slots : 2 * slots] = acted
+        coef[:, 2 * slots :] = np.eye(self.k, dtype=np.int64)
+        coef[:, slots : 2 * slots + 1] *= -1
+        if self.degree == 2:
+            elems = mul[terms[:, :, 1]]  # (pairs, terms, W): h w
+            elems[:, -1] = gs[:, None]  # u(x, g) at every w
+            cols = col[terms[:, :, :1], elems]  # (pairs, terms, W, k')
+        else:
+            cols = col[terms[:, :, 0], 0][:, :, None]
+        # the flat index of (pair, w, i, column) in an output with the spare column
+        index = np.arange(len(pairs) * self.W * self.k).reshape(len(pairs), 1, self.W, self.k, 1)
+        index *= width + 1
+        index = index + cols[:, :, :, None, :]
+        out = np.zeros((len(pairs), self.W * self.k, width + 1), dtype=np.int64)
+        np.add.at(out.reshape(-1), index, coef[:, :, None])
+        del index, cols
+        # reduced and scaled in place as scaled_rows does it, so the only
+        # other array of this size is the copy of the pairs hit
+        orders = np.tile(self._orders, self.W)[:, None]
+        out %= orders
+        out *= self.L // orders
+        hit = out[:, :, :width].any(axis=(1, 2))
+        return [tuple(p) for p in pairs[hit].tolist()], out[hit, :, :width].reshape(-1, width)
+
+    def _certificate(self, kern: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Exact certificate: re-check every generator-slot condition on every row.
+
+        For each generator x, the defect u(x g, w) - (the law's right-hand
+        side) is formed for every g, every w and every row at once on the
+        batch-last tables and reduced mod the orders once.  Returns the
+        pairs (x index, g) with a nonzero defect, generator-major, and,
+        W * k rows per pair in the same order, their defects on the rows of
+        ``kern``, each row scaled from Z/o_i to Z/L.  On the unit slice
+        vectors (``kern`` the identity) these rows are the pairs'
+        conditions on the slices, and on any ``kern`` they are those
+        conditions times ``kern.T`` mod L.  The tables are formed for a
+        block of rows of ``kern`` at a time, at most ``TABLE_BLOCK`` entries
+        of (n, W, k, rows) each, in the fewest blocks, the largest as small
+        as that number of blocks allows.
         """
         b = kern.shape[0]
         if kern.size == 0:
             return [], np.zeros((0, b), dtype=np.int64)
-        every = pairs is None
-        if every:
-            pairs = np.argwhere(np.ones((len(self.X), self.n), dtype=bool))
         per_pair = self.W * self.k
         step = max(1, TABLE_BLOCK // (self.n * per_pair))
         step = -(-b // -(-b // step))  # ceil(b / ceil(b / step))
-        hits = []  # (positions in ``pairs``, first row of kern, their defects on the block)
+        blocks = []  # (mask of the pairs hit, first row of kern, their defects on the block)
         for start in range(0, b, step):
             T = self._tables_from_slices(kern[start : start + step])  # (n, W, k, block)
+            hit = np.zeros((len(self.X), self.n), dtype=bool)
+            rows = []
             for xi, x in enumerate(self.X):
-                pos = np.flatnonzero(pairs[:, 0] == xi)
-                gs = slice(None) if every else pairs[pos, 1]  # a slice gathers no copy of T
-                diff = self._defect(T, x, gs)
-                hit = diff.any(axis=(1, 2, 3))
-                if hit.any():
-                    block = diff[hit].reshape(-1, T.shape[-1])
-                    rows = scaled_rows(block, np.tile(self._orders, hit.sum() * self.W), self.L)
-                    hits.append((pos[hit], start, rows.reshape(-1, per_pair, T.shape[-1])))
+                diff = self._defect(T, x, slice(None))
+                hit[xi] = diff.any(axis=(1, 2, 3))
+                if hit[xi].any():
+                    block = diff[hit[xi]].reshape(-1, T.shape[-1])
+                    rows.append(scaled_rows(block, np.tile(self._orders, hit[xi].sum() * self.W), self.L))
+            if rows:
+                blocks.append((hit, start, np.concatenate(rows).reshape(-1, per_pair, T.shape[-1])))
             del T, diff  # free the block's tables before the next one is formed
-        if not hits:
+        if not blocks:
             return [], np.zeros((0, b), dtype=np.int64)
-        at = np.unique(np.concatenate([pos for pos, _, _ in hits]))  # in the order of ``pairs``
-        out = np.zeros((len(at), per_pair, b), dtype=np.int64)
-        while hits:  # popped, so each block is freed once it is copied
-            pos, start, rows = hits.pop()
-            out[np.searchsorted(at, pos), :, start : start + rows.shape[-1]] = rows
-        return [(int(xi), int(g)) for xi, g in pairs[at]], out.reshape(-1, b)
+        bad = np.logical_or.reduce([hit for hit, _, _ in blocks])
+        out = np.zeros((bad.sum(), per_pair, b), dtype=np.int64)
+        while blocks:  # popped, so each block is freed once it is copied
+            hit, start, rows = blocks.pop()
+            out[hit[bad], :, start : start + rows.shape[-1]] = rows
+        return [(int(xi), int(g)) for xi, g in np.argwhere(bad)], out.reshape(-1, b)
 
     def _tables_from_slices(self, slices: np.ndarray) -> np.ndarray:
         """Full cochain tables of slice vectors, batch-last: shape (n, W, k, b).
 
         ``T[..., j]`` is the table of ``slices[j]``.  With the batch axis
-        last, a gather over group elements copies contiguous blocks.
+        last, a gather over group elements copies contiguous blocks.  One
+        step per depth of the tree.
         """
         b = slices.shape[0]
         T = np.zeros((self.n, self.W, self.k, b), dtype=np.int64)
         T[self.X] = slices.T.reshape(len(self.X), self.W, self.k, b)
-        for f, xi, g in self._tree:
-            T[f] = self._law_rhs(T, self.X[xi], g) % self.L
+        for _, fs, _, xs, gs in self._levels:
+            T[fs] = self._law_rhs(T, xs, gs) % self.L
         T %= self._orders[:, None]
         return T
 

@@ -179,19 +179,26 @@ def minimal_generating_set(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def generator_tree(G: FiniteGroup, gens, roots) -> list[tuple[int, int, int]]:
+def generator_tree(G: FiniteGroup, gens, roots) -> tuple[list[tuple[int, int, int]], list[int]]:
     """A breadth-first tree of the Cayley graph of gens, grown from roots.
 
     One (child, generator index i, parent) triple per element outside roots,
     with child = gens[i] * parent, in first-visit order: parents in the order
     they were visited, then generators.  So every parent comes before its
     children, and a word for each element can be read off in one pass.
+    Also returns the bounds of the breadth-first levels: the children at
+    distance d from the roots are ``tree[bounds[d - 1]:bounds[d]]``, and
+    each of their parents lies at distance d - 1.
     """
     rows = G.mul[list(gens)].tolist()
     order = list(roots)
     seen = set(order)
     tree = []
-    for g in order:  # the loop also visits the children appended below
+    bounds, level_end = [0], len(order)
+    for pos, g in enumerate(order):  # the loop also visits the children appended below
+        if pos == level_end:  # g starts the next level
+            bounds.append(len(tree))
+            level_end = len(order)
         for i, row in enumerate(rows):
             f = row[g]
             if f not in seen:
@@ -200,7 +207,7 @@ def generator_tree(G: FiniteGroup, gens, roots) -> list[tuple[int, int, int]]:
                 tree.append((f, i, g))
     if len(order) != G.size:
         raise AssertionError("generating set does not reach every element")
-    return tree
+    return tree, bounds
 
 
 def center_subgroup(G: FiniteGroup) -> Subgroup:

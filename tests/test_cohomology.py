@@ -1,5 +1,6 @@
 """Presentations of H^r: sizes, class decisions, connecting maps."""
 
+import functools
 import itertools
 import pathlib
 import random
@@ -30,6 +31,7 @@ from cohomkit.cohomology import (
     connecting_map,
     cyclic_cohomology_size,
 )
+from cohomkit.crossed import build_bk
 from cohomkit.fixtures import shapiro_fixtures
 from cohomkit.groups import (
     GModule,
@@ -86,7 +88,7 @@ def test_mixed_order_coefficients(degree, size):
 
 def test_sampling_that_does_not_converge_exceeds_the_bound(monkeypatch):
     # a certificate that always flags a pair, with a condition every row meets
-    def flag_one_pair(self, kern, pairs=None):
+    def flag_one_pair(self, kern):
         return [(0, 0)], np.zeros((1, kern.shape[0]), dtype=np.int64)
 
     monkeypatch.setattr(CohomologyGroup, "_certificate", flag_one_pair)
@@ -374,6 +376,28 @@ def test_a_class_is_unequal_to_other_types():
     assert cls == H.classes()[1] and cls != zero
 
 
+def _free_slices(H) -> np.ndarray:
+    """The mask (|X|, W, k) of the slices the gauge leaves free: all but the tree slots."""
+    return ~_tree_slots(H).reshape(len(H.X), H.W, H.k)
+
+
+def _listed(certified, listed):
+    """The pairs of an every-pair certificate that ``listed`` names, in list
+    order, with their rows."""
+    flagged, rows = certified
+    per_pair = len(rows) // max(len(flagged), 1)
+    at = {p: i for i, p in enumerate(flagged)}
+    keep = [p for p in map(tuple, np.asarray(listed).tolist()) if p in at]
+    picked = [rows[at[p] * per_pair : (at[p] + 1) * per_pair] for p in keep]
+    return keep, np.concatenate(picked) if picked else rows[:0]
+
+
+def _assert_same_certificate(got, want):
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", sorted(["C2xC2 on C2xC4", "S3 on Ind C3"]))
 def test_a_blocked_certificate_equals_one_block(monkeypatch, name, degree):
@@ -384,20 +408,25 @@ def test_a_blocked_certificate_equals_one_block(monkeypatch, name, degree):
     V = rng.integers(0, np.array(H.ambient_orders), size=(7, H.s))
     pairs = np.argwhere(np.ones((len(H.X), H.n), dtype=bool))[rng.permutation(len(H.X) * H.n)[: H.n]]
     eye = np.eye(H.s, dtype=np.int64)
-    whole = [H._certificate(V), H._certificate(V, pairs), H._certificate(eye, pairs)]
+    free = _free_slices(H)
+    units = eye[free.reshape(-1)]
+    whole = [H._certificate(V), H._certificate(eye), H._certificate(units)]
     assert whole[0][0]  # some pair is violated
+    # the listed pairs' conditions on the free slices, read off the tree paths
+    listed = H._path_conditions(pairs, free)
+    assert listed[0]
     tables = H._tables_from_slices
     for rows in (1, 2, 3, 7):  # 2 and 3 do not divide the 7 rows of V
         blocks = []
         monkeypatch.setattr(H, "_tables_from_slices", lambda S: blocks.append(len(S)) or tables(S))
         monkeypatch.setattr(C, "TABLE_BLOCK", rows * H.n * H.W * H.k)
-        blocked = [H._certificate(V), H._certificate(V, pairs), H._certificate(eye, pairs)]
-        for (got_pairs, got_rows), (want_pairs, want_rows) in zip(blocked, whole):
-            assert got_pairs == want_pairs
-            assert np.array_equal(got_rows, want_rows)
+        blocked = [H._certificate(V), H._certificate(eye), H._certificate(units)]
+        for got, want in zip(blocked, whole):
+            _assert_same_certificate(got, want)
+        _assert_same_certificate(listed, _listed(blocked[2], pairs))
         # per call, the fewest blocks of at most ``rows`` rows, the largest as
         # small as that number of blocks allows
-        for b in (7, 7, H.s):
+        for b in (7, H.s, len(units)):
             count = -(-b // rows)
             sizes, blocks[:count] = blocks[:count], []
             assert sum(sizes) == b and max(sizes) == -(-b // count)
@@ -733,6 +762,8 @@ def test_violating_pairs_match_the_differential(name, degree):
     mods = np.array(M.ab.orders, dtype=np.int64)
     shape = (H.n,) * degree + (H.k,)
     conditions = _slice_conditions(H)
+    free = _free_slices(H)
+    units = np.eye(H.s, dtype=np.int64)[free.reshape(-1)]
     for V in vectors:
         T = H._tables_from_slices(V)
         expected = set()
@@ -744,19 +775,74 @@ def test_violating_pairs_match_the_differential(name, degree):
         got, rows = H._certificate(V)
         assert len(got) == len(set(got))
         assert set(got) == expected
-        # a shuffled list of pairs is checked in its own order
+        # a shuffled list of pairs is checked in its own order on the unit
+        # vectors of the free slices, read off the tree paths
         listed = [(int(xi), int(g)) for xi in range(len(H.X)) for g in range(H.n)]
         listed = [listed[i] for i in rng.permutation(len(listed))[: H.n]]
-        got_listed, rows_listed = H._certificate(V, np.array(listed))
-        assert got_listed == [p for p in listed if p in expected]
+        got_listed, rows_listed = H._path_conditions(np.array(listed), free)
+        assert got_listed == [p for p in listed if conditions[p][:, free.reshape(-1)].any()]
         # each flagged pair's rows are its conditions evaluated on V
         per_pair = H.W * H.k
-        for flagged, flagged_rows in ((got, rows), (got_listed, rows_listed)):
-            assert flagged_rows.shape == (len(flagged) * per_pair, V.shape[0])
+        for flagged, flagged_rows, vecs in ((got, rows, V), (got_listed, rows_listed, units)):
+            assert flagged_rows.shape == (len(flagged) * per_pair, vecs.shape[0])
             for p, (xi, g) in enumerate(flagged):
-                want = matmul_mod(conditions[xi, g], V.T % H.L, H.L)
+                want = matmul_mod(conditions[xi, g], vecs.T % H.L, H.L)
                 assert (flagged_rows[p * per_pair : (p + 1) * per_pair] == want).all()
     assert H._certificate(H.z_rows)[0] == []
+
+
+# builds whose first pass is checked against the every-pair certificate
+ROUND_ONE_BUILDS = {
+    **{f"{name}, degree {d}": (CERTIFICATE_MODULES[name], d) for name in CERTIFICATE_MODULES for d in (1, 2)},
+    **{name: (functools.partial(_two_round_module, name), 2) for name in TWO_ROUND_BUILDS},
+    **{
+        f"trivial group on C2xC4, degree {d}": (lambda: trivial_module(cyclic_group(1), FinAbGroup((2, 4))), d)
+        for d in (1, 2)
+    },
+    **{f"D8 on rank 0, degree {d}": (lambda: trivial_module(named_group("D8"), FinAbGroup(())), d) for d in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_ONE_BUILDS))
+def test_round_one_reads_the_certificate_rows_off_the_tree_paths(monkeypatch, name):
+    """The first pass's rows, on the pairs the build drew and on a shuffled
+    list of every pair, equal the every-pair certificate's rows on the unit
+    vectors of the free slices, restricted to the listed pairs in list order."""
+    module, degree = ROUND_ONE_BUILDS[name]
+    drawn = []
+    conditions = CohomologyGroup._path_conditions
+
+    def recorded(self, pairs, free):
+        drawn.append((pairs, free))
+        return conditions(self, pairs, free)
+
+    monkeypatch.setattr(CohomologyGroup, "_path_conditions", recorded)
+    H = cohomology(module(), degree)
+    ((pairs, free),) = drawn
+    assert np.array_equal(free, _free_slices(H))
+    if name == "D8xD8 on Z2":  # a sampled build: fewer pairs than the off-tree ones
+        assert len(pairs) < len(H.X) * H.n - len(H._tree)
+    every = H._certificate(np.eye(H.s, dtype=np.int64)[free.reshape(-1)])
+    everything = np.argwhere(np.ones((len(H.X), H.n), dtype=bool))
+    shuffled = everything[np.random.default_rng(H.n).permutation(len(everything))]
+    for listed in (pairs, shuffled, shuffled[: len(shuffled) // 2]):
+        _assert_same_certificate(H._path_conditions(listed, free), _listed(every, listed))
+
+
+def test_a_large_build_forms_no_tables_of_the_free_slices(monkeypatch):
+    # round 1 of H^2(F128, Z/2) reads its conditions off the tree paths:
+    # no table of the s' unit slice vectors is formed
+    f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
+    calls = []
+    tables = CohomologyGroup._tables_from_slices
+    monkeypatch.setattr(
+        CohomologyGroup, "_tables_from_slices", lambda self, S: calls.append(len(S)) or tables(self, S)
+    )
+    H = cohomology(trivial_module(f128, FinAbGroup((2,))), 2)
+    width = int(_free_slices(H).sum())
+    # only the later passes form tables, of the generators they check
+    assert calls and sum(calls) < width
+    assert len(H.z_gauge) == calls[-1]
 
 
 # mixed-order trivial coefficients and induced modules with a nontrivial

@@ -572,14 +572,26 @@ def test_generating_set_matches_the_greedy_loop():
         assert minimal_generating_set(G) == _greedy_generators_loop(G)
 
 
+def _distances(G, gens, roots) -> dict:
+    """Distance of each element from the roots in the Cayley graph g -> x g."""
+    dist = {r: 0 for r in roots}
+    frontier, d = list(roots), 0
+    while frontier:
+        d += 1
+        frontier = [f for f in dict.fromkeys(G.op(x, g) for g in frontier for x in gens) if f not in dist]
+        dist.update((f, d) for f in frontier)
+    return dist
+
+
 def test_generator_tree_reaches_each_element_once_from_its_parent():
     """Each non-root element once, as gens[i] * parent, in first-visit order:
-    parents in the order they were reached, then generator indices."""
+    parents in the order they were reached, then generator indices; the
+    level bounds cut the tree at each distance from the roots."""
     f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
     for G in [*(named_group(name) for name in ALL_NAMES), f128]:
         gens = minimal_generating_set(G) or [0]
         for roots in ([0], gens):
-            tree = generator_tree(G, gens, roots)
+            tree, bounds = generator_tree(G, gens, roots)
             order = list(roots) + [f for f, _, _ in tree]
             assert sorted(order) == list(range(G.size))
             visit = {g: k for k, g in enumerate(order)}
@@ -587,6 +599,11 @@ def test_generator_tree_reaches_each_element_once_from_its_parent():
                 assert visit[g] < visit[f] and f == G.op(gens[i], g)
             keys = [(visit[g], i) for _, i, g in tree]
             assert keys == sorted(keys)
+            dist = _distances(G, gens, roots)
+            assert bounds[0] == 0 and bounds[-1] == len(tree)
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))
+            for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
+                assert all(dist[f] == d and dist[g] == d - 1 for f, _, g in tree[a:b])
     with pytest.raises(AssertionError, match="does not reach every element"):
         generator_tree(named_group("C4"), [2], [0])
 
