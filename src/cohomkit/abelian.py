@@ -220,14 +220,19 @@ class AbHom:
 # ---------------------------------------------------------------------------
 
 
-def scaled_rows(matrix, orders, L: int) -> np.ndarray:
+def scaled_rows(matrix, orders, L: int, out: np.ndarray | None = None) -> np.ndarray:
     """Conditions with values in Z/orders[i] (row i) as conditions mod L.
 
     Row i is reduced mod orders[i], then multiplied by L // orders[i]; each
-    orders[i] must divide L.  Every entry of the result is below L.
+    orders[i] must divide L.  Every entry of the result is below L.  The
+    rows are the last axis but one, so a stack of matrices with the same
+    rows is scaled at once.  With ``out``, which may be ``matrix`` itself,
+    the result is written there.
     """
     orders = np.asarray(orders, dtype=np.int64).reshape(-1, 1)
-    return np.asarray(matrix, dtype=np.int64) % orders * (L // orders)
+    out = np.remainder(np.asarray(matrix, dtype=np.int64), orders, out=out)
+    out *= L // orders
+    return out
 
 
 def _order_lattice(orders) -> np.ndarray:

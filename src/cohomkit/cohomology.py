@@ -37,8 +37,9 @@ tree path of its element (the spanning-tree normalization of Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, ch. 7): a root x gives
 u(x, w) = u(x, e w), and the edge f = x g gives u(f, w) = x.u(g, w) +
 u(x, g w), its term -u(x, g) being a tree slot, 0 in the gauge.  So
-u(f, w) = sum_t P_t u(X[i_t], h_t w) over the path terms (i_t, h_t, P_t) of
-f, formed one tree level at a time, and the condition at (x, g),
+u(f, w) = sum_t act(f F_t^-1) u(X[i_t], h_t w) over the path terms
+(i_t, h_t) of f, formed one tree level at a time, where F_t = X[i_t] h_t is
+the node of the path at depth t, and the condition at (x, g),
 u(x g, w) - x.u(g, w) - u(x, g w) + u(x, g), is a signed sum of path
 terms on each unit slice; on F128 that is 12 pairs against 388 tables of
 128 x 128.  The later passes still check every pair on tables, and the
@@ -173,22 +174,12 @@ class CohomologyGroup:
         tree, bounds = generator_tree(self.module.group, self.X, self.X)
         self._tree = np.array(tree, dtype=np.int64).reshape(-1, 3)
         # the edges by depth d: (d, fs, xis, xs, gs), each parent g at depth
-        # d - 1, so a level is filled in one step; a level of one edge holds
-        # scalars, so that its step reads views
+        # d - 1, so a level is filled in one step
         fs, js, gs = self._tree.T
         xs = np.asarray(self.X, dtype=np.int64)[js]
-        self._levels = []
-        for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
-            if b - a == 1:
-                f, j, g = tree[a]
-                self._levels.append((d, f, j, self.X[j], g))
-            else:
-                self._levels.append((d, fs[a:b], js[a:b], xs[a:b], gs[a:b]))
-
-    def _trivially(self, x) -> bool:
-        """Whether x, one element or an array of them, acts as the identity."""
-        trivial = self._acts_trivially[x]
-        return trivial.all() if isinstance(x, np.ndarray) else trivial
+        self._levels = [
+            (d, fs[a:b], js[a:b], xs[a:b], gs[a:b]) for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1)
+        ]
 
     def _law_rhs(self, T: np.ndarray, x, g) -> np.ndarray:
         """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
@@ -199,7 +190,7 @@ class CohomologyGroup:
         gains a leading axis over g); x is one generator, or an array of
         them, one per element of the index array g.
         """
-        if self._trivially(x):
+        if self._acts_trivially[x].all():
             acted = T[g]
         else:  # the action broadcast over w
             acted = np.matmul(self.module.act[x][..., None, :, :], T[g]) % self.L
@@ -218,7 +209,7 @@ class CohomologyGroup:
         step per depth."""
         orders = self._orders[:, None]
         for _, fs, _, xs, gs in self._levels:
-            acted = T[gs] if self._trivially(xs) else np.matmul(self.module.act[xs], T[gs])
+            acted = T[gs] if self._acts_trivially[xs].all() else np.matmul(self.module.act[xs], T[gs])
             T[fs] = (acted + (T[xs] if edge is None else edge[xs, gs])) % orders
         return T
 
@@ -282,35 +273,27 @@ class CohomologyGroup:
             f"cocycle sampling did not converge in 12 rounds ({len(bad)} of {off_tree.sum()} pairs still violated)"
         )
 
-    def _paths(self) -> tuple[np.ndarray, np.ndarray]:
-        """(terms, P) of leading shape (n, depth + 1): in the gauge, with
-        (xi, h) = terms[f, t], u(f, w) = sum_t P[f, t] u(X[xi], h w), and in
-        degree 1 u(f) = sum_t P[f, t] u(X[xi]).  The padding has P = 0 and
-        terms -1.
+    def _paths(self) -> np.ndarray:
+        """The path terms (xi, h) of every element, shape (n, depth + 1, 2),
+        padded with -1: in the gauge u(f, w) = sum_t act(f F_t^-1) u(X[xi], h w)
+        over the terms (xi, h) = paths[f, t], whose node F_t = X[xi] h is the
+        element at depth t on the tree path of f; in degree 1
+        u(f) = sum_t act(f F_t^-1) u(X[xi]).
 
-        A root x is (x, e, I).  The edge f = x g adds (x, g, I) to x.(the
-        terms of g), since u(x g, w) = x.u(g, w) + u(x, g w) - u(x, g) and
-        u(x, g) is a tree slot, 0 in the gauge.  One step per depth.
+        A root x is the term (x, e).  The edge f = x g adds (x, g) to the
+        terms of g, acted on by x, since u(x g, w) = x.u(g, w) + u(x, g w) -
+        u(x, g) and u(x, g) is a tree slot, 0 in the gauge; so the
+        coefficient of a term is the action of the generators above its
+        node.  One step per depth.
         """
-        slots = len(self._levels) + 1
-        terms = np.full((self.n, slots, 2), -1, dtype=np.int64)
-        terms[self.X, 0, 0] = np.arange(len(self.X))
-        terms[self.X, 0, 1] = 0  # the identity
-        eye = np.eye(self.k, dtype=np.int64)
-        trivial = self._acts_trivially[self.X].all()
-        if not trivial:
-            P = np.zeros((self.n, slots, self.k, self.k), dtype=np.int64)
-            P[self.X, 0] = eye
-        for d, fs, js, xs, gs in self._levels:
-            terms[fs, :d] = terms[gs, :d]
-            terms[fs, d, 0] = js
-            terms[fs, d, 1] = gs
-            if not trivial:
-                P[fs, :d] = np.matmul(self.module.act[xs][..., None, :, :], P[gs, :d]) % self.L
-                P[fs, d] = eye
-        if trivial:
-            P = (terms[:, :, :1, None] >= 0) * eye
-        return terms, P
+        paths = np.full((self.n, len(self._levels) + 1, 2), -1, dtype=np.int64)
+        paths[self.X, 0, 0] = np.arange(len(self.X))
+        paths[self.X, 0, 1] = 0  # the identity
+        for d, fs, js, _, gs in self._levels:
+            paths[fs, :d] = paths[gs, :d]
+            paths[fs, d, 0] = js
+            paths[fs, d, 1] = gs
+        return paths
 
     def _path_conditions(self, pairs: np.ndarray, free: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
         """The conditions of the listed pairs (x index, g) on the unit vectors
@@ -329,26 +312,27 @@ class CohomologyGroup:
             return [], np.zeros((0, width), dtype=np.int64)
         col = np.full(free.shape, width, dtype=np.int64)
         col[free] = np.arange(width)
-        paths, P = self._paths()
-        mul = self.module.group.mul
+        paths = self._paths()
+        G = self.module.group
+        X = np.asarray(self.X, dtype=np.int64)
         js, gs = pairs[:, 0], pairs[:, 1]
-        xs = np.asarray(self.X, dtype=np.int64)[js]
-        fs = mul[xs, gs]
+        fs = G.mul[X[js], gs]
         # the terms of u(x g, .), - x.u(g, .) and - u(x, g .), then + u(x, g)
-        slots = P.shape[1]
+        slots = paths.shape[1]
         count = 2 * slots + self.degree
         terms = np.empty((len(pairs), count, 2), dtype=np.int64)
         terms[:, :slots] = paths[fs]
         terms[:, slots : 2 * slots] = paths[gs]
         terms[:, 2 * slots :] = pairs[:, None]
-        coef = np.empty((len(pairs), count, self.k, self.k), dtype=np.int64)
-        coef[:, :slots] = P[fs]
-        acted = P[gs] if self._trivially(xs) else np.matmul(self.module.act[xs][:, None], P[gs])
-        coef[:, slots : 2 * slots] = acted
-        coef[:, 2 * slots :] = np.eye(self.k, dtype=np.int64)
+        # each term's node F lies on a path that ends at f = x g (x.u(g, .)
+        # extends the path of g by x, and (x, g) is the node f itself), so its
+        # coefficient is act(f F^-1), signed, and 0 on the padding
+        nodes = G.mul[X[terms[:, :, 0]], terms[:, :, 1]]
+        coef = self.module.act[G.mul[fs[:, None], G.inv[nodes]]]  # (pairs, terms, k, k)
+        coef[terms[:, :, 0] < 0] = 0
         coef[:, slots : 2 * slots + 1] *= -1
         if self.degree == 2:
-            elems = mul[terms[:, :, 1]]  # (pairs, terms, W): h w
+            elems = G.mul[terms[:, :, 1]]  # (pairs, terms, W): h w
             elems[:, -1] = gs[:, None]  # u(x, g) at every w
             cols = col[terms[:, :, :1], elems]  # (pairs, terms, W, k')
         else:
@@ -360,11 +344,9 @@ class CohomologyGroup:
         out = np.zeros((len(pairs), self.W * self.k, width + 1), dtype=np.int64)
         np.add.at(out.reshape(-1), index, coef[:, :, None])
         del index, cols
-        # reduced and scaled in place as scaled_rows does it, so the only
-        # other array of this size is the copy of the pairs hit
-        orders = np.tile(self._orders, self.W)[:, None]
-        out %= orders
-        out *= self.L // orders
+        # scaled in place, so the only other array of this size is the copy
+        # of the pairs hit
+        scaled_rows(out, np.tile(self._orders, self.W), self.L, out=out)
         hit = out[:, :, :width].any(axis=(1, 2))
         return [tuple(p) for p in pairs[hit].tolist()], out[hit, :, :width].reshape(-1, width)
 
