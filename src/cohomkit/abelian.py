@@ -538,22 +538,28 @@ class DualPairing:
 # ---------------------------------------------------------------------------
 
 
-def primary_multiset(A: FinAbGroup) -> Counter:
-    out: Counter = Counter()
+def _prime_powers(A: FinAbGroup) -> list[tuple[int, int]]:
+    """(p, p^e) for each prime power p^e exactly dividing an order of A, by
+    trial division: one pair per order and prime."""
+    out = []
     for n in A.orders:
         m = n
         p = 2
         while p * p <= m:
             if m % p == 0:
-                e = 0
+                q = 1
                 while m % p == 0:
                     m //= p
-                    e += 1
-                out[p**e] += 1
+                    q *= p
+                out.append((p, q))
             p += 1
         if m > 1:
-            out[m] += 1
+            out.append((m, m))
     return out
+
+
+def primary_multiset(A: FinAbGroup) -> Counter:
+    return Counter(q for _, q in _prime_powers(A))
 
 
 def same_invariants(A: FinAbGroup, B: FinAbGroup) -> bool:
@@ -563,9 +569,8 @@ def same_invariants(A: FinAbGroup, B: FinAbGroup) -> bool:
 
 def invariant_factors(A: FinAbGroup) -> list[int]:
     by_prime: dict[int, list[int]] = {}
-    for q, mult in primary_multiset(A).items():
-        p = min(f for f in range(2, q + 1) if q % f == 0)
-        by_prime.setdefault(p, []).extend([q] * mult)
+    for p, q in _prime_powers(A):
+        by_prime.setdefault(p, []).append(q)
     for p in by_prime:
         by_prime[p].sort(reverse=True)
     depth = max((len(v) for v in by_prime.values()), default=0)

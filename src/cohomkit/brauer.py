@@ -98,8 +98,11 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
     box = np.array([G.order_of(g) for g in gens], dtype=np.int64)
     eye = np.eye(k, dtype=np.int64)
     vec = np.zeros((G.size, k), dtype=np.int64)
-    for f, i, g in generator_tree(G, gens, [0])[0]:
-        vec[f] = vec[g] + eye[i]
+    levels = generator_tree(G, gens, [0])
+    if 1 + sum(level.shape[1] for level in levels) != G.size:
+        raise AssertionError("generating set does not reach every element")
+    for fs, js, gs in levels:
+        vec[fs] = vec[gs] + eye[js]
     relations = (vec[:, None, :] + eye - vec[G.mul[gens].T]) % box  # [g, i]: x_i g = G.mul[gens[i], g]
     pres = Presentation(tuple(box.tolist()), eye, relations.reshape(-1, k))
     classes = np.array([pres.class_coords(e).coords for e in eye], dtype=np.int64)  # row i: class of e_i
@@ -196,28 +199,17 @@ def b0_closed_form_cp(datum: BKDatum) -> FinAbGroup:
 
 
 def lambda_middle_identity(datum: BKDatum) -> bool:
-    """lambda is phi on the mixed summand and zero on both wedge summands."""
+    """lambda is phi on the mixed summand and zero on both wedge summands.
+
+    Read off the blocks of the antisymmetrized pairing Phi(a, b) - Phi(b, a)
+    over M + M: the block (x, y') must equal phi(x (x) y'), and the blocks
+    (x, x') and (y, y') must vanish.
+    """
     cp = datum.cp
     km = cp.ka // 2
-    eye = np.eye(km, dtype=np.int64)
-    zero = np.zeros(km, dtype=np.int64)
-    for i in range(km):
-        for j in range(km):
-            xi = np.concatenate([eye[i], zero])
-            yj = np.concatenate([zero, eye[j]])
-            xj = np.concatenate([eye[j], zero])
-            yi = np.concatenate([zero, eye[i]])
-            mixed = (cp.pair(xi, yj) - cp.pair(yj, xi)) % cp.zmods
-            want = datum.phi.apply_coords(
-                datum.tensorMM.pair_coords(eye[i], eye[j])
-            )
-            if (mixed != want).any():
-                return False
-            left = (cp.pair(xi, xj) - cp.pair(xj, xi)) % cp.zmods
-            right = (cp.pair(yi, yj) - cp.pair(yj, yi)) % cp.zmods
-            if left.any() or right.any():
-                return False
-    return True
+    anti = cp._antisymmetrized()
+    phi = datum.phi.matrix.reshape(cp.kz, km, km) % cp.zmods.reshape(-1, 1, 1)
+    return bool((anti[:, :km, km:] == phi).all() and not anti[:, :km, :km].any() and not anti[:, km:, km:].any())
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +284,7 @@ def commuting_pair_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return sorted(maximal, key=lambda s: s.members)
 
 
-def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26, max_order: int = 256) -> FinAbGroup:
+def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26) -> FinAbGroup:
     """B0(F) by Bogomolov's criterion, with Z/|F| coefficients.
 
     B0(F) is the kernel of H^2(F, Q/Z) -> prod_A H^2(A, Q/Z) over the abelian
@@ -306,8 +298,6 @@ def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26, max_order: int = 256) -
     The carries that pass from Z/N to Q/Z coefficients must have omega = 0
     on those pairs; this is re-checked on every call.
     """
-    if F.size > max_order:
-        raise ValueError(f"|F| = {F.size} exceeds the oracle bound {max_order}")
     N = F.size
     H2, pres, carries = _qz_presentation(F, N, work_bound=work_bound)
     P = pres.group

@@ -64,7 +64,14 @@ whose group is never asked for, such as one that only tests cocycles,
 forms neither.  The full B, n k rows in degree 2, is formed only where it
 is read: ``b_rows``, ``z_rows`` = [B; Z'] and the enumeration of every
 cocycle.  Degree 1 has no gauge, and there B' = B.
-The trivial group takes the same path with X = {e}.
+
+Every table is filled by one walk down the levels of the generator tree,
+T(x g) = x.T(g) + edge(x, g), one step per level: the edge is the law's
+other terms when slice vectors are expanded to cochain tables, T(x) when
+root values are extended to the 1-cochains behind B', and u(x, g) when a
+cochain u is moved into the gauge.  Degree 0 reads the same generating
+set: m is fixed by G exactly when x.m = m for every x in X, |X| k
+conditions.  The trivial group takes the same path with X = {e}.
 """
 
 from __future__ import annotations
@@ -121,8 +128,8 @@ class CohomologyGroup:
 
     Every group, the trivial one included with X = {e}, builds Z' and B'
     (``z_gauge`` and ``b_gauge``, Z and B in the tree gauge) from the
-    generator slices; degree 0 reads the fixed points directly, and its B'
-    is empty.  The presentation of Z'/B', and with it ``group``, is formed
+    generator slices; degree 0 solves x.m = m for x in X, and its B' is
+    empty.  The presentation of Z'/B', and with it ``group``, is formed
     on first read.
     """
 
@@ -138,79 +145,75 @@ class CohomologyGroup:
         self.k = module.ab.rank
         self.L = module.ab.exponent
         self._orders = np.array(module.ab.orders, dtype=np.int64)
+        # elements acting as the identity skip the matmul in _acted
+        self._acts_trivially = (module.act == np.eye(self.k, dtype=np.int64)).all(axis=(1, 2))
+        # over the trivial group X = {e}: e fixes M in degree 0, the law at
+        # (e, e) forces u(e) = 0 in degree 1 and imposes nothing in degree 2,
+        # where B^2 = M
+        self.X = minimal_generating_set(G) or [0]
         if degree == 0:
             self._init_degree0()
             return
-        # over the trivial group X = {e}: the law at (e, e) forces u(e) = 0
-        # in degree 1 and imposes nothing in degree 2, where B^2 = M
-        self.X = minimal_generating_set(G) or [0]
         self.W = self.n ** (degree - 1)
         self.s = len(self.X) * self.W * self.k
         entries = self.n * self.W * max(self.k, 1) * max(self.s, 1)
         if entries > work_bound:
             raise BoundExceeded(f"slice tableau of {entries} entries exceeds bound {work_bound}")
-        self._build_tree()
+        # level d holds the edges (f, xi, g) with f = X[xi] g at depth d and g
+        # at depth d - 1: the law at (X[xi], g) gives u(f, .), so a level is
+        # filled in one step
+        self._levels = generator_tree(G, self.X, self.X)
+        if len(self.X) + sum(level.shape[1] for level in self._levels) != self.n:
+            raise AssertionError("generating set does not reach every element")
         self._compute_coboundaries()
         self._compute_cocycles()
 
     # -- degree 0 ------------------------------------------------------------
 
     def _init_degree0(self):
-        M = self.module
-        # fixed points: (g - 1) m = 0 for every g, one condition row per (g, i)
-        A = (M.act - np.eye(self.k, dtype=np.int64)).reshape(self.n * self.k, self.k)
-        self.z_gauge = _kernel_uniform(scaled_rows(A, M.ab.orders * self.n, self.L), self.L)
+        # fixed points: (x - 1) m = 0 for every x in X, one condition row per
+        # (x, i); an element fixed by the generators is fixed by G
+        A = (self.module.act[self.X] - np.eye(self.k, dtype=np.int64)).reshape(len(self.X) * self.k, self.k)
+        self.z_gauge = _kernel_uniform(scaled_rows(A, self.module.ab.orders * len(self.X), self.L), self.L)
         self.b_gauge = np.zeros((0, self.k), dtype=np.int64)
-        self.X = []
         self.W = 1
         self.s = self.k
 
     # -- tree -----------------------------------------------------------------
 
-    def _build_tree(self):
-        # elements acting as the identity skip the matmul in _law_rhs
-        self._acts_trivially = (self.module.act == np.eye(self.k, dtype=np.int64)).all(axis=(1, 2))
-        # (f, xi, g): the law at (X[xi], g) gives u(f, .), f = X[xi] g
-        tree, bounds = generator_tree(self.module.group, self.X, self.X)
-        self._tree = np.array(tree, dtype=np.int64).reshape(-1, 3)
-        # the edges by depth d: (d, fs, xis, xs, gs), each parent g at depth
-        # d - 1, so a level is filled in one step
-        fs, js, gs = self._tree.T
-        xs = np.asarray(self.X, dtype=np.int64)[js]
-        self._levels = [
-            (d, fs[a:b], js[a:b], xs[a:b], gs[a:b]) for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1)
-        ]
+    def _acted(self, T: np.ndarray, x, g) -> np.ndarray:
+        """x.T(g) for batch-last tables T, shape (n, ..., k, b): the action of
+        x on T[g], broadcast over the middle axes, not reduced.
 
-    def _law_rhs(self, T: np.ndarray, x, g) -> np.ndarray:
-        """u(x g, .) as the cocycle law gives it from u(g, .) and u(x, .), not reduced.
-
-        Degree 1: x.u(g) + u(x).  Degree 2: x.u(g, w) + u(x, g w) - u(x, g).
-        T holds batch-last tables (n, W, k, b); g is one element, or an
-        index array or ``slice(None)`` for several at once (then the result
-        gains a leading axis over g); x is one generator, or an array of
-        them, one per element of the index array g.
+        x (generators) and g (elements) broadcast together: scalars, index
+        arrays, or ``slice(None)`` for g; the result broadcasts to their
+        axes followed by the middle, k and b axes.
         """
         if self._acts_trivially[x].all():
-            acted = T[g]
-        else:  # the action broadcast over w
-            acted = np.matmul(self.module.act[x][..., None, :, :], T[g]) % self.L
+            return T[g]
+        act = self.module.act[x]
+        act = act.reshape(act.shape[:-2] + (1,) * (T.ndim - 3) + act.shape[-2:])
+        return np.matmul(act, T[g])
+
+    def _law_terms(self, T: np.ndarray, x, g) -> np.ndarray:
+        """The terms of the cocycle law's u(x g, .) other than x.u(g, .), on
+        batch-last tables T, shape (n, W, k, b), not reduced: u(x) in degree
+        1, u(x, g w) - u(x, g) in degree 2.  x and g as in ``_acted``."""
         if self.degree == 1:
-            return acted + T[x]
-        mul = self.module.group.mul
-        out = T[x[:, None], mul[g]] if isinstance(x, np.ndarray) else T[x][mul[g]]
-        out += acted
+            return T[x]
+        out = T[np.asarray(x)[..., None], self.module.group.mul[g]]
         out -= T[x, g][..., None, :, :]  # broadcast over w
         return out
 
-    def _walk(self, T: np.ndarray, edge: np.ndarray | None = None) -> np.ndarray:
-        """Fill batch-last 1-cochain tables T, shape (n, k, b), given on the
-        roots X, along the tree: T(x g) = x.T(g) + edge(x, g), with ``edge``
-        batch-last 2-cochain tables (n, n, k, b), or + T(x) without it; one
-        step per depth."""
+    def _walk(self, T: np.ndarray, edge) -> np.ndarray:
+        """Fill batch-last tables T, shape (n, ..., k, b), given on the roots
+        X, along the tree, one step per depth: T(x g) = x.T(g) + edge(T, x, g),
+        reduced mod the orders."""
+        X = np.asarray(self.X, dtype=np.int64)
         orders = self._orders[:, None]
-        for _, fs, _, xs, gs in self._levels:
-            acted = T[gs] if self._acts_trivially[xs].all() else np.matmul(self.module.act[xs], T[gs])
-            T[fs] = (acted + (T[xs] if edge is None else edge[xs, gs])) % orders
+        for fs, js, gs in self._levels:
+            xs = X[js]
+            T[fs] = (self._acted(T, xs, gs) + edge(T, xs, gs)) % orders
         return T
 
     def _gauge(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -224,19 +227,22 @@ class CohomologyGroup:
         b = U.shape[-1]
         if self.degree < 2:
             return U[self.X].reshape(self.s, b).T if self.degree else U.T, None
-        t = self._walk(np.zeros((self.n, self.k, b), dtype=np.int64), U)
-        vecs = np.empty((len(self.X), self.n, self.k, b), dtype=np.int64)
-        for xi, x in enumerate(self.X):  # u(x, w) + x.t(w) - t(x w), as t(x) = 0
-            acted = t if self._acts_trivially[x] else np.matmul(self.module.act[x], t)
-            vecs[xi] = U[x] + acted - t[self.module.group.mul[x]]
+        t = self._walk(np.zeros((self.n, self.k, b), dtype=np.int64), lambda t, x, g: U[x, g])
+        # u(x, w) + x.t(w) - t(x w), as t(x) = 0; each term the size of vecs
+        X = np.asarray(self.X, dtype=np.int64)
+        vecs = U[X]
+        vecs += self._acted(t, X[:, None], slice(None))
+        vecs -= t[self.module.group.mul[X]]
         vecs %= self._orders[:, None]
         return vecs.reshape(self.s, b).T, t
 
     def _defect(self, T: np.ndarray, x: int, g) -> np.ndarray:
         """u(x g, .) minus the law's right-hand side, reduced mod the orders:
-        zero exactly where du(x, g, .) = 0.  ``T`` and ``g`` as in ``_law_rhs``."""
-        diff = self._law_rhs(T, x, g)
-        np.subtract(T[self.module.group.mul[x, g]], diff, out=diff)
+        zero exactly where du(x, g, .) = 0.  ``T`` as in ``_law_terms``, and
+        g an index array or ``slice(None)``."""
+        diff = T[self.module.group.mul[x, g]]
+        diff -= self._acted(T, x, g)
+        diff -= self._law_terms(T, x, g)
         diff %= self._orders[:, None]
         return diff
 
@@ -245,7 +251,8 @@ class CohomologyGroup:
     def _compute_cocycles(self):
         # the pairs (x, g) whose condition the tree does not already impose
         off_tree = np.ones((len(self.X), self.n), dtype=bool)
-        off_tree[self._tree[:, 1], self._tree[:, 2]] = False
+        for _, js, gs in self._levels:
+            off_tree[js, gs] = False
         pairs = np.argwhere(off_tree)
         per_pair = self.W * self.k
         target_rows = max(3 * self.s, 64)
@@ -289,7 +296,7 @@ class CohomologyGroup:
         paths = np.full((self.n, len(self._levels) + 1, 2), -1, dtype=np.int64)
         paths[self.X, 0, 0] = np.arange(len(self.X))
         paths[self.X, 0, 1] = 0  # the identity
-        for d, fs, js, _, gs in self._levels:
+        for d, (fs, js, gs) in enumerate(self._levels, 1):
             paths[fs, :d] = paths[gs, :d]
             paths[fs, d, 0] = js
             paths[fs, d, 1] = gs
@@ -404,11 +411,8 @@ class CohomologyGroup:
         """
         b = slices.shape[0]
         T = np.zeros((self.n, self.W, self.k, b), dtype=np.int64)
-        T[self.X] = slices.T.reshape(len(self.X), self.W, self.k, b)
-        for _, fs, _, xs, gs in self._levels:
-            T[fs] = self._law_rhs(T, xs, gs) % self.L
-        T %= self._orders[:, None]
-        return T
+        T[self.X] = slices.T.reshape(len(self.X), self.W, self.k, b) % self._orders[:, None]
+        return self._walk(T, self._law_terms)
 
     # -- coboundaries ----------------------------------------------------------
 
@@ -428,7 +432,7 @@ class CohomologyGroup:
         b = roots.shape[-1]
         T = np.zeros((self.n, self.k, b), dtype=np.int64)
         T[self.X] = roots.reshape(len(self.X), self.k, b)
-        return self._walk(T)
+        return self._walk(T, lambda T, x, g: T[x])
 
     def _coboundary_rows(self, tables: np.ndarray) -> np.ndarray:
         """Slice coordinates of d of each (r-1)-cochain table, one row each;
@@ -512,11 +516,9 @@ class CohomologyGroup:
         """Exact check of the law on the cochain's own table at every
         generator slot (degree 1, 2); see the module docstring."""
         self._check_cochain(c)
-        if self.degree == 0:
-            return all(
-                (self.module.apply(g, c.table) == c.table).all()
-                for g in self.module.group.elements()
-            )
+        if self.degree == 0:  # x.m = m for every x in X, m a table on one element
+            T = c.table.reshape(1, self.k, 1)
+            return not ((self._acted(T, np.asarray(self.X), 0) - T[0]) % self._orders[:, None]).any()
         T = c.table.reshape(self.n, self.W, self.k, 1)
         return not any(self._defect(T, x, slice(None)).any() for x in self.X)
 

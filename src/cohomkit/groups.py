@@ -60,18 +60,20 @@ class FiniteGroup:
             raise ValueError("multiplication table entries out of range")
         if (self.mul[0] != np.arange(n)).any() or (self.mul[:, 0] != np.arange(n)).any():
             raise ValueError("index 0 is not an identity element")
-        if n <= 256:
-            # a few values of a at a time: two (block, n, n) arrays of about
-            # 1 MiB each, not two n^3 arrays (32 MiB each at n = 128)
-            step = max(1, (1 << 17) // (n * n))
-            for a0 in range(0, n, step):
-                rows = self.mul[a0 : a0 + step]
-                ok = self.mul[rows] == rows[:, self.mul]  # (a*b)*c == a*(b*c)
-                if not ok.all():
-                    a, b, c = np.argwhere(~ok)[0]
-                    raise ValueError(
-                        f"multiplication table not associative at triple {(a0 + a, b, c)}"
-                    )
+        # Light's test: the elements s with (x s) y = x (s y) for every x, y
+        # are closed under products, so checking them on a set that generates
+        # the table from the identity checks every triple; one s at a time
+        gens, reached = [], np.zeros(n, dtype=bool)
+        reached[0] = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            for children, _, _ in generator_tree(self, gens, [0]):
+                reached[children] = True
+        for s in gens:
+            ok = self.mul[self.mul[:, s]] == self.mul[:, self.mul[s]]
+            if not ok.all():
+                x, y = np.argwhere(~ok)[0].tolist()
+                raise ValueError(f"multiplication table not associative at triple {(x, s, y)}")
         for g in range(n):
             if sorted(self.mul[g]) != list(range(n)):
                 raise ValueError(f"row {g} is not a permutation")
@@ -151,17 +153,11 @@ def cosets(mul: np.ndarray, members) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    """The subgroup generated by gens: closure of {1} under right
-    multiplication by the generators, which in a finite group is a group."""
-    gens = np.array([int(g) for g in gens], dtype=np.int64)
-    seen = np.zeros(G.size, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size and gens.size:
-        step = np.unique(G.mul[np.ix_(frontier, gens)])
-        frontier = step[~seen[step]]
-        seen[frontier] = True
-    return Subgroup.make(G, np.flatnonzero(seen))
+    """The subgroup generated by gens: the vertices of the generator tree
+    from the identity, the closure of {1} under multiplication by the
+    generators, which in a finite group is a group."""
+    levels = generator_tree(G, [int(g) for g in gens], [0])
+    return Subgroup.make(G, np.concatenate([[0], *(children for children, _, _ in levels)]))
 
 
 def minimal_generating_set(G: FiniteGroup) -> list[int]:
@@ -179,35 +175,34 @@ def minimal_generating_set(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def generator_tree(G: FiniteGroup, gens, roots) -> tuple[list[tuple[int, int, int]], list[int]]:
+def generator_tree(G: FiniteGroup, gens, roots) -> list[np.ndarray]:
     """A breadth-first tree of the Cayley graph of gens, grown from roots.
 
-    One (child, generator index i, parent) triple per element outside roots,
-    with child = gens[i] * parent, in first-visit order: parents in the order
-    they were visited, then generators.  So every parent comes before its
-    children, and a word for each element can be read off in one pass.
-    Also returns the bounds of the breadth-first levels: the children at
-    distance d from the roots are ``tree[bounds[d - 1]:bounds[d]]``, and
-    each of their parents lies at distance d - 1.
+    Level d, an int64 array of shape (3, m), holds the m elements at
+    distance d from the roots as rows (children, generator indices i,
+    parents), child = gens[i] * parent, each parent at distance d - 1, in
+    first-visit order: parents in the order they were visited, then
+    generators.  So a word for each element, or a table over the elements,
+    can be built one level at a time.  The tree spans the elements that
+    words in gens reach from roots; a caller that needs the whole group
+    checks that the levels cover it.
     """
     rows = G.mul[list(gens)].tolist()
-    order = list(roots)
-    seen = set(order)
-    tree = []
-    bounds, level_end = [0], len(order)
-    for pos, g in enumerate(order):  # the loop also visits the children appended below
-        if pos == level_end:  # g starts the next level
-            bounds.append(len(tree))
-            level_end = len(order)
-        for i, row in enumerate(rows):
-            f = row[g]
-            if f not in seen:
-                seen.add(f)
-                order.append(f)
-                tree.append((f, i, g))
-    if len(order) != G.size:
-        raise AssertionError("generating set does not reach every element")
-    return tree, bounds
+    frontier = list(roots)
+    seen = set(frontier)
+    levels = []
+    while True:
+        level = []
+        for g in frontier:
+            for i, row in enumerate(rows):
+                f = row[g]
+                if f not in seen:
+                    seen.add(f)
+                    level.append((f, i, g))
+        if not level:
+            return levels
+        levels.append(np.array(level, dtype=np.int64).T)
+        frontier = [f for f, _, _ in level]
 
 
 def center_subgroup(G: FiniteGroup) -> Subgroup:

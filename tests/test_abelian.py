@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -248,6 +249,13 @@ def test_invariant_factors_and_comparisons():
     assert is_cyclic(FinAbGroup((2, 3))) and not is_cyclic(FinAbGroup((2, 2)))
     assert same_invariants(FinAbGroup((6,)), FinAbGroup((2, 3)))
     assert not same_invariants(FinAbGroup((8,)), FinAbGroup((2, 4)))
+
+
+def test_invariant_factors_of_a_large_prime_order_take_no_scan_over_the_order():
+    start = time.perf_counter()
+    assert invariant_factors(FinAbGroup((2**31 - 1,))) == [2**31 - 1]
+    assert invariant_factors(FinAbGroup((2**31 - 1, 6, 4))) == [12 * (2**31 - 1), 2]
+    assert time.perf_counter() - start < 1
 
 
 def test_presentation_roundtrip_random():

@@ -44,6 +44,7 @@ from cohomkit.crossed import build_bk
 from cohomkit.fixtures import class_two_group
 from cohomkit.intmat import ModSpan
 from cohomkit.cochain import Cochain
+from cohomkit.cohomology import BoundExceeded
 from cohomkit.groups import (
     GModule,
     Subgroup,
@@ -202,8 +203,8 @@ def test_oracle_full_abelian_sweep_meta_check(name):
 def test_oracle_bound_rejected():
     d = build_bk(FinAbGroup((2,)), cyclic_group(2))
     F, _ = d.cp.as_table_group(cap=512)
-    with pytest.raises(ValueError):
-        b0_oracle(F, max_order=64)
+    with pytest.raises(BoundExceeded, match="exceeds bound"):
+        b0_oracle(F, work_bound=1 << 20)
     # the 2^14 instance cannot even be materialized as a table
     d3 = build_bk(FinAbGroup((2,)), cyclic_group(3))
     with pytest.raises(ValueError):
@@ -302,6 +303,15 @@ def test_lambda_middle_identity_on_family():
     for orders, gname in [((2,), "C2"), ((2,), "C3"), ((3,), "C2")]:
         d = build_bk(FinAbGroup(orders), named_group(gname))
         assert lambda_middle_identity(d)
+
+
+@pytest.mark.parametrize("block", ["mixed", "wedge x", "wedge y"])
+def test_lambda_middle_identity_fails_after_a_one_entry_change(block):
+    d = build_bk(FinAbGroup((2,)), named_group("C2"))
+    km = d.cp.ka // 2
+    i, j = {"mixed": (0, km), "wedge x": (0, 1), "wedge y": (km, km + 1)}[block]
+    d.cp.phi_tensor[0, i, j] += 1
+    assert not lambda_middle_identity(d)
 
 
 def test_commuting_pair_subgroups_are_abelian_and_maximal():

@@ -42,6 +42,7 @@ from cohomkit.groups import (
     direct_product,
     generated_subgroup,
     induced_module,
+    minimal_generating_set,
     named_group,
     subgroup_group,
     trivial_module,
@@ -151,8 +152,8 @@ def _tree_slots(H) -> np.ndarray:
     """Mask of the slice entries u(x, g) on the tree edges (x g, x, g); none in degree 1."""
     slots = np.zeros((len(H.X), H.W, H.k), dtype=bool)
     if H.degree == 2:
-        for _, xi, g in H._tree:
-            slots[xi, g] = True
+        for _, xis, gs in H._levels:
+            slots[xis, gs] = True
     return slots.reshape(-1)
 
 
@@ -578,7 +579,7 @@ def test_trivial_group_runs_the_generator_slot_path(orders):
     H0, H1, H2 = (cohomology(M, r) for r in range(3))
     for r, H in enumerate((H0, H1, H2)):
         assert H.size == cyclic_cohomology_size(M, r)
-        assert H.X == ([] if r == 0 else [0])
+        assert H.X == [0]
     zero, one = np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)
     assert same_invariants(H0.group, FinAbGroup(orders))
     m = Cochain(M, 0, one)
@@ -748,6 +749,37 @@ CERTIFICATE_MODULES = {
 }
 
 
+def _sign_module():
+    """C2 x C2 on Z/3 + Z/3, each generator negating one coordinate: either
+    generator alone fixes a line, the two together only 0."""
+    G = named_group("C2xC2")
+    a, b = minimal_generating_set(G)
+    act = np.broadcast_to(np.eye(2, dtype=np.int64), (4, 2, 2)).copy()
+    for g, signs in ((a, [2, 1]), (b, [1, 2]), (G.op(a, b), [2, 2])):
+        act[g] = np.diag(signs)
+    return GModule(G, FinAbGroup((3, 3)), act)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_MODULES) + ["C2xC2 by signs on C3xC3"])
+def test_degree_zero_reads_the_fixed_points_on_the_generators(name):
+    """H^0 solves (x - 1) m = 0 for x in the generating set X only:
+    span(z_gauge) is the kernel of the conditions of every element, and
+    is_cocycle agrees with m being fixed by every element."""
+    M = CERTIFICATE_MODULES.get(name, _sign_module)()
+    H = cohomology(M, 0)
+    assert H.X == minimal_generating_set(M.group)
+    n, k, orders = M.group.size, M.ab.rank, M.ab.orders
+    every = scaled_rows((M.act - np.eye(k, dtype=np.int64)).reshape(n * k, k), orders * n, H.L)
+    assert _same_subgroup(H, H.z_gauge, kernel_uniform(every, H.L))
+    verdicts = set()
+    for m in itertools.product(*map(range, orders)):
+        m = np.array(m, dtype=np.int64)
+        fixed = all((M.apply(g, m) == m).all() for g in M.group.elements())
+        assert H.is_cocycle(Cochain(M, 0, m)) == fixed
+        verdicts.add(fixed)
+    assert verdicts == ({True, False} if (M.act != np.eye(k, dtype=np.int64)).any() else {True})
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_MODULES))
 def test_violating_pairs_match_the_differential(name, degree):
@@ -821,7 +853,7 @@ def test_round_one_reads_the_certificate_rows_off_the_tree_paths(monkeypatch, na
     ((pairs, free),) = drawn
     assert np.array_equal(free, _free_slices(H))
     if name == "D8xD8 on Z2":  # a sampled build: fewer pairs than the off-tree ones
-        assert len(pairs) < len(H.X) * H.n - len(H._tree)
+        assert len(pairs) < len(H.X) * H.n - sum(len(fs) for fs, _, _ in H._levels)
     every = H._certificate(np.eye(H.s, dtype=np.int64)[free.reshape(-1)])
     everything = np.argwhere(np.ones((len(H.X), H.n), dtype=bool))
     shuffled = everything[np.random.default_rng(H.n).permutation(len(everything))]

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomkit.abelian import AbHom, FinAbGroup, TensorProduct, is_cyclic
+from cohomkit.cohomology import cohomology
 from cohomkit.crossed import build_bk
 from cohomkit.groups import (
     GROUP_CATALOG,
     CosetSection,
+    FiniteGroup,
     GModule,
     LocalizationContext,
     OmegaDecomposition,
@@ -69,6 +71,36 @@ def test_bad_table_rejected_with_triple():
     bad = np.array([[0, 1], [1, 1]])
     with pytest.raises(ValueError):
         named_group("C2").__class__(bad)
+
+
+@pytest.mark.parametrize("n", [8, 258])
+def test_a_swapped_intercalate_is_refused_at_every_order(n):
+    """C_n with the intercalate at rows and columns 1 and n/2 + 1 swapped is
+    a Latin square with identity 0 that is not associative."""
+    half = n // 2 + 1
+    mul = cyclic_group(n).mul.copy()
+    mul[np.ix_([1, half], [1, half])] = mul[np.ix_([1, half], [half, 1])]
+    with pytest.raises(ValueError, match=r"not associative at triple \((\d+), (\d+), (\d+)\)$") as err:
+        FiniteGroup(mul)
+    x, s, y = map(int, err.value.args[0].rsplit("(", 1)[1].rstrip(")").split(", "))
+    assert mul[mul[x, s], y] != mul[x, mul[s, y]]
+
+
+def test_associativity_verdict_matches_every_triple():
+    """Light's test on a generating set agrees with the check of all n^3
+    triples on random tables with identity 0."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        mul = rng.integers(0, n, size=(n, n))
+        mul[0], mul[:, 0] = np.arange(n), np.arange(n)
+        associative = (mul[mul] == mul[:, mul]).all()  # [a, b, c]: (a b) c and a (b c)
+        try:
+            FiniteGroup(mul)
+            refused = None
+        except ValueError as err:
+            refused = str(err)
+        assert (refused is not None and "not associative" in refused) == (not associative)
 
 
 def test_quotient_s3_by_a3():
@@ -583,15 +615,18 @@ def _distances(G, gens, roots) -> dict:
     return dist
 
 
-def test_generator_tree_reaches_each_element_once_from_its_parent():
+def test_generator_tree_reaches_each_element_once_from_its_parent(monkeypatch):
     """Each non-root element once, as gens[i] * parent, in first-visit order:
-    parents in the order they were reached, then generator indices; the
-    level bounds cut the tree at each distance from the roots."""
+    parents in the order they were reached, then generator indices; level d
+    holds, as int64 rows (children, generator indices, parents), the
+    elements at distance d from the roots."""
     f128 = build_bk(FinAbGroup((2,)), cyclic_group(2)).cp.as_table_group(cap=512)[0]
     for G in [*(named_group(name) for name in ALL_NAMES), f128]:
         gens = minimal_generating_set(G) or [0]
         for roots in ([0], gens):
-            tree, bounds = generator_tree(G, gens, roots)
+            levels = generator_tree(G, gens, roots)
+            assert all(level.dtype == np.int64 and level.shape[0] == 3 for level in levels)
+            tree = [tuple(edge) for level in levels for edge in level.T.tolist()]
             order = list(roots) + [f for f, _, _ in tree]
             assert sorted(order) == list(range(G.size))
             visit = {g: k for k, g in enumerate(order)}
@@ -600,12 +635,16 @@ def test_generator_tree_reaches_each_element_once_from_its_parent():
             keys = [(visit[g], i) for _, i, g in tree]
             assert keys == sorted(keys)
             dist = _distances(G, gens, roots)
-            assert bounds[0] == 0 and bounds[-1] == len(tree)
-            assert all(a < b for a, b in zip(bounds, bounds[1:]))
-            for d, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
-                assert all(dist[f] == d and dist[g] == d - 1 for f, _, g in tree[a:b])
+            assert all(level.shape[1] > 0 for level in levels)
+            for d, (fs, _, gs) in enumerate(levels, 1):
+                assert all(dist[f] == d and dist[g] == d - 1 for f, g in zip(fs.tolist(), gs.tolist()))
+    # a set that does not generate: the tree spans its subgroup, and the
+    # cohomology build, which needs the whole group, refuses it
+    C4 = named_group("C4")
+    assert [level.tolist() for level in generator_tree(C4, [2], [0])] == [[[2], [0], [0]]]
+    monkeypatch.setattr("cohomkit.cohomology.minimal_generating_set", lambda G: [2])
     with pytest.raises(AssertionError, match="does not reach every element"):
-        generator_tree(named_group("C4"), [2], [0])
+        cohomology(trivial_module(C4, FinAbGroup((2,))), 1)
 
 
 def _restrict_loop(M, D):
