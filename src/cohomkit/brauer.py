@@ -53,7 +53,6 @@ from .groups import (
     center_subgroup,
     cyclic_subgroups,
     derived_subgroup,
-    generated_subgroup,
     generator_tree,
     is_simple_module,
     minimal_generating_set,
@@ -256,31 +255,56 @@ def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
 
 
 def commuting_pair_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Inclusion-maximal abelian subgroups generated by commuting pairs.
+    """Inclusion-maximal abelian subgroups generated by commuting pairs, sorted by members.
 
-    The sweep skips a commuting pair (a, b) once both lie in a subgroup S
-    already found: then <a, b> is contained in S, so it is either S itself or
-    not maximal, and the maximal list is exactly that of the all-pairs sweep.
+    For commuting a, b the subgroup <a, b> is {a^i b^j}: one gather from a
+    table of the powers 1, a, a^2, ... of every element.  It depends only on
+    <a> and <b>, so the pairs a <= b run over the lowest generator of each
+    cyclic subgroup.  Equal member sets are kept once, keyed by their packed
+    rows, and S_i = <a_i, b_i> lies inside S_j exactly when a_i and b_i do,
+    which leaves the maximal sets; only those become ``Subgroup``s.  The
+    pairs and the sets are taken in blocks, so that no temporary holds more
+    than n^2 entries while there are at most n^2 sets.
     """
-    commute = G.mul == G.mul.T
-    covered = np.zeros_like(commute)
-    seen = {}
-    for a in G.elements():
-        for b in np.flatnonzero(commute[a] & ~covered[a]):
-            if covered[a, b]:
-                continue
-            sub = generated_subgroup(G, [a, b])
-            mem = np.array(sub.members)
-            covered[np.ix_(mem, mem)] = True
-            seen.setdefault(sub.members, sub)
-    subs = list(seen.values())
-    # incidence rows: S_i < S_j iff |S_i & S_j| = |S_i| < |S_j| (distinct sets)
-    inc = np.zeros((len(subs), G.size), dtype=np.int64)
-    for i, s in enumerate(subs):
-        inc[i, list(s.members)] = 1
-    sizes = inc.sum(axis=1)
-    below = ((inc @ inc.T) == sizes[:, None]) & (sizes[:, None] < sizes[None, :])
-    maximal = [s for s, dominated in zip(subs, below.any(axis=1)) if not dominated]
+    n = G.size
+    every = np.arange(n)
+    powers, x = [np.zeros(n, dtype=np.int64)], every
+    while x.any():  # up to the exponent e of G
+        powers.append(x)
+        x = G.mul[x, every]
+    power = np.stack(powers, axis=1)  # (n, e): power[a, i] = a^i
+    e = power.shape[1]
+    order = e // (power == 0).sum(axis=1)
+    # a^i generates <a> exactly when i is prime to the order of a
+    lowest = np.where(np.gcd(np.arange(e), order[:, None]) == 1, power, n).min(axis=1)
+    gens = np.unique(lowest)
+    mul = G.mul[np.ix_(gens, gens)]
+    i, j = np.nonzero(np.triu(mul == mul.T))
+    a, b = gens[i], gens[j]
+    found = {}  # packed member row -> the pair that generates it first
+    step = max(1, n * n // max(e * e, n))
+    for start in range(0, a.size, step):
+        pa, pb = a[start : start + step], b[start : start + step]
+        # a^i for i below the order of a already runs through <a>
+        ea, eb = order[pa].max(), order[pb].max()
+        members = G.mul[power[pa, :ea, None], power[pb, None, :eb]].reshape(pa.size, -1)
+        inside = np.zeros((pa.size, n), dtype=bool)
+        inside[np.arange(pa.size)[:, None], members] = True
+        rows, first = np.unique(np.packbits(inside, axis=1), axis=0, return_index=True)
+        for row, k in zip(rows, first.tolist()):
+            found.setdefault(row.tobytes(), (pa[k], pb[k]))
+    m = len(found)
+    packed = np.frombuffer(b"".join(found), dtype=np.uint8).reshape(m, -1)
+    sa, sb = np.array(list(found.values()), dtype=np.int64).T
+    # contains[s, t]: S_s holds the generators of S_t; the sets are distinct
+    dominated = np.zeros(m, dtype=bool)
+    step = max(1, n * n // max(m, n))
+    for start in range(0, m, step):
+        inside = np.unpackbits(packed[start : start + step], axis=1, count=n).astype(bool)
+        contains = inside[:, sa] & inside[:, sb]
+        contains[np.arange(inside.shape[0]), start + np.arange(inside.shape[0])] = False
+        dominated |= contains.any(axis=0)
+    maximal = [Subgroup.make(G, np.flatnonzero(np.unpackbits(row, count=n))) for row in packed[~dominated]]
     return sorted(maximal, key=lambda s: s.members)
 
 
@@ -296,7 +320,9 @@ def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26) -> FinAbGroup:
     S x S: one H^2 of F, and no cohomology of any subgroup.
 
     The carries that pass from Z/N to Q/Z coefficients must have omega = 0
-    on those pairs; this is re-checked on every call.
+    on those pairs, and the pairs of the subgroups S must be exactly those
+    with F.mul == F.mul.T, so that a sweep that drops a subgroup cannot
+    weaken the criterion; both are re-checked on every call.
     """
     N = F.size
     H2, pres, carries = _qz_presentation(F, N, work_bound=work_bound)
@@ -305,6 +331,8 @@ def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26) -> FinAbGroup:
     for sub in commuting_pair_subgroups(F):
         mem = list(sub.members)
         commuting[np.ix_(mem, mem)] = True
+    if (commuting != (F.mul == F.mul.T)).any():
+        raise AssertionError("the commuting-pair subgroups do not cover exactly the commuting pairs")
     gens = np.array([pres.rep(g) for g in P.generators()], dtype=np.int64).reshape(-1, H2.s)
     T = H2._tables_from_slices(np.concatenate([gens, carries]))[:, :, 0]  # (N, N, b)
     # omega is alternating, so the pairs a < b carry every condition

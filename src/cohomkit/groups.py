@@ -16,7 +16,7 @@ Conventions that everything downstream relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,13 +46,11 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if check:
             self._validate()
-        inv = np.full(n, -1, dtype=np.int64)
-        for g in range(n):
-            hits = np.flatnonzero(self.mul[g] == 0)
-            if hits.size != 1:
-                raise ValueError(f"element {g} has no unique inverse")
-            inv[g] = hits[0]
-        self.inv = inv
+        ones = self.mul == 0
+        bad = np.flatnonzero(ones.sum(axis=1) != 1)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no unique inverse")
+        self.inv = ones.argmax(axis=1)
 
     def _validate(self):
         n = self.size
@@ -74,9 +72,12 @@ class FiniteGroup:
             if not ok.all():
                 x, y = np.argwhere(~ok)[0].tolist()
                 raise ValueError(f"multiplication table not associative at triple {(x, s, y)}")
-        for g in range(n):
-            if sorted(self.mul[g]) != list(range(n)):
-                raise ValueError(f"row {g} is not a permutation")
+        # entries are in range, so a row is a permutation when it hits every column
+        hit = np.zeros((n, n), dtype=bool)
+        hit[np.arange(n)[:, None], self.mul] = True
+        bad = np.flatnonzero(~hit.all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]} is not a permutation")
 
     # -- basic maps ----------------------------------------------------------
 
@@ -107,7 +108,6 @@ class FiniteGroup:
 class Subgroup:
     parent: FiniteGroup
     members: tuple[int, ...]
-    normal: bool = field(default=False)
 
     @staticmethod
     def make(G: FiniteGroup, members) -> "Subgroup":
@@ -122,13 +122,17 @@ class Subgroup:
             raise ValueError("subgroup not closed under inverse")
         if not inside[G.mul[np.ix_(mem, mem)]].all():
             raise ValueError("subgroup not closed under multiplication")
-        # conjugates g s g^-1 for every g in G and s in the subgroup
-        normal = bool(inside[G.mul[G.mul[:, mem], G.inv[:, None]]].all())
-        return Subgroup(G, tuple(mem.tolist()), normal)
+        return Subgroup(G, tuple(mem.tolist()))
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def normal(self) -> bool:
+        """Whether g s g^-1 lies in the subgroup for every g in G and s in it."""
+        G = self.parent
+        return bool((self.positions[G.mul[G.mul[:, list(self.members)], G.inv[:, None]]] >= 0).all())
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -479,16 +483,21 @@ class GModule:
         ident = np.eye(k, dtype=np.int64) % mods
         if (act[0] != ident).any():
             raise ValueError("identity must act trivially")
-        for g in G.elements():
-            AbHom(self.ab, self.ab, act[g])  # well-definedness
+        # well-definedness, by the rule of AbHom for every g at once
+        orders = np.array(self.ab.orders, dtype=np.int64)
+        if (self.act % (orders[:, None] // np.gcd.outer(orders, orders))).any():
+            raise ValueError("matrix does not define a homomorphism on the given orders")
         if ((act @ act[G.inv]) % mods != ident).any():
             raise ValueError("action not invertible")
-        for g in G.elements():
-            # lhs[h] = act[g] act[h], to equal act[gh] for every h at once
-            lhs = (act[g] @ act) % mods
-            bad = np.flatnonzero((lhs != act[G.mul[g]]).any(axis=(1, 2)))
+        # lhs[g, h] = act[g] act[h], to equal act[gh]; blocks of g keep each
+        # temporary within max(n^2, n k^2) entries
+        step = max(1, G.size // (k * k))
+        for start in range(0, G.size, step):
+            lhs = (act[start : start + step, None] @ act) % mods
+            bad = np.argwhere((lhs != act[G.mul[start : start + step]]).any(axis=(2, 3)))
             if bad.size:
-                raise ValueError(f"action law fails at ({g},{int(bad[0])})")
+                g, h = bad[0].tolist()
+                raise ValueError(f"action law fails at ({start + g},{h})")
 
     def apply(self, g: int, coords: np.ndarray) -> np.ndarray:
         mods = np.array(self.ab.orders, dtype=np.int64)

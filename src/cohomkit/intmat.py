@@ -287,10 +287,12 @@ def _sweep(W: np.ndarray, count: int, ncols: int, L: int) -> tuple[list[int], in
     Returns the pivot columns and the final row count.
     """
     pivots: list[int] = []
-    for col in range(ncols):
+    col = 0
+    while col < ncols:
         top = len(pivots)
         d = _clear_column(W, top, count, col, L)
         if not d:
+            col = _next_nonzero_column(W, top, count, col + 1, ncols)
             continue
         pivots.append(col)
         if d > 1:
@@ -298,7 +300,25 @@ def _sweep(W: np.ndarray, count: int, ncols: int, L: int) -> tuple[list[int], in
             if ann.any():
                 W[count, col:] = ann
                 count += 1
+        col += 1
     return pivots, count
+
+
+def _next_nonzero_column(W: np.ndarray, top: int, stop: int, col: int, ncols: int) -> int:
+    """The first column from ``col`` on that is nonzero on rows top..stop-1, or ncols.
+
+    A zero column is a step of the sweep that changes nothing, so the sweep
+    may jump over a run of them.  The scan reads windows that double from 8
+    columns: at most twice the columns it skips, plus 8.
+    """
+    width = 8
+    while col < ncols:
+        hit = np.flatnonzero(W[top:stop, col : min(col + width, ncols)].any(axis=0))
+        if hit.size:
+            return col + int(hit[0])
+        col += width
+        width *= 2
+    return ncols
 
 
 class ModSpan:

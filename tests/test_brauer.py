@@ -344,9 +344,19 @@ def _ladder_group(name):
     return direct_product(named_group(left), named_group(right))
 
 
-@pytest.mark.parametrize("name", ["D8xC2", "Q8xC4", "S3xS3", "Heis27xC2", "F128"])
+SWEEP_GROUPS = {
+    "G128": lambda: g128(False),
+    "G128-control": lambda: g128(True),
+    # every 2-generated subgroup is proper, so the maximal sets are the seven of order 4
+    "C2xC2xC2": lambda: direct_product(named_group("C2xC2"), named_group("C2")),
+    "trivial": lambda: named_group("1"),
+    "S3": lambda: named_group("S3"),
+}
+
+
+@pytest.mark.parametrize("name", ["D8xC2", "Q8xC4", "S3xS3", "Heis27xC2", "F128", *SWEEP_GROUPS])
 def test_pruned_commuting_pair_sweep_matches_all_pairs(name):
-    G = _ladder_group(name)
+    G = SWEEP_GROUPS[name]() if name in SWEEP_GROUPS else _ladder_group(name)
     assert [s.members for s in commuting_pair_subgroups(G)] == _all_pairs_maximal(G)
 
 
@@ -414,6 +424,33 @@ except AssertionError as exc:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["a character carry is not symmetric on commuting pairs"]
+
+
+def test_oracle_rejects_a_sweep_that_drops_a_subgroup():
+    """The commuting mask from the sweep must be F.mul == F.mul.T; a sweep
+    that drops one of the three maximal abelian subgroups of D8 is caught,
+    also under python -O."""
+    script = """
+import cohomkit.brauer as B
+from cohomkit.groups import named_group
+
+sweep = B.commuting_pair_subgroups
+B.commuting_pair_subgroups = lambda G: sweep(G)[1:]
+try:
+    B.b0_oracle(named_group("D8"))
+except AssertionError as exc:
+    print(exc)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["the commuting-pair subgroups do not cover exactly the commuting pairs"]
 
 
 def test_oracle_builds_one_cohomology_group(monkeypatch):

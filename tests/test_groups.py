@@ -103,6 +103,79 @@ def test_associativity_verdict_matches_every_triple():
         assert (refused is not None and "not associative" in refused) == (not associative)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_row_and_inverse_checks_name_the_first_bad_element(seed):
+    """C_k x ({0, 1}, max) is associative with identity 0, and its rows at
+    s = 1 are no permutations and hold no identity.  Relabelled at random,
+    the table is refused at the first such row, as the per-row loops find
+    it; so are random tables without the checks, at the first element whose
+    row does not hold the identity exactly once."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    g, s = np.divmod(np.arange(2 * k), 2)  # element 2 g + s
+    mul = (g[:, None] + g[None, :]) % k * 2 + np.maximum(s[:, None], s[None, :])
+    label = np.concatenate([[0], 1 + rng.permutation(2 * k - 1)])
+    table = np.empty_like(mul)
+    table[np.ix_(label, label)] = label[mul]
+    first = next(r for r in range(2 * k) if sorted(table[r]) != list(range(2 * k)))
+    with pytest.raises(ValueError, match=rf"^row {first} is not a permutation$"):
+        FiniteGroup(table)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        table = rng.integers(0, n, size=(n, n))
+        table[0], table[:, 0] = np.arange(n), np.arange(n)
+        bad = [r for r in range(n) if (table[r] == 0).sum() != 1]
+        if bad:
+            with pytest.raises(ValueError, match=rf"^element {bad[0]} has no unique inverse$"):
+                FiniteGroup(table, check=False)
+        else:
+            assert FiniteGroup(table, check=False).inv.tolist() == np.argmin(table, axis=1).tolist()
+
+
+def _first_law_failure(G, act, orders):
+    """The first (g, h) of the per-pair loop with act[g] act[h] != act[gh]."""
+    mods = np.array(orders, dtype=object).reshape(-1, 1)
+    for g, h in itertools.product(G.elements(), repeat=2):
+        if ((act[g].astype(object) @ act[h].astype(object)) % mods != act[G.op(g, h)]).any():
+            return g, h
+    return None
+
+
+@pytest.mark.parametrize("order", [4, 2**40 + 15], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("gname", ["C4", "D8", "S3", "Q8"])
+def test_action_law_failure_names_the_first_pair(gname, order):
+    """Each element acts on Z/o + Z/2 by the identity or by the involution
+    -1 (+) 1, chosen at random for each pair {g, g^-1}; so the action is well
+    defined and invertible, and the law fails where the choice is no
+    homomorphism.  The message names the first failing pair of the per-pair
+    loop, in blocks of several g and in Python integers."""
+    G = named_group(gname)
+    ab = FinAbGroup((order, 2))
+    negate = np.diag([order - 1, 1])
+    rng = np.random.default_rng(G.size)
+    for _ in range(20):
+        flip = rng.integers(2, size=G.size).astype(bool)
+        flip[0] = False
+        flip = flip | flip[G.inv]
+        act = np.where(flip[:, None, None], negate, np.eye(2, dtype=np.int64))
+        want = _first_law_failure(G, act, ab.orders)
+        if want is None:
+            assert (GModule(G, ab, act).act == act).all()
+        else:
+            with pytest.raises(ValueError, match=rf"^action law fails at \({want[0]},{want[1]}\)$"):
+                GModule(G, ab, act)
+
+
+def test_module_checks_run_in_order():
+    """Not well defined and not invertible: the well-definedness check, which
+    comes first, names the fault."""
+    C2 = cyclic_group(2)
+    with pytest.raises(ValueError, match="does not define a homomorphism"):
+        GModule(C2, FinAbGroup((2, 4)), [np.eye(2, dtype=int), [[1, 0], [1, 0]]])
+    with pytest.raises(ValueError, match="identity must act trivially"):
+        GModule(C2, FinAbGroup((2, 4)), [[[1, 0], [1, 0]], np.eye(2, dtype=int)])
+
+
 def test_quotient_s3_by_a3():
     S3 = named_group("S3")
     A3 = alternating_subgroup_s3(S3)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from cohomkit.intmat import (
     ModSpan,
     OverflowAbort,
+    _clear_column,
+    _sweep,
     diagonalize_mod,
     howell_form,
     kernel_uniform,
@@ -285,3 +287,51 @@ def test_diagonalize_mod_matches_smith_over_z(inst):
     assert ModSpan(U, L, n=p).size() == L**p
     UR = U.astype(object) @ R.astype(object)
     assert all(UR[i, j] % ours[i] == 0 for i in range(p) for j in range(R.shape[1]))
+
+
+def _sweep_column_by_column(W, count, ncols, L):
+    """The sweep with one column step for every column, zero or not."""
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        d = _clear_column(W, top, count, col, L)
+        if not d:
+            continue
+        pivots.append(col)
+        if d > 1:
+            ann = W[top, col:] * (L // d) % L
+            if ann.any():
+                W[count, col:] = ann
+                count += 1
+    return pivots, count
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracked"])
+@pytest.mark.parametrize("L", [12, 36, 60, 128])
+def test_sweep_skipping_zero_columns_matches_the_column_by_column_sweep(L, track):
+    """Columns in runs of zeros (up to 60 long, past every scan window) and
+    repeats of earlier columns, which clear to zero once swept; the skipping
+    sweep leaves the same workspace, pivots and row count."""
+    rng = np.random.default_rng(L + track)
+    for _ in range(40):
+        m = int(rng.integers(1, 12))
+        cols = []
+        while len(cols) < int(rng.integers(1, 120)):
+            kind = rng.integers(3)
+            if kind == 0:
+                cols += [np.zeros(m, dtype=np.int64)] * int(rng.integers(1, 61))
+            elif kind == 1 and cols:
+                cols.append(cols[int(rng.integers(len(cols)))] * int(rng.integers(1, L)) % L)
+            else:
+                scale = int(rng.choice([d for d in range(1, L + 1) if L % d == 0]))
+                cols.append(rng.integers(0, L, size=m) * scale % L)
+        rows = np.stack(cols, axis=1)
+        n = rows.shape[1]
+        cap = m + min(n, m * L.bit_length())
+        W = np.zeros((cap, n + m if track else n), dtype=np.int64)
+        W[:m, :n] = rows
+        if track:
+            W[np.arange(m), n + np.arange(m)] = 1
+        want = W.copy()
+        assert _sweep(W, m, n, L) == _sweep_column_by_column(want, m, n, L)
+        assert np.array_equal(W, want)
