@@ -302,7 +302,8 @@ def commuting_pair_subgroups(G: FiniteGroup) -> list[Subgroup]:
     for start in range(0, m, step):
         inside = np.unpackbits(packed[start : start + step], axis=1, count=n).astype(bool)
         contains = inside[:, sa] & inside[:, sb]
-        contains[np.arange(inside.shape[0]), start + np.arange(inside.shape[0])] = False
+        rows = np.arange(len(inside))
+        contains[rows, start + rows] = False
         dominated |= contains.any(axis=0)
     maximal = [Subgroup.make(G, np.flatnonzero(np.unpackbits(row, count=n))) for row in packed[~dominated]]
     return sorted(maximal, key=lambda s: s.members)
