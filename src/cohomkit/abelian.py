@@ -20,6 +20,13 @@ cyclic groups of mixed orders into linear algebra over Z/L:
 
 Every module states mixed orders through these three functions; none
 re-derives the rule.
+
+A subquotient S/T is a :class:`Presentation`, and it converts in batches:
+``class_coords`` takes rows of members of S, and the lifts of all
+generators of S/T come from one solve.  The transform U that diagonalizes
+the relations is invertible mod L, so the lift of a class is linear in its
+coordinates, and callers read rows of classes or of lifts, not one vector
+at a time.
 """
 
 from __future__ import annotations
@@ -275,9 +282,12 @@ class Presentation:
     same orders that holds the order lattice, such as one from
     :func:`subgroup_span`, which is then used as it is.
 
-    Provides the quotient as a :class:`FinAbGroup`, coordinates of members,
-    and representative lifts of classes.  The internal consistency check
-    |S| / |T| == |group| guards the whole reduction pipeline.
+    Provides the quotient as a :class:`FinAbGroup` and converts in
+    batches: ``class_coords`` maps rows of members of S to rows of class
+    coordinates, ``lifts`` holds one representative of each generator of
+    the quotient, and ``rep`` of a class is its coordinates times
+    ``lifts``.  The internal consistency check |S| / |T| == |group| guards
+    the whole reduction pipeline.
     """
 
     def __init__(self, ambient_orders, s_gens, t_gens=()):
@@ -314,24 +324,39 @@ class Presentation:
 
     # -- conversions --------------------------------------------------------
 
-    @cached_property
-    def _U_span(self) -> ModSpan:
-        """Span of the columns of U; its ``solve(y)`` is the c with U @ c == y."""
-        return ModSpan(self._U.T, self.L, n=len(self._diag), track=True)
-
-    def class_coords(self, vec) -> AbElement:
-        c = self.s_span.coords(vec)
+    def class_coords(self, rows) -> np.ndarray:
+        """The class of each row of a batch of members of S: int64 rows of
+        coordinates in ``group``, reduced mod its orders.  Raises
+        ValueError when a row lies outside S."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError(f"class_coords takes a batch of rows, not an array of shape {rows.shape}")
+        c = self.s_span.coords(rows)
         if c is None:
             raise ValueError("vector is not a member of the subgroup")
-        y = matmul_mod(self._U, c, self.L)
-        return self.group.element([int(y[i]) % self._diag[i] for i in self._keep])
+        y = matmul_mod(c, self._U.T, self.L)[:, self._keep]
+        return y % np.array(self.group.orders, dtype=np.int64)
+
+    @cached_property
+    def lifts(self) -> np.ndarray:
+        """One ambient representative of each generator of ``group``, as rows
+        reduced mod the ambient orders (read-only).
+
+        The lift of generator i is c @ basis(S) for the c with U c = e_i,
+        all solved at once.  U is invertible mod L, so that c is unique mod
+        L, and the lift of a class is linear in its coordinates."""
+        p = len(self._diag)
+        units = np.eye(p, dtype=np.int64)[self._keep]
+        c = ModSpan(self._U.T, self.L, n=p, track=True).solve(units)
+        lifts = matmul_mod(c, self.s_span.basis, self.L) % np.array(self.ambient_orders, dtype=np.int64)
+        lifts.flags.writeable = False
+        return lifts
 
     def rep(self, cls: AbElement) -> np.ndarray:
-        """An ambient representative vector of the class."""
+        """An ambient representative vector of the class: its coordinates
+        times ``lifts``."""
         _same_groups("class", (cls.parent,), (self.group,))
-        y = np.zeros(len(self._diag), dtype=np.int64)
-        y[self._keep] = cls.coords
-        vec = matmul_mod(self._U_span.solve(y), self.s_span.basis, self.L)
+        vec = matmul_mod(np.array(cls.coords, dtype=np.int64), self.lifts, self.L)
         return vec % np.array(self.ambient_orders, dtype=np.int64)
 
     def contains(self, vec) -> bool:
@@ -350,19 +375,14 @@ def kernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:
     """(K, incl) with incl injective, h . incl == 0, image(incl) = Ker h."""
     L = lcm(h.source.exponent, h.target.exponent)
     pres = Presentation(h.source.orders, kernel_uniform(scaled_rows(h.matrix, h.target.orders, L), L))
-    K = pres.group
-    cols = [pres.rep(g) for g in K.generators()]
-    incl = AbHom(K, h.source, np.array(cols, dtype=np.int64).T if cols else np.zeros((h.source.rank, 0)))
-    return K, incl
+    return pres.group, AbHom(pres.group, h.source, pres.lifts.T)
 
 
 def quotient_presentation(A: FinAbGroup, rows) -> tuple[Presentation, AbHom]:
     """A / <rows> as a presentation, and the projection: the class of each unit vector."""
-    n = A.rank
-    pres = Presentation(A.orders, np.eye(n, dtype=np.int64), rows)
-    cols = [pres.class_coords(e).coords for e in np.eye(n, dtype=np.int64)]
-    proj = AbHom(A, pres.group, np.array(cols, dtype=np.int64).T if n else np.zeros((pres.group.rank, 0)))
-    return pres, proj
+    units = np.eye(A.rank, dtype=np.int64)
+    pres = Presentation(A.orders, units, rows)
+    return pres, AbHom(A, pres.group, pres.class_coords(units).T)
 
 
 def cokernel(h: AbHom) -> tuple[FinAbGroup, AbHom]:

@@ -51,6 +51,7 @@ from .groups import (
     GModule,
     Subgroup,
     center_subgroup,
+    cyclic_generators,
     cyclic_subgroups,
     derived_subgroup,
     generator_tree,
@@ -94,7 +95,7 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
         pres = Presentation((), np.zeros((0, 0)), np.zeros((0, 0)))
         return AbelianStructure(G, pres.group, np.zeros((G.size, 0), dtype=np.int64), [])
     k = len(gens)
-    box = np.array([G.order_of(g) for g in gens], dtype=np.int64)
+    box = G.orders[gens]
     eye = np.eye(k, dtype=np.int64)
     vec = np.zeros((G.size, k), dtype=np.int64)
     levels = generator_tree(G, gens, [0])
@@ -104,7 +105,7 @@ def abelian_structure(G: FiniteGroup) -> AbelianStructure:
         vec[fs] = vec[gs] + eye[js]
     relations = (vec[:, None, :] + eye - vec[G.mul[gens].T]) % box  # [g, i]: x_i g = G.mul[gens[i], g]
     pres = Presentation(tuple(box.tolist()), eye, relations.reshape(-1, k))
-    classes = np.array([pres.class_coords(e).coords for e in eye], dtype=np.int64)  # row i: class of e_i
+    classes = pres.class_coords(eye)  # row i: class of e_i
     coords = vec @ classes % np.array(pres.group.orders, dtype=np.int64)
     reps = (coords[:, None, :] == np.eye(pres.group.rank, dtype=np.int64)).all(axis=2).argmax(axis=0).tolist()
     return AbelianStructure(G, pres.group, coords, reps)
@@ -257,31 +258,29 @@ def _qz_presentation(G: FiniteGroup, N: int, work_bound: int = 1 << 26):
 def commuting_pair_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Inclusion-maximal abelian subgroups generated by commuting pairs, sorted by members.
 
-    For commuting a, b the subgroup <a, b> is {a^i b^j}: one gather from a
-    table of the powers 1, a, a^2, ... of every element.  It depends only on
-    <a> and <b>, so the pairs a <= b run over the lowest generator of each
-    cyclic subgroup.  Equal member sets are kept once, keyed by their packed
-    rows, and S_i = <a_i, b_i> lies inside S_j exactly when a_i and b_i do,
+    For commuting a, b the subgroup <a, b> is {a^i b^j}: one gather from
+    ``G.powers``.  It depends only on <a> and <b>, so the pairs a <= b run
+    over :func:`cyclic_generators`.  The pairs (a, a) give the cyclic
+    subgroups, the generators' rows of powers.  When one of a != b lies in
+    the other's cyclic subgroup, <a, b> is one of those, so the pair is
+    skipped.  Equal member sets are kept once, keyed by their packed rows,
+    and S_i = <a_i, b_i> lies inside S_j exactly when a_i and b_i do,
     which leaves the maximal sets; only those become ``Subgroup``s.  The
-    pairs and the sets are taken in blocks, so that no temporary holds more
-    than n^2 entries while there are at most n^2 sets.
+    pairs and the sets are taken in blocks, so that no temporary holds
+    more than n^2 entries while there are at most n^2 sets.
     """
     n = G.size
-    every = np.arange(n)
-    powers, x = [np.zeros(n, dtype=np.int64)], every
-    while x.any():  # up to the exponent e of G
-        powers.append(x)
-        x = G.mul[x, every]
-    power = np.stack(powers, axis=1)  # (n, e): power[a, i] = a^i
+    power, order = G.powers, G.orders
     e = power.shape[1]
-    order = e // (power == 0).sum(axis=1)
-    # a^i generates <a> exactly when i is prime to the order of a
-    lowest = np.where(np.gcd(np.arange(e), order[:, None]) == 1, power, n).min(axis=1)
-    gens = np.unique(lowest)
+    gens = cyclic_generators(G)
+    cyclic = np.zeros((gens.size, n), dtype=bool)  # cyclic[s]: the members of <gens[s]>
+    cyclic[np.arange(gens.size)[:, None], power[gens]] = True
+    nested = cyclic[:, gens] | cyclic[:, gens].T  # one of the two lies in the other's <.>
     mul = G.mul[np.ix_(gens, gens)]
-    i, j = np.nonzero(np.triu(mul == mul.T))
+    i, j = np.nonzero(np.triu((mul == mul.T) & ~nested))
     a, b = gens[i], gens[j]
-    found = {}  # packed member row -> the pair that generates it first
+    # packed member row -> the pair that generates it first; the cyclic sets are distinct
+    found = {row.tobytes(): (g, g) for row, g in zip(np.packbits(cyclic, axis=1), gens)}
     step = max(1, n * n // max(e * e, n))
     for start in range(0, a.size, step):
         pa, pb = a[start : start + step], b[start : start + step]
@@ -334,7 +333,7 @@ def b0_oracle(F: FiniteGroup, work_bound: int = 1 << 26) -> FinAbGroup:
         commuting[np.ix_(mem, mem)] = True
     if (commuting != (F.mul == F.mul.T)).any():
         raise AssertionError("the commuting-pair subgroups do not cover exactly the commuting pairs")
-    gens = np.array([pres.rep(g) for g in P.generators()], dtype=np.int64).reshape(-1, H2.s)
+    gens = pres.lifts
     T = H2._tables_from_slices(np.concatenate([gens, carries]))[:, :, 0]  # (N, N, b)
     # omega is alternating, so the pairs a < b carry every condition
     omega = (T - T.transpose(1, 0, 2))[np.triu(commuting, 1)] % N
@@ -361,12 +360,11 @@ def _restriction_kernel(P: FinAbGroup, reps: list[Cochain], local):
     blocks = []
     for embed, HA, presA in local:
         vecs = HA.gauge_coords([_restrict(rep, embed, HA) for rep in reps])
-        cols = [presA.class_coords(vec).coords for vec in vecs]
-        blocks.append(np.array(cols, dtype=np.int64).reshape(len(reps), presA.group.rank).T)
+        blocks.append(presA.class_coords(vecs).T)
     L = lcm(P.exponent, *orders)
     mat = np.concatenate(blocks)
     pres = Presentation(P.orders, kernel_uniform(scaled_rows(mat, orders, L), L))
-    return pres.group, [P.element(pres.rep(unit)) for unit in pres.group.generators()]
+    return pres.group, [P.element(lift) for lift in pres.lifts]
 
 
 def _restrict(c: Cochain, embed: np.ndarray, HA) -> Cochain:

@@ -525,7 +525,7 @@ class CohomologyGroup:
     def class_of(self, c: Cochain) -> CohomologyClass:
         if not self.is_cocycle(c):
             raise ValueError("not a cocycle")
-        coords = self.presentation.class_coords(self.gauge_coords([c])[0])
+        coords = self.group.element(self.presentation.class_coords(self.gauge_coords([c]))[0])
         return CohomologyClass(self, coords, c)
 
     def cochain(self, vec: np.ndarray) -> Cochain:
@@ -666,20 +666,13 @@ def connecting_map(
 def cyclic_cohomology_size(M: GModule, degree: int) -> int:
     """|H^r| for a cyclic table group, from fixed points, norms and kernels."""
     G = M.group
-    gen = None
-    for g in G.elements():
-        if G.order_of(g) == G.size:
-            gen = g
-            break
-    if gen is None:
+    generators = np.flatnonzero(G.orders == G.size)
+    if not generators.size:
         raise ValueError("group is not cyclic")
+    gen = int(generators[0])
     k = M.ab.rank
     eye = np.eye(k, dtype=np.int64)
-    norm = np.zeros((k, k), dtype=np.int64)
-    x = 0
-    for _ in range(G.size):
-        norm += M.act[x]
-        x = G.op(x, gen)
+    norm = M.act[G.powers[gen]].sum(axis=0)  # over gen^0 .. gen^(n-1)
     sigma_minus_1 = M.act[gen] - eye
     from .abelian import image_size, kernel
 

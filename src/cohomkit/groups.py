@@ -84,12 +84,30 @@ class FiniteGroup:
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """powers[g, i] = g^i for i below the exponent e of the group, an
+        n x e table (read-only): the one table of powers that element orders
+        and cyclic subgroups are read from."""
+        every = np.arange(self.size)
+        columns, x = [np.zeros(self.size, dtype=np.int64)], every
+        while x.any():
+            columns.append(x)
+            x = self.mul[x, every]
+        powers = np.stack(columns, axis=1)
+        powers.flags.writeable = False
+        return powers
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """orders[g]: the order of g.  Of the e powers of g, e / order(g)
+        are the identity (read-only)."""
+        orders = self.powers.shape[1] // (self.powers == 0).sum(axis=1)
+        orders.flags.writeable = False
+        return orders
+
     def order_of(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = self.op(x, g)
-            k += 1
-        return k
+        return int(self.orders[g])
 
     def elements(self):
         return range(self.size)
@@ -220,13 +238,22 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     return generated_subgroup(G, np.unique(commutators))
 
 
+def cyclic_generators(G: FiniteGroup) -> np.ndarray:
+    """The lowest generator of each cyclic subgroup, in increasing order.
+
+    g^i generates <g> exactly when i is prime to the order of g, so the
+    lowest generator of <g> is the least such power in g's row of
+    ``G.powers``."""
+    powers = G.powers
+    prime = np.gcd(np.arange(powers.shape[1]), G.orders[:, None]) == 1
+    return np.unique(np.where(prime, powers, G.size).min(axis=1))
+
+
 def cyclic_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """All cyclic subgroups, deduplicated, in deterministic order."""
-    seen = {}
-    for g in G.elements():
-        sub = generated_subgroup(G, [g])
-        seen.setdefault(sub.members, sub)
-    return [seen[k] for k in sorted(seen)]
+    """All cyclic subgroups, each once, sorted by members: <g> is the row
+    of ``G.powers`` of each of :func:`cyclic_generators`."""
+    subs = [Subgroup.make(G, G.powers[g]) for g in cyclic_generators(G)]
+    return sorted(subs, key=lambda s: s.members)
 
 
 def all_subgroups(G: FiniteGroup, cap: int = 10_000) -> list[Subgroup]:
@@ -601,11 +628,10 @@ def quotient_module(M: GModule, span_rows) -> tuple[GModule, AbHom, Presentation
     """Quotient by an action-stable subgroup given by generator rows."""
     pres, proj = quotient_presentation(M.ab, span_rows)
     Q = pres.group
-    # one lift per generator of Q, as rows; g acts on Q through the lifts
-    lifts = np.array([pres.rep(gen) for gen in Q.generators()], dtype=np.int64).reshape(Q.rank, M.ab.rank)
+    # g acts on Q through the lifts of its generators
     acts = np.zeros((M.group.size, Q.rank, Q.rank), dtype=np.int64)
     for g in M.group.elements():
-        acts[g] = proj.apply_coords(M.apply(g, lifts)).T
+        acts[g] = proj.apply_coords(M.apply(g, pres.lifts)).T
     return GModule(M.group, Q, acts), proj, pres
 
 

@@ -411,13 +411,15 @@ class ModSpan:
         return None if r.any() else q
 
     def solve(self, v):
-        """Coefficients c (over the original generators) with c @ gens = v, or None."""
+        """Coefficients c (over the original generators) with c @ gens = v; of
+        each row of a batch.  None when v, or any row of the batch, is
+        outside the span."""
         if not self.track:
             raise ValueError("span was built without coefficient tracking")
-        _, row = self._eliminate(self._rows, v)
-        if row[: self.n].any():
+        _, rows = self._eliminate(self._rows, v)
+        if rows[..., : self.n].any():
             return None
-        return (-row[self.n :]) % self.L
+        return (-rows[..., self.n :]) % self.L
 
     def kernel(self) -> np.ndarray:
         """Rows generating {c : c @ gens == 0 mod L}."""

@@ -31,7 +31,7 @@ from cohomkit.abelian import (
     subgroup_span,
     vanishing_products,
 )
-from cohomkit.intmat import ModSpan, OverflowAbort, kernel_uniform
+from cohomkit.intmat import ModSpan, OverflowAbort, kernel_uniform, matmul_mod
 
 Z4 = FinAbGroup((4,))
 
@@ -268,7 +268,7 @@ def test_presentation_roundtrip_random():
         pres = Presentation(orders, sg, tg)
         for cls in pres.group.elements():
             v = pres.rep(cls)
-            assert pres.class_coords(v) == cls
+            assert pres.class_coords([v]).tolist() == [list(cls.coords)]
 
 
 def test_presentation_quotient_sizes():
@@ -309,7 +309,56 @@ def test_presentation_reads_a_swept_denominator_as_its_generators(orders, s_gens
     for cls in given_rows.group.elements():
         v = given_rows.rep(cls)
         assert np.array_equal(given_span.rep(cls), v)
-        assert given_span.class_coords(v) == cls
+        assert given_span.class_coords([v]).tolist() == [list(cls.coords)]
+
+
+def _reference_rep(pres, cls):
+    """The lift of a class by its own solve of U c = y, through a tracked
+    span of the columns of U."""
+    y = np.zeros(len(pres._diag), dtype=np.int64)
+    y[pres._keep] = cls.coords
+    c = ModSpan(pres._U.T, pres.L, n=len(pres._diag), track=True).solve(y)
+    return matmul_mod(c, pres.s_span.basis, pres.L) % np.array(pres.ambient_orders, dtype=np.int64)
+
+
+def _presentation_cases():
+    yield (), [], []  # ambient rank 0
+    yield (4, 6), [[1, 1]], [[1, 1]]  # T = S: a trivial quotient
+    yield (2, 4), [], []  # S = 0
+    rng = random.Random(27)
+    for _ in range(120):
+        orders = tuple(rng.choice([1, 2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(0, 3)))
+        s_gens = [[rng.randrange(24) for _ in orders] for _ in range(rng.randint(0, 3))]
+        t_gens = [[k * x for x in row] for row in s_gens for k in [rng.randrange(4)] * rng.randint(0, 1)]
+        yield orders, s_gens, s_gens if rng.random() < 0.1 else t_gens
+
+
+def test_presentation_converts_in_batches_as_one_solve_per_class_would():
+    for orders, s_gens, t_gens in _presentation_cases():
+        pres = Presentation(orders, s_gens, t_gens)
+        classes = list(pres.group.elements())
+        reps = np.array([pres.rep(cls) for cls in classes], dtype=np.int64).reshape(len(classes), len(orders))
+        for cls, v in zip(classes, reps):
+            assert v.tobytes() == _reference_rep(pres, cls).tobytes(), (orders, s_gens, t_gens, cls)
+        coords = pres.class_coords(reps)
+        assert coords.dtype == np.int64
+        assert coords.tolist() == [list(cls.coords) for cls in classes]
+        # members of S that are not lifts: sums of multiples of its generators
+        rng = random.Random(len(classes))
+        gens = np.array(s_gens, dtype=np.int64).reshape(len(s_gens), len(orders))
+        coeffs = np.array([[rng.randrange(12) for _ in gens] for _ in range(5)], dtype=np.int64).reshape(5, -1)
+        members = coeffs @ gens % np.array(orders, dtype=np.int64)
+        batch = pres.class_coords(members)
+        assert batch.tolist() == [pres.class_coords(row[None])[0].tolist() for row in members]
+
+
+def test_presentation_refuses_a_batch_with_a_row_outside_the_numerator():
+    pres = Presentation((2, 4), [[0, 2]], [])
+    assert pres.class_coords([[0, 2], [0, 0]]).tolist() == [[1], [0]]
+    with pytest.raises(ValueError, match="not a member"):
+        pres.class_coords([[0, 2], [0, 1]])
+    with pytest.raises(ValueError, match="batch of rows"):
+        pres.class_coords([0, 2])
 
 
 def test_presentation_refuses_a_span_of_other_orders():

@@ -98,8 +98,7 @@ def _box_structure(G):
     assert len(elem_of) == G.size
     pres = Presentation(tuple(box), np.eye(len(box), dtype=np.int64), relations)
     coords = np.zeros((G.size, pres.group.rank), dtype=np.int64)
-    for g, vec in elem_of.items():
-        coords[g] = pres.class_coords(np.array(vec, dtype=np.int64)).coords
+    coords[list(elem_of)] = pres.class_coords(list(elem_of.values()))
     return pres.group, coords, [word(pres.rep(unit)) for unit in pres.group.generators()]
 
 
@@ -326,10 +325,10 @@ def test_commuting_pair_subgroups_are_abelian_and_maximal():
 
 
 def _all_pairs_maximal(G):
-    """Reference sweep: <a, b> for every commuting pair, then the maximal ones."""
+    """Reference sweep: <a, b> = <b, a> for every commuting pair a <= b, then the maximal ones."""
     found = {}
     for a in G.elements():
-        for b in G.elements():
+        for b in range(a, G.size):
             if G.op(a, b) == G.op(b, a):
                 sub = generated_subgroup(G, [a, b])
                 found.setdefault(sub.members, sub)
@@ -351,6 +350,10 @@ SWEEP_GROUPS = {
     "C2xC2xC2": lambda: direct_product(named_group("C2xC2"), named_group("C2")),
     "trivial": lambda: named_group("1"),
     "S3": lambda: named_group("S3"),
+    # most generator pairs are nested: one lies in the other's cyclic subgroup
+    "C128": lambda: cyclic_group(128),
+    "C2xC64": lambda: direct_product(cyclic_group(2), cyclic_group(64)),
+    "D8xC16": lambda: direct_product(named_group("D8"), cyclic_group(16)),
 }
 
 

@@ -586,7 +586,7 @@ import cohomkit.brauer as B
 import cohomkit.crossed as C
 import cohomkit.cohomology as CH
 import cohomkit.groups as G
-from cohomkit.abelian import AbHom, FinAbGroup, cached_preimage
+from cohomkit.abelian import AbHom, FinAbGroup, Presentation, cached_preimage
 import cohomkit.cochain as CC
 from cohomkit.cochain import Cochain, conjugation_action
 from cohomkit.cohomology import ShortExactSequence, cohomology
@@ -724,9 +724,10 @@ zero_f = (CC.zero_cochain(d.Zmod, 1), zero_a)
 print(outcome(lambda: C.cohomologous_witness(tf, (bad_z, zero_a), zero_f, d.Msum.ab.zero())))
 tf.act = lambda q, z, a: (z, (np.asarray(a) + 1) % 2)
 print(outcome(lambda: C.cohomologous_witness(tf, zero_f, zero_f, d.Msum.ab.zero())))
-# an element with too few coordinates, and a class of another group
+# an element with too few coordinates, a class of another group, and a batch with a non-member row
 print(outcome(lambda: FinAbGroup((2, 3)).element([1])))
 print(outcome(lambda: H1.presentation.rep(FinAbGroup((3,)).element([1]))))
+print(outcome(lambda: Presentation((2, 4), [[0, 2]]).class_coords([[0, 2], [0, 1]])))
 # H^2(D8 x D8, Z/2) takes a second certification round
 D8xD8 = G.direct_product(named_group("D8"), named_group("D8"))
 print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
@@ -793,6 +794,7 @@ print(cohomology(G.trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders)
         "AssertionError: conjugation witness failed the pointwise identity",
         "ValueError: coordinates (1,) do not fit orders (2, 3)",
         "ValueError: class lies in orders [(3,)], not [(2,)]",
+        "ValueError: vector is not a member of the subgroup",
         str(cohomology(trivial_module(D8xD8, FinAbGroup((2,))), 2).group.orders),
     ]
 

@@ -24,6 +24,7 @@ from cohomkit.groups import (
     center_subgroup,
     constant_inclusion,
     cosets,
+    cyclic_generators,
     cyclic_group,
     cyclic_subgroups,
     derived_subgroup,
@@ -398,6 +399,29 @@ def test_cyclic_subgroups_dedup():
     K4 = named_group("C2xC2")
     subs = cyclic_subgroups(K4)
     assert len(subs) == 4  # trivial + three C2s
+
+
+_POWER_GROUPS = {
+    **GROUP_CATALOG,
+    "C12": lambda: cyclic_group(12),
+    "D8xC6": lambda: direct_product(named_group("D8"), cyclic_group(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POWER_GROUPS))
+def test_power_table_matches_one_multiplication_and_one_walk_per_element(name):
+    G = _POWER_GROUPS[name]()
+    e = G.powers.shape[1]
+    lowest = {}  # the members of <g> -> the lowest element that generates it
+    for g in G.elements():
+        cycle = [0]
+        while G.op(cycle[-1], g) != 0:
+            cycle.append(G.op(cycle[-1], g))
+        assert G.order_of(g) == len(cycle)
+        assert G.powers[g].tolist() == cycle * (e // len(cycle))
+        lowest.setdefault(generated_subgroup(G, [g]).members, g)
+    assert cyclic_generators(G).tolist() == sorted(lowest.values())
+    assert [s.members for s in cyclic_subgroups(G)] == sorted(lowest)
 
 
 # -- subgroup closure against a pure-Python reference ------------------------

@@ -93,8 +93,8 @@ def test_modspan_against_brute_force():
         span = ModSpan(rows, L, n=n, track=True)
         S = _brute_span(rows, L, n) if k else {(0,) * n}
         assert span.size() == len(S)
-        for _ in range(4):
-            v = [rng.randrange(L) for _ in range(n)]
+        vs = [[rng.randrange(L) for _ in range(n)] for _ in range(4)]
+        for v in vs:
             assert span.contains(v) == (tuple(v) in S)
             c = span.solve(v)
             if tuple(v) in S:
@@ -103,6 +103,12 @@ def test_modspan_against_brute_force():
                 assert (recon == np.array(v) % L).all()
             else:
                 assert c is None
+        # a batch solves as its rows do, and is refused when any row is outside
+        members = [v for v in vs if tuple(v) in S]
+        batch = span.solve(np.array(members, dtype=np.int64).reshape(len(members), n))
+        assert np.array_equal(batch, np.array([span.solve(v) for v in members]).reshape(len(members), k))
+        if len(members) < len(vs):
+            assert span.solve(vs) is None
 
 
 def test_modspan_reduce_is_canonical():
